@@ -77,12 +77,14 @@ class DiagonalSecondChaos:
 
     def sample_f(self, rng: np.random.Generator, n: int) -> np.ndarray:
         g = rng.standard_normal((n, self.m))
-        return (g * g - 1.0) @ self.alphas
+        np.square(g, out=g)
+        g -= 1.0
+        return g @ self.alphas
 
     def sample_gamma(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Samples of the carre du champ 4 sum_k alpha_k^2 G_k^2."""
         g = rng.standard_normal((n, self.m))
-        return (g * g) @ (4.0 * self.alphas ** 2)
+        return np.square(g, out=g) @ (4.0 * self.alphas ** 2)
 
     def to_polynomial(self) -> GaussianPolynomial:
         p = GaussianPolynomial(self.m, {})
@@ -271,10 +273,11 @@ def negative_moment(f: DiagonalSecondChaos, q: float,
         lambda u: laplace(u ** (1.0 / q)) / q, 0.0, 1.0,
         epsabs=0.0, epsrel=1e-11, limit=200)
 
-    # tail cutoff from laplace(e^t) <= K exp(-m t / 2)
-    k_const = float(np.prod((8.0 * a2) ** -0.5))
+    # tail cutoff from laplace(e^t) <= K exp(-m t / 2); log K as a sum of
+    # logs, since the product of m factors overflows for large m
+    log_k = -0.5 * float(np.sum(np.log(8.0 * a2)))
     decay = m / 2.0 - q
-    t_max = max(5.0, (math.log(k_const) - math.log(decay)
+    t_max = max(5.0, (log_k - math.log(decay)
                       - math.log(1e-13 * max(head, 1e-300))) / decay)
     tail, e_tail = integrate.quad(
         lambda t: math.exp(q * t) * float(laplace(math.exp(t))), 0.0, t_max,
@@ -407,35 +410,6 @@ class MultivariateSecondChaos:
         return np.einsum('i,ijk->jk', t, np.array(self.mats))
 
 
-def quadratic_form_polynomial(mat: np.ndarray) -> GaussianPolynomial:
-    """X' M X as a GaussianPolynomial (M symmetric)."""
-    n = mat.shape[0]
-    terms: dict[tuple, float] = {}
-    for i in range(n):
-        if mat[i, i] != 0.0:
-            e = [0] * n
-            e[i] = 2
-            terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(mat[i, i])
-        for j in range(i + 1, n):
-            if mat[i, j] != 0.0:
-                e = [0] * n
-                e[i] = 1
-                e[j] = 1
-                terms[tuple(e)] = terms.get(tuple(e), 0.0) + 2.0 * float(mat[i, j])
-    return GaussianPolynomial(n, terms)
-
-
-def _poly_variance(p: GaussianPolynomial) -> float:
-    from .wick import isserlis_expectation
-    mean = isserlis_expectation(p)
-    return isserlis_expectation(p * p) - mean * mean
-
-
-def _poly_l2(p: GaussianPolynomial) -> float:
-    from .wick import isserlis_expectation
-    return math.sqrt(max(isserlis_expectation(p * p), 0.0))
-
-
 def sphere_grid(d: int, resolution: int) -> np.ndarray:
     """Deterministic quasi-uniform directions on the unit sphere S^(d-1).
 
@@ -482,8 +456,14 @@ def cross_gamma_stats(m: MultivariateSecondChaos,
                       n_directions: int = 64) -> CrossGammaStats:
     """Exact carre-du-champ statistics and the direction-uniform bound.
 
-    All expectations are evaluated through the Isserlis oracle on the
-    quadratic-form polynomials.  The bound checked on the sphere grid is
+    Every statistic is a moment of a quadratic form X'GX in standard
+    Gaussians with G symmetric, so two trace identities give it exactly:
+    Var(X'GX) = 2 Tr(G^2) and E (X'GX)^2 = (Tr G)^2 + 2 Tr(G^2).
+    Here G = 2 (A_i A_j + A_j A_i), the symmetrized matrix of
+    Gamma[F_i, F_j] = 4 X'A_iA_jX, and G = 4 A_t^2 along a direction t.
+    The tests check every field against the Isserlis expansion of the
+    same quadratic-form polynomials.  The bound checked on the sphere
+    grid is
     Var(Gamma[F_t, F_t]) <= max_i Var(Gamma[F_i, F_i])
                             + d^2 max_{i != j} ||Gamma[F_i, F_j]||_2.
     """
@@ -494,18 +474,18 @@ def cross_gamma_stats(m: MultivariateSecondChaos,
         for j in range(d):
             prod = m.mats[i] @ m.mats[j]
             gmat = 2.0 * (prod + prod.T)  # symmetrized 4 X'A_iA_jX
-            poly = quadratic_form_polynomial(gmat)
+            tr_g2 = float(np.sum(gmat * gmat))   # Tr(G^2), G symmetric
             if i == j:
-                var_diag[i] = _poly_variance(poly)
-            cross[i, j] = _poly_l2(poly)
+                var_diag[i] = 2.0 * tr_g2
+            cross[i, j] = math.sqrt(float(np.trace(gmat)) ** 2 + 2.0 * tr_g2)
     off = [cross[i, j] for i in range(d) for j in range(d) if i != j]
     rhs = float(var_diag.max() + (d ** 2) * (max(off) if off else 0.0))
 
     worst, worst_t = -np.inf, None
     for t in sphere_grid(d, n_directions):
         at = m.combined(t)
-        poly = quadratic_form_polynomial(4.0 * (at @ at))
-        v = _poly_variance(poly)
+        g = 4.0 * (at @ at)
+        v = 2.0 * float(np.sum(g * g))
         if v > worst:
             worst, worst_t = v, t
     holds = bool(worst <= rhs + 1e-12 * max(1.0, abs(rhs)))

@@ -443,16 +443,26 @@ def kappa4_contraction(t: SymThreeTensor) -> float:
 
     Pairing the twelve Gaussian factors of F^4 leaves two connected
     classes: the doubled 4-cycle, whose value is ||a x_1 a||^2, and the
-    all-pairs (K4) cycle.  Counting slot matchings gives
-    kappa_4 = 1944 ||a x_1 a||^2 + 1296 * C4(a).
-    Cross-validated against the Isserlis oracle for n <= 6.
+    all-pairs (K4) cycle
+    C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f).
+    Counting slot matchings gives kappa_4 = 1944 ||a x_1 a||^2 + 1296 C4(a)
+    (the q = 3 contraction formula, Nourdin-Peccati 2012, section 5.2).
+
+    Both terms come from two GEMMs, O(n^5) flops in all:
+    c = r' r with r = a.reshape(n, n^2) is a x_1 a, indexed (bc, de);
+    u = s s' with s = a.reshape(n^2, n) contracts the last slot, indexed
+    (bd, ce); and C4 = sum_{bcde} c(bc, de) u(bd, ce).  The tests check
+    the result against the Isserlis expansion of kappa4_and_var_gamma
+    (n <= 6) and against the symmetrised contraction formula (n > 6).
     """
     n = t.n
     r = t.a.reshape(n, n * n)   # rows indexed by the contracted slot
     c = r.T @ r
     v1 = float(np.sum(c * c))
-    v2 = float(np.einsum('abc,ade,bdf,cef->', t.a, t.a, t.a, t.a,
-                         optimize=True))
+    s = t.a.reshape(n * n, n)   # columns indexed by the contracted slot
+    u = s @ s.T
+    v2 = float(np.einsum('bcde,bdce->', c.reshape(n, n, n, n),
+                         u.reshape(n, n, n, n)))
     return 1944.0 * v1 + 1296.0 * v2
 
 
@@ -497,13 +507,16 @@ def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int, seed: int,
     """Empirical P(Gamma < eps) over a grid plus a log-log slope fit.
 
     Grid points whose hit count falls below min_hits are excluded from
-    the fit and flagged (widened grid) rather than failing the run.
+    the fit and flagged (widened grid) rather than failing the run; fewer
+    than 3 points left for the fit is a ValueError.
     """
     eps = np.asarray(eps_grid, dtype=float)
     if eps.ndim != 1 or eps.size < 3:
         raise ValueError("eps_grid must hold at least 3 values")
     if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
         raise ValueError("eps_grid must be positive and increasing")
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
     spec = mc.RngSpec(seed, 0)
     counts = np.zeros(eps.size, dtype=np.int64)
     n = 0
@@ -514,6 +527,12 @@ def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int, seed: int,
     phat = counts / n
     se = np.sqrt(phat * (1.0 - phat) / n)
     used = counts >= min_hits
+    if used.sum() < 3:
+        raise ValueError(
+            f"only {int(used.sum())} of {eps.size} eps grid points reach "
+            f"min_hits={min_hits} (largest hit count {int(counts.max())} "
+            f"of {n} samples); at least 3 are needed for the slope fit: "
+            "raise the eps grid or the sample count")
     widened = bool(np.any(~used))
     slope, slope_se = mc.loglog_slope(
         list(zip(eps[used], phat[used], se[used])))
@@ -534,6 +553,8 @@ def negative_moment_gamma3(t: SymThreeTensor, theta: float, n_samples: int,
     """Monte Carlo E Gamma^(-theta) with a heavy-tail instability flag."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
     spec = mc.RngSpec(seed, 0)
     k = max(1, n_samples // 1000)
     top = np.empty(0)
@@ -597,6 +618,8 @@ def sp_batch_estimate(t: SymThreeTensor, p: int, n_samples: int, seed: int,
     empirical small-ball curve P(S_hat_p <= alpha)."""
     if p < 1 or p > t.n:
         raise ValueError(f"p must lie in 1..{t.n}")
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
     alpha = (np.geomspace(1e-3, 1.0, 7) if alpha_grid is None
              else np.asarray(alpha_grid, dtype=float))
     spec = mc.RngSpec(seed, 0)

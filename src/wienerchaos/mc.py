@@ -167,10 +167,10 @@ def loglog_slope(points) -> tuple[float, float]:
     Weights follow from the propagated errors se/phat; when every se is 0
     the fit is unweighted and the slope error comes from residuals.
     """
+    # unpacking rejects anything but triples; reshape keeps an empty list
+    # (0, 3) so it reaches the point-count error below
     pts = np.asarray([(float(e), float(p), float(s)) for e, p, s in points],
-                     dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must be (eps, phat, se) triples")
+                     dtype=float).reshape(-1, 3)
     zero = pts[:, 1] == 0.0
     if np.any(zero):
         warnings.warn(f"dropping {int(zero.sum())} point(s) with phat == 0",

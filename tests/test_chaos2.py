@@ -6,11 +6,68 @@ import pytest
 from wienerchaos import chaos2, mc
 from wienerchaos.chaos2 import DiagonalSecondChaos, MultivariateSecondChaos
 from wienerchaos.wick import (
+    GaussianPolynomial,
     cumulants_from_moment_sequence,
     isserlis_expectation,
 )
 
 SQ2 = 2 ** -0.5
+
+
+# ---------------------------------------------------------------------------
+# Isserlis oracle for quadratic forms (independent of the trace identities
+# that chaos2.cross_gamma_stats uses)
+# ---------------------------------------------------------------------------
+
+def quadratic_form_polynomial(mat: np.ndarray) -> GaussianPolynomial:
+    """X' M X as a GaussianPolynomial (M symmetric)."""
+    n = mat.shape[0]
+    terms: dict[tuple, float] = {}
+    for i in range(n):
+        if mat[i, i] != 0.0:
+            e = [0] * n
+            e[i] = 2
+            terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(mat[i, i])
+        for j in range(i + 1, n):
+            if mat[i, j] != 0.0:
+                e = [0] * n
+                e[i] = 1
+                e[j] = 1
+                terms[tuple(e)] = terms.get(tuple(e), 0.0) + 2.0 * float(mat[i, j])
+    return GaussianPolynomial(n, terms)
+
+
+def _poly_variance(p: GaussianPolynomial) -> float:
+    mean = isserlis_expectation(p)
+    return isserlis_expectation(p * p) - mean * mean
+
+
+def _poly_l2(p: GaussianPolynomial) -> float:
+    return math.sqrt(max(isserlis_expectation(p * p), 0.0))
+
+
+def isserlis_cross_gamma(m: MultivariateSecondChaos, n_directions: int = 64):
+    """(var_diag, cross_l2, bound_rhs, worst_lhs, worst_direction) by
+    expanding every quadratic form through the Isserlis oracle."""
+    d = m.d
+    var_diag = np.empty(d)
+    cross = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            prod = m.mats[i] @ m.mats[j]
+            poly = quadratic_form_polynomial(2.0 * (prod + prod.T))
+            if i == j:
+                var_diag[i] = _poly_variance(poly)
+            cross[i, j] = _poly_l2(poly)
+    off = [cross[i, j] for i in range(d) for j in range(d) if i != j]
+    rhs = float(var_diag.max() + (d ** 2) * (max(off) if off else 0.0))
+    worst, worst_t = -np.inf, None
+    for t in chaos2.sphere_grid(d, n_directions):
+        at = m.combined(t)
+        v = _poly_variance(quadratic_form_polynomial(4.0 * (at @ at)))
+        if v > worst:
+            worst, worst_t = v, t
+    return var_diag, cross, rhs, worst, worst_t
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +269,19 @@ def test_negative_moment_matches_mc():
     assert est.within(val, 3.0)
 
 
+@pytest.mark.parametrize("m", [400, 1000])
+def test_negative_moment_large_m(m):
+    # chi2-average: Gamma = 4a^2 chi^2_m, so E Gamma^(-q) =
+    # (4a^2)^(-q) 2^(-q) Gamma(m/2 - q) / Gamma(m/2); the tail cutoff once
+    # overflowed here through a product of m factors
+    f = DiagonalSecondChaos(np.full(m, 1.0 / math.sqrt(2 * m)))
+    a2 = f.alphas[0] ** 2
+    for q in (0.25, 1.0, 2.0):
+        ref = (4.0 * a2) ** -q * 2.0 ** -q * math.exp(
+            math.lgamma(m / 2.0 - q) - math.lgamma(m / 2.0))
+        assert chaos2.negative_moment(f, q) == pytest.approx(ref, rel=1e-6)
+
+
 def test_negative_moment_divergence():
     with pytest.raises(chaos2.DivergenceError):
         chaos2.negative_moment(DiagonalSecondChaos([SQ2]), 0.5)
@@ -310,6 +380,29 @@ def test_cross_gamma_degenerate_d1():
     assert stats.holds
 
 
+def test_cross_gamma_matches_isserlis_oracle():
+    # the trace identities Var(X'GX) = 2 Tr(G^2), E(X'GX)^2 = (Tr G)^2 +
+    # 2 Tr(G^2) against the polynomial expansion, on random families
+    rng = np.random.default_rng(12)
+    for d in (2, 3):
+        for dim in (3, 4, 5):
+            mats = []
+            for _ in range(d):
+                a = rng.standard_normal((dim, dim))
+                mats.append(0.5 * (a + a.T))
+            m = MultivariateSecondChaos(mats)
+            stats = chaos2.cross_gamma_stats(m, n_directions=16)
+            var_diag, cross, rhs, worst, worst_t = isserlis_cross_gamma(m, 16)
+            assert np.allclose(stats.var_diag, var_diag, rtol=1e-10, atol=0)
+            assert np.allclose(stats.cross_l2, cross, rtol=1e-10, atol=0)
+            assert stats.bound_rhs == pytest.approx(rhs, rel=1e-10)
+            assert stats.worst_lhs == pytest.approx(worst, rel=1e-10)
+            # Var Gamma[F_t, F_t] is even in t: antipodal grid points tie in
+            # exact arithmetic and rounding picks one, so compare up to sign
+            assert min(np.abs(stats.worst_direction - worst_t).max(),
+                       np.abs(stats.worst_direction + worst_t).max()) <= 1e-12
+
+
 def test_cov_matches_isserlis(unit_alphas_factory):
     rng = np.random.default_rng(8)
     a1 = rng.standard_normal((3, 3))
@@ -318,7 +411,7 @@ def test_cov_matches_isserlis(unit_alphas_factory):
     a2 = 0.5 * (a2 + a2.T)
     m = MultivariateSecondChaos([a1, a2])
     cov = m.covariance()
-    polys = [chaos2.quadratic_form_polynomial(a) - float(np.trace(a))
+    polys = [quadratic_form_polynomial(a) - float(np.trace(a))
              for a in (a1, a2)]
     for i in range(2):
         for j in range(2):

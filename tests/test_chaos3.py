@@ -384,6 +384,26 @@ def test_smallball_widened_grid_flag():
     assert math.isfinite(res.slope)
 
 
+def test_smallball_too_few_fit_points():
+    # block n = 60: Gamma averages 20 independent blocks, so no point of
+    # this grid gets min_hits hits and the slope fit has nothing to use
+    t = family_generators("block-3-tensor", 60)
+    eps = np.geomspace(0.01, 0.3, 8)
+    with pytest.raises(ValueError, match=r"only 0 of 8 .*min_hits=50"
+                       r" \(largest hit count 0 "):
+        chaos3.smallball_gamma3(t, eps, 2000, SEED)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: chaos3.smallball_gamma3(t, [0.05, 0.1, 0.2], 1, SEED),
+    lambda t: chaos3.negative_moment_gamma3(t, 0.25, 1, SEED),
+    lambda t: chaos3.sp_batch_estimate(t, 1, 1, SEED),
+], ids=["smallball_gamma3", "negative_moment_gamma3", "sp_batch_estimate"])
+def test_mc_estimators_reject_too_few_samples(call):
+    with pytest.raises(ValueError, match="need at least 100 samples"):
+        call(triple_product())
+
+
 def test_smallball_grid_validation():
     t = triple_product()
     with pytest.raises(ValueError):
@@ -488,24 +508,39 @@ def test_trace_variance_complete_family_exact_values():
         assert tf.var_trace == pytest.approx(want, rel=1e-9)
 
 
+def symmetrised_contraction_kappa4(a):
+    # the symmetrised contraction formula for the third chaos
+    # (Nourdin-Peccati 2012, Lemma 5.2.4):
+    # kappa4 = 1944 ||a ~x_1 a||^2 + 1296 ||a ~x_2 a||^2
+    c1 = np.einsum('ijm,klm->ijkl', a, a)
+    s1 = sum(np.transpose(c1, p)
+             for p in itertools.permutations(range(4))) / 24.0
+    c2 = np.einsum('imp,kmp->ik', a, a)   # already symmetric
+    return 1944.0 * np.sum(s1 * s1) + 1296.0 * np.sum(c2 * c2)
+
+
 def test_kappa4_complete_family_symmetrised_contraction():
     # beyond the Isserlis range (n <= 6), cross-check kappa4 against the
-    # symmetrised contraction formula for the third chaos
-    # (Nourdin-Peccati 2012, Lemma 5.2.4):
-    # kappa4 = 1944 ||a ~x_1 a||^2 + 1296 ||a ~x_2 a||^2.
+    # symmetrised contraction formula.
     # The values rise toward 90, the kappa4 of H3(Z)/sqrt(6):
     # 58.036... at N = 12 and 72.972... at N = 24.
     for n in (12, 24):
         t = family_generators("complete-3-tensor", n)
-        a = t.a
-        c1 = np.einsum('ijm,klm->ijkl', a, a)
-        s1 = sum(np.transpose(c1, p)
-                 for p in itertools.permutations(range(4))) / 24.0
-        c2 = np.einsum('imp,kmp->ik', a, a)   # already symmetric
-        oracle = 1944.0 * np.sum(s1 * s1) + 1296.0 * np.sum(c2 * c2)
         got = chaos3.kappa4_contraction(t)
-        assert got == pytest.approx(oracle, rel=1e-9)
+        assert got == pytest.approx(symmetrised_contraction_kappa4(t.a),
+                                    rel=1e-9)
         assert 35.4 < got < 90.0
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_kappa4_random_dense_symmetrised_contraction(n):
+    # a tensor with no structure: every triple carries its own value
+    rng = np.random.default_rng(100 + n)
+    entries = {trip: float(rng.standard_normal())
+               for trip in itertools.combinations(range(1, n + 1), 3)}
+    t = make_tensor(n, entries, normalize=True)
+    assert chaos3.kappa4_contraction(t) == pytest.approx(
+        symmetrised_contraction_kappa4(t.a), rel=1e-9)
 
 
 def test_trace_variance_block_family_decreases():

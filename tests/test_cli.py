@@ -207,6 +207,17 @@ def test_run_smallball3_and_negmoment3(tmp_path):
     assert cli.main(["run", str(p2)]) == 0
 
 
+def test_run_smallball3_no_fit_points(tmp_path, capsys):
+    # the default eps grid is far below Gamma's bulk on block n = 60
+    p = write_config(tmp_path / "c.ini", "smallball3",
+                     ["kind = block-3-tensor", "size = 60"],
+                     samples=5_000, out=tmp_path / "run")
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "only 0 of 8 eps grid points reach min_hits=50" in err
+    assert "largest hit count 0" in err
+
+
 def test_run_sp_lower_bound(tmp_path):
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "sp-lower-bound",

@@ -123,6 +123,11 @@ def test_loglog_slope_too_few_points():
                              (0.2, 0.2, 0.01)])
 
 
+def test_loglog_slope_empty():
+    with pytest.raises(ValueError, match="need at least 3 points with phat > 0"):
+        mc.loglog_slope([])
+
+
 def test_rngspec_validation():
     with pytest.raises(ValueError):
         mc.RngSpec(-1)
