@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
+from scipy import sparse
 
 from . import mc
 from .chaos2 import DiagonalSecondChaos, PreconditionError, newton_to_elementary
@@ -26,6 +28,7 @@ from .wick import GaussianPolynomial, gamma_of_polynomial, isserlis_expectation
 
 UNIT_VAR_TOL = 1e-12
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap for degree-12 expansions
+STEP_ELEMENTS = 250_000   # per-step temporaries of the Gamma kernels (2 MB)
 
 
 class CapacityError(ValueError):
@@ -39,8 +42,10 @@ class EigenSolverError(RuntimeError):
 class SymThreeTensor:
     """Symmetric 3-tensor, zero on coincident indices, on [1, n]^3.
 
-    entries maps strictly increasing 1-based triples (i, j, k) to values;
-    the full tensor is stored densely with all permutations filled in.
+    entries maps strictly increasing 1-based triples (i, j, k) to values.
+    The dense array `a`, with all permutations filled in, is built on
+    first access and kept read-only; sparse tensors sampled through
+    gamma_batch never build it.
     """
 
     def __init__(self, n: int, entries, normalize: bool = False):
@@ -64,12 +69,6 @@ class SymThreeTensor:
                 raise ValueError("cannot normalize an all-zero tensor")
             scale = 1.0 / (6.0 * math.sqrt(ssq))
             canon = {t: v * scale for t, v in canon.items()}
-        a = np.zeros((self.n, self.n, self.n))
-        for (i, j, k), v in canon.items():
-            for p in permutations((i - 1, j - 1, k - 1)):
-                a[p] = v
-        a.flags.writeable = False
-        self.a = a
         self.entries = canon
         if self.n <= EXACT_MODE_MAX_N:
             # cheap self-check of the variance convention vs the oracle
@@ -78,9 +77,40 @@ class SymThreeTensor:
             if abs(ref - self.variance) > 1e-10 * max(1.0, abs(ref)):
                 raise AssertionError("internal variance self-check failed")
 
+    @cached_property
+    def a(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n, self.n))
+        for (i, j, k), v in self.entries.items():
+            for p in permutations((i - 1, j - 1, k - 1)):
+                a[p] = v
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def _scatter(self):
+        """The triple list as gathers plus a scatter matrix.
+
+        Slot m of the 3 * nnz slots contributes w[t, m] * x[left[m]] *
+        x[right[m]] to partial_t F, so grad F(x) = w @ (x[left] * x[right])
+        with weight 6 a(i,j,k) on each of the three slots of a triple.
+        Slots are ordered by their target row.
+        """
+        trips = np.array(list(self.entries), dtype=np.intp).reshape(-1, 3) - 1
+        vals = 6.0 * np.fromiter(self.entries.values(), float,
+                                 len(self.entries))
+        i, j, k = trips.T
+        target = np.concatenate([i, j, k])
+        order = np.argsort(target, kind="stable")
+        left = np.concatenate([j, i, i])[order]
+        right = np.concatenate([k, k, j])[order]
+        w = sparse.csr_matrix(
+            (np.tile(vals, 3)[order], (target[order], np.arange(target.size))),
+            shape=(self.n, target.size))
+        return left, right, w
+
     @property
     def variance(self) -> float:
-        return float(6.0 * np.sum(self.a * self.a))
+        return 36.0 * math.fsum(v * v for v in self.entries.values())
 
     @property
     def unit_variance(self) -> bool:
@@ -110,10 +140,12 @@ def read_tensor_file(path) -> SymThreeTensor:
     """Read the plain-text tensor format.
 
     Lines starting with '#' are comments.  The first data line is the
-    dimension N; every following line is 'i j k value' with 1 <= i<j<k <= N.
+    dimension N; every following line is 'i j k value' with 1 <= i<j<k <= N,
+    and no triple may appear twice.
     """
     n = None
     entries: dict[tuple, float] = {}
+    first_line: dict[tuple, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -128,8 +160,13 @@ def read_tensor_file(path) -> SymThreeTensor:
                 continue
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'i j k value'")
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            entries[(i, j, k)] = float(parts[3])
+            trip = (int(parts[0]), int(parts[1]), int(parts[2]))
+            if trip in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: triple {trip} repeats the one on "
+                    f"line {first_line[trip]}")
+            first_line[trip] = lineno
+            entries[trip] = float(parts[3])
     if n is None:
         raise ValueError(f"{path}: missing dimension header")
     return SymThreeTensor(n, entries)
@@ -163,16 +200,45 @@ def gamma_f(t: SymThreeTensor, x: np.ndarray) -> float:
 
 
 def gamma_batch(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """Gamma[F,F] for a batch of points, shape (batch, n)."""
+    """Gamma[F,F] for a batch of points, shape (batch, n).
+
+    The tensor's fill picks the kernel: the triple scatter costs O(nnz)
+    per point, the unfolded GEMM O(n^3) at a far higher flop rate.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != t.n:
         raise ValueError(f"batch must have shape (B, {t.n})")
+    if _triples_win(len(t.entries), t.n):
+        return _gamma_triples(t, x)
+    return _gamma_unfolded(t, x)
+
+
+def _triples_win(nnz: int, n: int) -> bool:
+    # measured crossover: nnz ~ n^2 / 3 at n = 8 .. 60, 65536 rows per call
+    return 3 * nnz < n * n
+
+
+def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
+    """Gamma by the triple scatter: O(nnz) per point, `a` never built."""
+    left, right, w = t._scatter
     out = np.empty(x.shape[0])
-    step = max(1, 4_000_000 // (t.n * t.n))
+    # two gathers and their product: 3 * left.size elements per row
+    step = max(1, STEP_ELEMENTS // (3 * max(1, left.size)))
+    for s in range(0, x.shape[0], step):
+        # sample-minor layout: each gathered row is contiguous
+        xt = np.ascontiguousarray(x[s:s + step].T)
+        g = w @ (xt[left] * xt[right])
+        out[s:s + step] = np.einsum('ib,ib->b', g, g)
+    return out
+
+
+def _gamma_unfolded(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
+    """Gamma by the unfolded GEMM: grad F(x) = A_hat(x) x."""
+    out = np.empty(x.shape[0])
+    step = max(1, STEP_ELEMENTS // (t.n * t.n))
     for s in range(0, x.shape[0], step):
         xb = x[s:s + step]
-        t1 = np.tensordot(xb, t.a, axes=([1], [2]))       # (b, i, j)
-        g = 3.0 * np.einsum('bij,bj->bi', t1, xb)
+        g = np.matmul(sharp_batch(t, xb), xb[:, :, None])[:, :, 0]
         out[s:s + step] = np.einsum('bi,bi->b', g, g)
     return out
 
@@ -190,14 +256,20 @@ def sample_sharp_matrix(t: SymThreeTensor, xhat: np.ndarray) -> SharpMatrixSampl
     xhat = np.asarray(xhat, dtype=float)
     if xhat.shape != (t.n,):
         raise ValueError(f"xhat must have shape ({t.n},)")
-    m = 3.0 * np.tensordot(t.a, xhat, axes=([2], [0]))
-    return SharpMatrixSample(m, xhat.copy())
+    return SharpMatrixSample(sharp_batch(t, xhat), xhat.copy())
 
 
 def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
-    """Stack of sharp matrices for a batch of source vectors (B, n)."""
+    """Sharp matrices for source vectors xhat of shape (B, n), or the one
+    matrix for shape (n,).
+
+    One GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
+    which contracts the first slot; by symmetry that is any slot.
+    """
     xhat = np.asarray(xhat, dtype=float)
-    return 3.0 * np.tensordot(xhat, t.a, axes=([1], [2]))
+    n = t.n
+    m = xhat @ (3.0 * t.a).reshape(n, n * n)
+    return m.reshape(xhat.shape[:-1] + (n, n))
 
 
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
@@ -248,9 +320,13 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray,
     """Ordered spectra for a batch of source vectors; shape (B, n).
 
     Vectorized eigvalsh plus the same zero-sum hygiene as spectrum().
+    The sharp matrices are built and solved a cache-sized step at a time.
     """
-    ms = sharp_batch(t, xhat)
-    w = np.linalg.eigvalsh(ms)
+    xhat = np.asarray(xhat, dtype=float)
+    w = np.empty(xhat.shape)
+    step = max(1, STEP_ELEMENTS // (t.n * t.n))
+    for s in range(0, xhat.shape[0], step):
+        w[s:s + step] = np.linalg.eigvalsh(sharp_batch(t, xhat[s:s + step]))
     norms = np.abs(w).max(axis=1)
     sums = w.sum(axis=1)
     bad = np.abs(sums) > tol * np.maximum(1.0, norms)

@@ -88,6 +88,62 @@ def test_gamma_batch_matches_pointwise(unit_tensor_factory):
         assert val == pytest.approx(chaos3.gamma_f(t, row), rel=1e-12)
 
 
+def random_sparse_tensor(n, fill, seed):
+    rng = np.random.default_rng(seed)
+    entries = {trip: float(rng.standard_normal())
+               for trip in itertools.combinations(range(1, n + 1), 3)
+               if rng.random() < fill}
+    return make_tensor(n, entries, normalize=True)
+
+
+GAMMA_KERNEL_CASES = {
+    "complete-6": lambda: family_generators("complete-3-tensor", 6),
+    "complete-20": lambda: family_generators("complete-3-tensor", 20),
+    "spiked-20": lambda: family_generators("spiked-3-tensor", 20),
+    "block-60": lambda: family_generators("block-3-tensor", 60),
+    "random-30": lambda: random_sparse_tensor(30, 0.06, 3),  # ~1 % of n^3
+}
+
+
+@pytest.mark.parametrize("case", GAMMA_KERNEL_CASES)
+def test_gamma_kernels_match_pointwise(case):
+    # both kernels, whichever one gamma_batch would pick for this tensor
+    t = GAMMA_KERNEL_CASES[case]()
+    x = np.random.default_rng(4).standard_normal((64, t.n))
+    ref = np.array([chaos3.gamma_f(t, row) for row in x])
+    triples = chaos3._gamma_triples(t, x)
+    unfolded = chaos3._gamma_unfolded(t, x)
+    assert triples == pytest.approx(ref, rel=1e-12)
+    assert unfolded == pytest.approx(ref, rel=1e-12)
+    assert triples == pytest.approx(unfolded, rel=1e-12)
+
+
+def test_gamma_kernels_block_closed_form():
+    # unit block tensor: Gamma = (1/n_b) sum_blocks x1^2 x2^2 + x1^2 x3^2
+    # + x2^2 x3^2, since each block's value is 1/(6 sqrt(n_b))
+    t = family_generators("block-3-tensor", 150)
+    x = np.random.default_rng(5).standard_normal((300, 150))
+    sq = (x * x).reshape(300, 50, 3)
+    ref = (sq[:, :, 0] * sq[:, :, 1] + sq[:, :, 0] * sq[:, :, 2]
+           + sq[:, :, 1] * sq[:, :, 2]).sum(axis=1) / 50
+    assert chaos3._gamma_triples(t, x) == pytest.approx(ref, rel=1e-12)
+    assert chaos3._gamma_unfolded(t, x) == pytest.approx(ref, rel=1e-12)
+
+
+def test_gamma_kernels_zero_tensor():
+    t = make_tensor(4, {})
+    x = np.random.default_rng(6).standard_normal((10, 4))
+    assert np.array_equal(chaos3._gamma_triples(t, x), np.zeros(10))
+    assert np.array_equal(chaos3._gamma_unfolded(t, x), np.zeros(10))
+
+
+@pytest.mark.parametrize("case, triples", [
+    ("block-60", True), ("complete-20", False), ("spiked-20", False)])
+def test_gamma_kernel_choice(case, triples):
+    t = GAMMA_KERNEL_CASES[case]()
+    assert chaos3._triples_win(len(t.entries), t.n) is triples
+
+
 # ---------------------------------------------------------------------------
 # sharp matrix and spectrum
 # ---------------------------------------------------------------------------
@@ -394,6 +450,27 @@ def test_smallball_too_few_fit_points():
         chaos3.smallball_gamma3(t, eps, 2000, SEED)
 
 
+def test_smallball_sparse_tensor_builds_no_dense_array():
+    t = family_generators("block-3-tensor", 300)
+    res = chaos3.smallball_gamma3(t, np.linspace(2.0, 2.6, 4), 100_000, SEED)
+    assert not res.widened
+    assert "a" not in vars(t)        # the n^3 array was never built
+
+
+def test_dense_array_built_on_access():
+    t = random_sparse_tensor(9, 0.5, 7)
+    assert "a" not in vars(t)
+    dense = np.zeros((9, 9, 9))
+    for trip, v in t.entries.items():
+        for p in itertools.permutations(trip):
+            dense[tuple(i - 1 for i in p)] = v
+    assert np.array_equal(t.a, dense)
+    assert t.a is t.a
+    assert not t.a.flags.writeable
+    assert t.variance == pytest.approx(6.0 * np.sum(dense * dense),
+                                       rel=1e-14)
+
+
 @pytest.mark.parametrize("call", [
     lambda t: chaos3.smallball_gamma3(t, [0.05, 0.1, 0.2], 1, SEED),
     lambda t: chaos3.negative_moment_gamma3(t, 0.25, 1, SEED),
@@ -452,6 +529,20 @@ def test_s1_equals_trace_square(unit_tensor_factory):
     s1 = np.array([chaos3.elementary_symmetric_spectrum(lam, 1)
                    for lam in lams])
     assert np.allclose(s1, tr2, rtol=1e-10)
+
+
+def test_spectra_batch_matches_single_spectra_across_steps():
+    # 1500 rows at n = 20 span two full solve steps and a partial one
+    t = family_generators("complete-3-tensor", 20)
+    xh = np.random.default_rng(12).standard_normal((1500, 20))
+    lams = chaos3.spectra_batch(t, xh)
+    assert xh.shape[0] > 2 * (chaos3.STEP_ELEMENTS // 400)
+    single = np.array([
+        chaos3.spectrum(chaos3.sample_sharp_matrix(t, row)).eigs
+        for row in xh])
+    assert np.allclose(np.sort(lams, axis=1), np.sort(single, axis=1),
+                       rtol=0.0, atol=1e-12)
+    assert np.all(np.diff(np.abs(lams), axis=1) <= 0.0)
 
 
 def test_sp_batch_triple_product_mean():
@@ -579,3 +670,8 @@ def test_tensor_file_parse_errors(tmp_path):
     p.write_text("# dim\n3\n1 2 3 0.25\n")
     t = chaos3.read_tensor_file(p)
     assert t.entries[(1, 2, 3)] == 0.25
+    p.write_text("4\n1 2 3 0.5\n1 2 4 1.0\n1 2 3 -7.0\n")
+    with pytest.raises(ValueError,
+                       match=r"bad\.txt:4: triple \(1, 2, 3\) repeats the "
+                             r"one on line 2"):
+        chaos3.read_tensor_file(p)
