@@ -34,8 +34,9 @@ def main():
           f"{(res.slope - 0.25) / res.slope_se:.0f} standard errors")
 
     print("\nnegative moments E Gamma^(-theta) with the heavy-tail flag:")
-    for theta in (0.25, 0.5, 0.9):
-        r = chaos3.negative_moment_gamma3(t3, theta, 200_000, seed=7)
+    for r in chaos3.negative_moment_gamma3(t3, (0.25, 0.5, 0.9), 200_000,
+                                           seed=7):
+        theta = r.theta
         flag = "UNSTABLE (top 0.1% carries >50% of the mass)" if r.unstable \
             else "stable"
         print(f"  theta={theta:<5g} mean={r.estimate.mean:<10.5g} "

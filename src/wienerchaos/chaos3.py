@@ -273,9 +273,15 @@ def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
 
 
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
-    """Tr(A_hat^2) = sum_{i,j} A_hat_{ij}^2 for a batch of source vectors."""
-    m = sharp_batch(t, xhat)
-    return np.einsum('bij,bij->b', m, m)
+    """Tr(A_hat^2) = sum_{i,j} A_hat_{ij}^2 for a batch of source vectors,
+    shape (B, n); the sharp matrices are built a cache-sized step at a time."""
+    xhat = np.asarray(xhat, dtype=float)
+    out = np.empty(xhat.shape[0])
+    step = max(1, STEP_ELEMENTS // (t.n * t.n))
+    for s in range(0, xhat.shape[0], step):
+        m = sharp_batch(t, xhat[s:s + step])
+        out[s:s + step] = np.einsum('bij,bij->b', m, m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,6 +354,14 @@ def _char_product(lams: np.ndarray, xi: float) -> np.ndarray:
     return np.exp(log_mod + 1j * phase)
 
 
+def _grid(values, cast=float) -> list:
+    """A grid of scalars as a list; a single scalar is a one-point grid."""
+    grid = [cast(v) for v in np.ravel(values)]
+    if not grid:
+        raise ValueError("the grid is empty")
+    return grid
+
+
 @dataclass(frozen=True)
 class GammaSpecCheck:
     xi: float
@@ -365,32 +379,42 @@ class GammaSpecCheck:
         return abs(self.rhs.mean.imag) <= 3.0 * self.rhs.stderr_im
 
 
-def verify_gamma_spec(t: SymThreeTensor, xi: float, n_samples: int,
-                      seed: int) -> GammaSpecCheck:
-    """Both sides of the spectral identity, independently estimated.
+def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
+                      seed: int) -> list[GammaSpecCheck]:
+    """Both sides of the spectral identity, independently estimated, at
+    every xi of the grid; one GammaSpecCheck per xi.
 
-    lhs averages exp(-xi^2 Gamma / 2) over X; rhs averages the factor-wise
-    complex product over the spectrum of A_hat sampled from X_hat.  The
+    lhs averages exp(-xi^2 Gamma / 2) over X (stream 0); rhs averages the
+    factor-wise complex product over the spectrum of A_hat sampled from
+    X_hat (stream 1).  Each side draws once for the whole grid.  The
     imaginary part of rhs should vanish by the sign symmetry of the
     spectrum's law.
     """
+    xis = _grid(xi_grid)
     if n_samples < 1000:
         raise ValueError("need at least 1e3 samples")
-    xi = float(xi)
 
     def fn_lhs(rng, cnt):
-        x = rng.standard_normal((cnt, t.n))
-        return np.exp(-0.5 * xi * xi * gamma_batch(t, x))
+        g = gamma_batch(t, rng.standard_normal((cnt, t.n)))
+        return np.stack([np.exp(-0.5 * xi * xi * g) for xi in xis], axis=1)
 
     def fn_rhs(rng, cnt):
-        xh = rng.standard_normal((cnt, t.n))
-        return _char_product(spectra_batch(t, xh), xi)
+        lams = spectra_batch(t, rng.standard_normal((cnt, t.n)))
+        z = np.stack([_char_product(lams, xi) for xi in xis], axis=1)
+        return np.concatenate([z.real, z.imag], axis=1)
 
-    lhs = mc.estimate(fn_lhs, n_samples, mc.RngSpec(seed, 0))
-    rhs = mc.estimate_complex(fn_rhs, n_samples, mc.RngSpec(seed, 1))
-    gap = abs(lhs.mean - rhs.mean.real)
-    combined = math.hypot(lhs.stderr, rhs.stderr_re)
-    return GammaSpecCheck(xi, lhs, rhs, gap, combined)
+    spec_l, spec_r = mc.RngSpec(seed, 0), mc.RngSpec(seed, 1)
+    (lhs,) = mc.reduce(fn_lhs, n_samples, spec_l, mc.Moments())
+    (rhs,) = mc.reduce(fn_rhs, n_samples, spec_r, mc.Moments())
+    parts = rhs.results(spec_r)     # real parts, then imaginary parts
+    out = []
+    for xi, left, re, im in zip(xis, lhs.results(spec_l), parts,
+                                parts[len(xis):]):
+        right = mc.ComplexEstimatorResult(complex(re.mean, im.mean),
+                                          re.stderr, im.stderr, re.n, spec_r)
+        out.append(GammaSpecCheck(xi, left, right, abs(left.mean - re.mean),
+                                  math.hypot(left.stderr, re.stderr)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,22 +570,30 @@ def kappa4_contraction(t: SymThreeTensor) -> float:
 # spectral radius, small-ball and negative moments by Monte Carlo
 # ---------------------------------------------------------------------------
 
-def spectral_radius_moments(t: SymThreeTensor, p: int, n_samples: int,
-                            seed: int) -> mc.EstimatorResult:
-    """(E |lam_1|^(2p))^(1/(2p)) with a delta-method standard error."""
-    if p < 1:
+def spectral_radius_moments(t: SymThreeTensor, p_grid, n_samples: int,
+                            seed: int) -> list[mc.EstimatorResult]:
+    """(E |lam_1|^(2p))^(1/(2p)) with a delta-method standard error, one
+    result per p of the grid, all from one pass over stream 0."""
+    ps = _grid(p_grid, int)
+    if min(ps) < 1:
         raise ValueError("p must be >= 1")
 
     def fn(rng, cnt):
         lams = spectra_batch(t, rng.standard_normal((cnt, t.n)))
-        return np.abs(lams[:, 0]) ** (2 * p)
+        lam1 = np.abs(lams[:, 0])
+        return np.stack([lam1 ** (2 * p) for p in ps], axis=1)
 
-    raw = mc.estimate(fn, n_samples, mc.RngSpec(seed, 0))
-    if raw.mean <= 0.0:
-        return mc.EstimatorResult(0.0, 0.0, raw.n, raw.spec)
-    est = raw.mean ** (1.0 / (2 * p))
-    se = est * raw.stderr / (2 * p * raw.mean)
-    return mc.EstimatorResult(float(est), float(se), raw.n, raw.spec)
+    spec = mc.RngSpec(seed, 0)
+    (moments,) = mc.reduce(fn, n_samples, spec, mc.Moments())
+    out = []
+    for p, raw in zip(ps, moments.results(spec)):
+        if raw.mean <= 0.0:
+            out.append(mc.EstimatorResult(0.0, 0.0, raw.n, spec))
+            continue
+        est = raw.mean ** (1.0 / (2 * p))
+        se = est * raw.stderr / (2 * p * raw.mean)
+        out.append(mc.EstimatorResult(float(est), float(se), raw.n, spec))
+    return out
 
 
 @dataclass(frozen=True)
@@ -591,17 +623,12 @@ def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int, seed: int,
         raise ValueError("eps_grid must hold at least 3 values")
     if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
         raise ValueError("eps_grid must be positive and increasing")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
     spec = mc.RngSpec(seed, 0)
-    counts = np.zeros(eps.size, dtype=np.int64)
-    n = 0
-    for _, cnt, rng in mc.chunks(spec, n_samples):
-        g = gamma_batch(t, rng.standard_normal((cnt, t.n)))
-        counts += (g[:, None] < eps[None, :]).sum(axis=0)
-        n += cnt
-    phat = counts / n
-    se = np.sqrt(phat * (1.0 - phat) / n)
+    (hits,) = mc.reduce(
+        lambda rng, cnt: gamma_batch(t, rng.standard_normal((cnt, t.n))),
+        n_samples, spec, mc.Hits(eps))
+    (phat,), (se,) = hits.fractions()
+    n, counts = hits.n, hits.counts[0]
     used = counts >= min_hits
     if used.sum() < 3:
         raise ValueError(
@@ -624,57 +651,41 @@ class NegativeMomentResult:
     unstable: bool        # top_share > 0.5: heavy-tail warning
 
 
-def negative_moment_gamma3(t: SymThreeTensor, theta: float, n_samples: int,
-                           seed: int) -> NegativeMomentResult:
-    """Monte Carlo E Gamma^(-theta) with a heavy-tail instability flag."""
-    if not 0.0 < theta < 1.0:
+def negative_moment_gamma3(t: SymThreeTensor, theta_grid, n_samples: int,
+                           seed: int) -> list[NegativeMomentResult]:
+    """Monte Carlo E Gamma^(-theta) with a heavy-tail instability flag,
+    one result per theta of the grid, all from one pass over stream 0."""
+    thetas = _grid(theta_grid)
+    if not all(0.0 < theta < 1.0 for theta in thetas):
         raise ValueError("theta must lie in (0, 1)")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    spec = mc.RngSpec(seed, 0)
-    k = max(1, n_samples // 1000)
-    top = np.empty(0)
-    total = 0.0
-    count, mean, m2 = 0, 0.0, 0.0
-    for j, cnt, rng in mc.chunks(spec, n_samples):
+
+    def fn(rng, cnt):
         g = gamma_batch(t, rng.standard_normal((cnt, t.n)))
-        vals = g ** (-theta)
-        if not np.all(np.isfinite(vals)):
-            raise mc.PoisonedSampleError(
-                f"non-finite Gamma^(-theta) in chunk {j} (seed={seed})")
-        cm = float(vals.mean())
-        cm2 = float(np.sum((vals - cm) ** 2))
-        count, mean, m2 = mc._merge(count, mean, m2, cnt, cm, cm2)
-        total += float(vals.sum())
-        merged = np.concatenate([top, vals])
-        if merged.size > k:
-            merged = np.partition(merged, merged.size - k)[-k:]
-        top = merged
-    stderr = float(np.sqrt(m2 / (count - 1) / count))
-    est = mc.EstimatorResult(mean, stderr, count, spec)
-    share = float(top.sum() / total) if total > 0 else 0.0
-    return NegativeMomentResult(est, float(theta), share, bool(share > 0.5))
+        vals = np.stack([g ** (-theta) for theta in thetas], axis=1)
+        return vals, vals
+
+    spec = mc.RngSpec(seed, 0)
+    moments, top = mc.reduce(fn, n_samples, spec, mc.Moments(),
+                             mc.TopShare(max(1, n_samples // 1000)))
+    return [NegativeMomentResult(est, theta, float(share), bool(share > 0.5))
+            for est, theta, share in zip(moments.results(spec), thetas,
+                                         top.share)]
 
 
 # ---------------------------------------------------------------------------
 # elementary symmetric functions of the squared spectrum
 # ---------------------------------------------------------------------------
 
-def elementary_symmetric_spectrum(sample, p: int) -> float:
-    """S_hat_p = sum_{i1<...<ip} lam_{i1}^2 ... lam_{ip}^2 for one spectrum."""
-    eigs = sample.eigs if isinstance(sample, SpectrumSample) else np.asarray(
-        sample, dtype=float)
-    if p < 1 or p > eigs.size:
-        raise ValueError(f"p must lie in 1..{eigs.size}")
+def elementary_symmetric_spectrum(eigs, p: int) -> np.ndarray:
+    """S_hat_1 .. S_hat_p of squared spectra: shape (..., n) -> (..., p),
+    with S_hat_q = sum_{i1<...<iq} lam_{i1}^2 ... lam_{iq}^2, from one
+    Newton-Girard table of the power sums of lam^2."""
+    eigs = np.asarray(eigs, dtype=float)
+    if p < 1 or p > eigs.shape[-1]:
+        raise ValueError(f"p must lie in 1..{eigs.shape[-1]}")
     lam2 = eigs * eigs
-    newton = np.array([np.sum(lam2 ** q) for q in range(1, p + 1)])
-    return float(newton_to_elementary(newton)[p - 1])
-
-
-def _sp_from_spectra(lams: np.ndarray, p: int) -> np.ndarray:
-    lam2 = lams * lams
-    newton = np.stack([np.sum(lam2 ** q, axis=1) for q in range(1, p + 1)])
-    return newton_to_elementary(newton)[p - 1]
+    newton = np.stack([np.sum(lam2 ** q, axis=-1) for q in range(1, p + 1)])
+    return np.moveaxis(newton_to_elementary(newton), 0, -1)
 
 
 @dataclass(frozen=True)
@@ -688,32 +699,32 @@ class SpBatchResult:
     se: np.ndarray
 
 
-def sp_batch_estimate(t: SymThreeTensor, p: int, n_samples: int, seed: int,
-                      alpha_grid=None) -> SpBatchResult:
+def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int, seed: int,
+                      alpha_grid=None) -> list[SpBatchResult]:
     """Estimate E S_hat_p, compare with the lower bound, and record the
-    empirical small-ball curve P(S_hat_p <= alpha)."""
-    if p < 1 or p > t.n:
+    empirical small-ball curve P(S_hat_p < alpha), for every p of the
+    grid from one pass over stream 0."""
+    ps = _grid(p_grid, int)
+    if min(ps) < 1 or max(ps) > t.n:
         raise ValueError(f"p must lie in 1..{t.n}")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
     alpha = (np.geomspace(1e-3, 1.0, 7) if alpha_grid is None
              else np.asarray(alpha_grid, dtype=float))
-    spec = mc.RngSpec(seed, 0)
-    counts = np.zeros(alpha.size, dtype=np.int64)
-    count, mean, m2 = 0, 0.0, 0.0
-    for j, cnt, rng in mc.chunks(spec, n_samples):
+    cols = np.array(ps) - 1
+
+    def fn(rng, cnt):
         lams = spectra_batch(t, rng.standard_normal((cnt, t.n)))
-        sp = _sp_from_spectra(lams, p)
-        counts += (sp[:, None] <= alpha[None, :]).sum(axis=0)
-        cm = float(sp.mean())
-        cm2 = float(np.sum((sp - cm) ** 2))
-        count, mean, m2 = mc._merge(count, mean, m2, cnt, cm, cm2)
-    stderr = float(np.sqrt(m2 / (count - 1) / count))
-    est = mc.EstimatorResult(mean, stderr, count, spec)
-    lb = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))
-    phat = counts / count
-    se = np.sqrt(phat * (1.0 - phat) / count)
-    return SpBatchResult(p, est, float(lb), bool(mean >= lb), alpha, phat, se)
+        sp = elementary_symmetric_spectrum(lams, max(ps))[:, cols]
+        return sp, sp
+
+    spec = mc.RngSpec(seed, 0)
+    moments, hits = mc.reduce(fn, n_samples, spec, mc.Moments(),
+                              mc.Hits(alpha))
+    out = []
+    for p, est, phat, se in zip(ps, moments.results(spec), *hits.fractions()):
+        lb = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))
+        out.append(SpBatchResult(p, est, float(lb), bool(est.mean >= lb),
+                                 alpha, phat, se))
+    return out
 
 
 @dataclass(frozen=True)

@@ -252,17 +252,11 @@ def _exp_smallball2(cfg, model, rec):
     cert = chaos2.thm1_certificate(kappa4, p)
     rec.check("certificate", cert.certified,
               f"kappa4={kappa4:.6g} threshold={cert.threshold:.6g}")
-    spec = mc.RngSpec(cfg.seed, 0)
-    counts = np.zeros(len(eps), dtype=np.int64)
-    n = 0
-    for _, cnt, rng in mc.chunks(spec, cfg.samples):
-        g = f.sample_gamma(rng, cnt)
-        counts += (g[:, None] < np.asarray(eps)[None, :]).sum(axis=0)
-        n += cnt
+    (hits,) = mc.reduce(f.sample_gamma, cfg.samples,
+                        mc.RngSpec(cfg.seed, 0), mc.Hits(eps))
     rows = []
-    for e, c in zip(eps, counts):
-        phat = c / n
-        se = math.sqrt(phat * (1.0 - phat) / n)
+    (phats,), (ses,) = hits.fractions()
+    for e, phat, se in zip(eps, phats, ses):
         bound = chaos2.smallball_bound(p, e)
         ok = phat <= bound + 3.0 * se
         rec.check(f"smallball_eps{e:g}", ok,
@@ -324,8 +318,8 @@ def _exp_gamma_spec(cfg, model, rec):
     t = _require(model, chaos3.SymThreeTensor, cfg.name)
     xis = _parse_floats(cfg.grids.get("xi", "0.5, 1, 2"))
     rows = []
-    for i, xi in enumerate(xis):
-        chk = chaos3.verify_gamma_spec(t, xi, cfg.samples, cfg.seed + i)
+    for chk in chaos3.verify_gamma_spec(t, xis, cfg.samples, cfg.seed):
+        xi = chk.xi
         rec.check(f"gamma_spec_xi{xi:g}", chk.real_ok and chk.imag_ok,
                   f"gap={chk.gap:.3g} combined_se={chk.combined_se:.3g} "
                   f"im={chk.rhs.mean.imag:.3g}")
@@ -341,8 +335,8 @@ def _exp_spectral_radius(cfg, model, rec):
     t = _require(model, chaos3.SymThreeTensor, cfg.name)
     ps = [int(v) for v in cfg.grids.get("p", "1 2").replace(",", " ").split()]
     rows = []
-    for i, p in enumerate(ps):
-        est = chaos3.spectral_radius_moments(t, p, cfg.samples, cfg.seed + i)
+    ests = chaos3.spectral_radius_moments(t, ps, cfg.samples, cfg.seed)
+    for p, est in zip(ps, ests):
         rec.check(f"finite_p{p}", math.isfinite(est.mean),
                   f"norm={est.mean:.6g}")
         rows.append((p, est.mean, est.stderr, est.n))
@@ -396,9 +390,9 @@ def _exp_negmoment3(cfg, model, rec):
     t = _require(model, chaos3.SymThreeTensor, cfg.name)
     thetas = _parse_floats(cfg.grids.get("theta", "0.25"))
     rows = []
-    for i, theta in enumerate(thetas):
-        res = chaos3.negative_moment_gamma3(t, theta, cfg.samples,
-                                            cfg.seed + i)
+    for res in chaos3.negative_moment_gamma3(t, thetas, cfg.samples,
+                                             cfg.seed):
+        theta = res.theta
         rec.check(f"finite_theta{theta:g}", math.isfinite(res.estimate.mean),
                   f"mean={res.estimate.mean:.6g} top_share={res.top_share:.3f} "
                   f"unstable={res.unstable}")
@@ -421,8 +415,8 @@ def _exp_sp_lower_bound(cfg, model, rec):
               bool(np.max(np.abs(s1 - tr2)) <= 1e-10 * max(1.0, tr2.max())),
               f"max_gap={np.max(np.abs(s1 - tr2)):.3g}")
     rows = []
-    for i, p in enumerate(ps):
-        res = chaos3.sp_batch_estimate(t, p, cfg.samples, cfg.seed + i)
+    for res in chaos3.sp_batch_estimate(t, ps, cfg.samples, cfg.seed):
+        p = res.p
         rows.append((p, res.estimate.mean, res.estimate.stderr,
                      res.lower_bound, res.bound_holds))
         rec.csv(f"sp_smallball_p{p}.csv", ["alpha", "phat", "se"],

@@ -1,12 +1,20 @@
 """Deterministic, parallelizable Monte Carlo substrate.
 
 Sampling is organized in fixed-size chunks addressed by a counter-based
-generator (Philox).  The key is (seed, stream) and each chunk occupies its
-own counter block, so the sample values depend only on (seed, stream,
-sample index) -- never on how chunks are distributed over workers.
-Reductions use pairwise summation within a chunk and an order-normalized
-parallel merge across chunks, so estimates are reproducible bitwise on one
-platform and agree to ~1e-10 across merge orders.
+generator (Philox; Salmon et al., SC 2011).  The key is (seed, stream) and
+each chunk occupies its own counter block, so the sample values depend
+only on (seed, stream, sample index) -- never on how chunks are
+distributed over workers.
+
+One reduction serves every estimator: reduce(fn, n, spec, *accumulators)
+calls fn(rng, count) once per chunk and feeds each array it returns, one
+row per sample and one column per quantity (say, the points of a grid
+on the same draws), to its accumulator.  Moments gives each column's
+mean and standard error (pairwise sums within a chunk, the
+Chan-Golub-LeVeque merge across chunks in block order), Hits exact
+counts of x < t, TopShare the share of the total carried by the k
+largest values.  Results are bitwise reproducible on one platform, and a
+column's bits do not depend on the columns beside it.
 """
 
 from __future__ import annotations
@@ -47,9 +55,6 @@ class RngSpec:
         counter = np.array([0, 0, block, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
-    def with_stream(self, stream: int) -> "RngSpec":
-        return RngSpec(self.seed, stream)
-
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -67,7 +72,8 @@ class EstimatorResult:
 
 @dataclass(frozen=True)
 class ComplexEstimatorResult:
-    """Mean of a complex-valued sample with per-component standard errors."""
+    """Mean of a complex-valued sample with per-component standard errors
+    (a complex sample reduces as two real Moments columns)."""
 
     mean: complex
     stderr_re: float
@@ -88,15 +94,6 @@ def chunks(spec: RngSpec, n: int):
         yield j, cnt, spec.generator(block=j)
 
 
-def _merge(count, mean, m2, cnt, cm, cm2):
-    # Chan et al. parallel combine of (count, mean, sum of squared deviations)
-    tot = count + cnt
-    delta = cm - mean
-    mean = mean + delta * cnt / tot
-    m2 = m2 + cm2 + delta * delta * count * cnt / tot
-    return tot, mean, m2
-
-
 def gaussian_vector(spec: RngSpec, dim: int) -> np.ndarray:
     """dim independent standard normals from the given stream."""
     if dim < 1:
@@ -104,59 +101,108 @@ def gaussian_vector(spec: RngSpec, dim: int) -> np.ndarray:
     return spec.generator().standard_normal(dim)
 
 
-def estimate(fn: Callable[[np.random.Generator, int], np.ndarray],
-             n: int, spec: RngSpec) -> EstimatorResult:
-    """Chunked Monte Carlo mean of fn.
+def reduce(fn: Callable[[np.random.Generator, int], object], n: int,
+           spec: RngSpec, *accumulators):
+    """Feed n samples of fn from the stream spec to the accumulators.
 
-    fn(rng, count) must return a float array of shape (count,) drawn from
-    rng.  Non-finite values poison the estimate (error names the chunk).
+    fn(rng, count) returns one float array per accumulator (the array
+    itself when there is one), of shape (count,) or (count, m).  Each
+    accumulator gets it sample-minor: shape (m, count), rows contiguous.
+    A non-finite value raises PoisonedSampleError naming the chunk, the
+    output and the column.  Returns the accumulators.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
-    count, mean, m2 = 0, 0.0, 0.0
     for j, cnt, rng in chunks(spec, n):
-        x = np.asarray(fn(rng, cnt), dtype=float)
-        if x.shape != (cnt,):
-            raise ValueError(f"fn returned shape {x.shape}, expected ({cnt},)")
-        if not np.all(np.isfinite(x)):
-            raise PoisonedSampleError(
-                f"non-finite sample value in chunk {j} "
-                f"(seed={spec.seed}, stream={spec.stream})")
-        cm = float(x.mean())
-        cm2 = float(np.sum((x - cm) ** 2))
-        count, mean, m2 = _merge(count, mean, m2, cnt, cm, cm2)
-    stderr = float(np.sqrt(m2 / (count - 1) / count))
-    return EstimatorResult(mean, stderr, count, spec)
+        out = fn(rng, cnt)
+        out = (out,) if len(accumulators) == 1 else out
+        if len(out) != len(accumulators):
+            raise ValueError(f"fn returned {len(out)} arrays for "
+                             f"{len(accumulators)} accumulators")
+        for i, (acc, x) in enumerate(zip(accumulators, out)):
+            x = np.asarray(x, dtype=float)
+            if x.ndim not in (1, 2) or x.shape[0] != cnt:
+                raise ValueError(f"fn returned shape {x.shape}, expected "
+                                 f"({cnt},) or ({cnt}, m)")
+            xt = np.ascontiguousarray(x.reshape(cnt, -1).T)
+            finite = np.isfinite(xt).all(axis=1)
+            if not finite.all():
+                raise PoisonedSampleError(
+                    f"non-finite sample value in chunk {j}, output {i}, "
+                    f"column {int(np.argmin(finite))} "
+                    f"(seed={spec.seed}, stream={spec.stream})")
+            acc.add(xt)
+        del out, x, xt    # release this chunk's arrays before the next draw
+    return accumulators
 
 
-def estimate_complex(fn: Callable[[np.random.Generator, int], np.ndarray],
-                     n: int, spec: RngSpec) -> ComplexEstimatorResult:
-    """Like estimate() for complex-valued fn; tracks both components."""
-    if n < 100:
-        raise ValueError("need at least 100 samples")
-    count = 0
-    mean_r, m2_r = 0.0, 0.0
-    mean_i, m2_i = 0.0, 0.0
-    for j, cnt, rng in chunks(spec, n):
-        x = np.asarray(fn(rng, cnt), dtype=complex)
-        if x.shape != (cnt,):
-            raise ValueError(f"fn returned shape {x.shape}, expected ({cnt},)")
-        if not np.all(np.isfinite(x)):
-            raise PoisonedSampleError(
-                f"non-finite sample value in chunk {j} "
-                f"(seed={spec.seed}, stream={spec.stream})")
-        xr, xi = x.real, x.imag
-        cm_r = float(xr.mean())
-        cm_i = float(xi.mean())
-        c2_r = float(np.sum((xr - cm_r) ** 2))
-        c2_i = float(np.sum((xi - cm_i) ** 2))
-        tot, mean_r, m2_r = _merge(count, mean_r, m2_r, cnt, cm_r, c2_r)
-        _, mean_i, m2_i = _merge(count, mean_i, m2_i, cnt, cm_i, c2_i)
-        count = tot
-    se_r = float(np.sqrt(m2_r / (count - 1) / count))
-    se_i = float(np.sqrt(m2_i / (count - 1) / count))
-    return ComplexEstimatorResult(complex(mean_r, mean_i), se_r, se_i,
-                                  count, spec)
+class Moments:
+    """Mean and standard error of each column, merged across chunks."""
+
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0   # m2: squared deviations
+
+    def add(self, xt: np.ndarray) -> None:
+        # a contiguous row sums like a 1-D array: a column gets the bits it
+        # would get alone.  Then the Chan-Golub-LeVeque combine.
+        cnt = xt.shape[1]
+        cm = xt.mean(axis=1)
+        cm2 = np.sum((xt - cm[:, None]) ** 2, axis=1)
+        tot = self.n + cnt
+        delta = cm - self.mean
+        self.mean = self.mean + delta * cnt / tot
+        self.m2 = self.m2 + cm2 + delta * delta * self.n * cnt / tot
+        self.n = tot
+
+    def results(self, spec: RngSpec) -> list[EstimatorResult]:
+        """One EstimatorResult per column."""
+        stderr = np.sqrt(self.m2 / (self.n - 1) / self.n)
+        return [EstimatorResult(float(m), float(s), self.n, spec)
+                for m, s in zip(self.mean, stderr)]
+
+
+class Hits:
+    """Exact counts of x < t for each column and threshold t."""
+
+    def __init__(self, thresholds):
+        self.thresholds = np.asarray(thresholds, dtype=float).ravel()
+        self.n, self.counts = 0, 0    # counts: int64 (columns, thresholds)
+
+    def add(self, xt: np.ndarray) -> None:
+        self.counts = self.counts + (xt[:, :, None] < self.thresholds).sum(
+            axis=1, dtype=np.int64)
+        self.n += xt.shape[1]
+
+    def fractions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hit fractions and their binomial standard errors."""
+        phat = self.counts / self.n
+        return phat, np.sqrt(phat * (1.0 - phat) / self.n)
+
+
+class TopShare:
+    """Share of each column's total carried by its k largest values."""
+
+    def __init__(self, k: int):
+        self.k, self.top, self.total = int(k), None, 0.0
+
+    def add(self, xt: np.ndarray) -> None:
+        self.total = self.total + xt.sum(axis=1)
+        top = xt if self.top is None else np.concatenate([self.top, xt], 1)
+        if top.shape[1] > self.k:
+            top = np.partition(top, top.shape[1] - self.k, axis=1)
+        self.top = top[:, -self.k:].copy()   # a view would pin all of top
+
+    @property
+    def share(self) -> np.ndarray:
+        return self.top.sum(axis=1) / np.where(self.total > 0, self.total,
+                                               np.inf)
+
+
+def estimate(fn: Callable[[np.random.Generator, int], np.ndarray],
+             n: int, spec: RngSpec) -> EstimatorResult:
+    """Monte Carlo mean of fn, which returns shape (count,) per chunk."""
+    (moments,) = reduce(fn, n, spec, Moments())
+    return moments.results(spec)[0]
 
 
 def loglog_slope(points) -> tuple[float, float]:

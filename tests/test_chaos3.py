@@ -240,7 +240,7 @@ def test_spectrum_rejects_asymmetric():
 
 def test_gamma_spec_at_zero():
     t = triple_product()
-    chk = chaos3.verify_gamma_spec(t, 0.0, 2000, SEED)
+    (chk,) = chaos3.verify_gamma_spec(t, [0.0], 2000, SEED)
     assert chk.lhs.mean == 1.0 and chk.lhs.stderr == 0.0
     assert chk.rhs.mean == 1.0 + 0.0j
     assert chk.real_ok and chk.imag_ok
@@ -248,20 +248,20 @@ def test_gamma_spec_at_zero():
 
 def test_gamma_spec_triple_product():
     t = triple_product()
-    chk = chaos3.verify_gamma_spec(t, 1.0, 20_000, SEED)
+    (chk,) = chaos3.verify_gamma_spec(t, [1.0], 20_000, SEED)
     assert chk.real_ok
     assert chk.imag_ok
 
 
 def test_gamma_spec_sample_floor():
     with pytest.raises(ValueError):
-        chaos3.verify_gamma_spec(triple_product(), 1.0, 500, SEED)
+        chaos3.verify_gamma_spec(triple_product(), [1.0], 500, SEED)
 
 
 def test_gamma_spec_small_xi_expansion():
     # E exp(-xi^2 Gamma / 2) = 1 - (3/2) xi^2 + O(xi^4)
     t = triple_product()
-    chk = chaos3.verify_gamma_spec(t, 0.05, 100_000, SEED)
+    (chk,) = chaos3.verify_gamma_spec(t, [0.05], 100_000, SEED)
     assert abs(chk.lhs.mean - (1.0 - 1.5 * 0.05 ** 2)) < 1e-3
 
 
@@ -381,7 +381,8 @@ def test_kappa4_block_family_exact():
 def test_spectral_radius_triple_product():
     # brute-force oracle (5e6 samples, recorded before the build):
     # E lam_1^2 = 0.858649 +- 0.000316
-    est = chaos3.spectral_radius_moments(triple_product(), 1, 100_000, SEED)
+    (est,) = chaos3.spectral_radius_moments(triple_product(), [1], 100_000,
+                                             SEED)
     e2 = est.mean ** 2
     se2 = 2.0 * est.mean * est.stderr
     assert abs(e2 - 0.858649) <= 3.0 * se2 + 0.001
@@ -389,7 +390,7 @@ def test_spectral_radius_triple_product():
 
 def test_spectral_radius_zero_tensor():
     t = make_tensor(3, {})
-    est = chaos3.spectral_radius_moments(t, 1, 1000, SEED)
+    (est,) = chaos3.spectral_radius_moments(t, [1], 1000, SEED)
     assert est.mean == 0.0 and est.stderr == 0.0
 
 
@@ -400,7 +401,7 @@ def test_spectral_radius_complete_family_grows():
     vals = []
     for n in (6, 12, 24):
         t = family_generators("complete-3-tensor", n)
-        est = chaos3.spectral_radius_moments(t, 1, 20_000, SEED)
+        (est,) = chaos3.spectral_radius_moments(t, [1], 20_000, SEED)
         vals.append((est.mean, est.stderr))
     for (lo, lo_se), (hi, hi_se) in zip(vals, vals[1:]):
         assert hi - lo > 3.0 * math.hypot(lo_se, hi_se)
@@ -411,7 +412,7 @@ def test_spectral_radius_block_family_shrinks():
     vals = []
     for n in (6, 12, 24):
         t = family_generators("block-3-tensor", n)
-        est = chaos3.spectral_radius_moments(t, 1, 20_000, SEED)
+        (est,) = chaos3.spectral_radius_moments(t, [1], 20_000, SEED)
         vals.append((est.mean, est.stderr))
     for (lo, lo_se), (hi, hi_se) in zip(vals, vals[1:]):
         assert lo - hi > 3.0 * math.hypot(lo_se, hi_se)
@@ -491,14 +492,14 @@ def test_smallball_grid_validation():
 
 def test_negative_moment_gamma3_small_theta():
     t = triple_product()
-    res = chaos3.negative_moment_gamma3(t, 0.01, 100_000, SEED)
+    (res,) = chaos3.negative_moment_gamma3(t, [0.01], 100_000, SEED)
     assert res.estimate.mean == pytest.approx(1.0, abs=0.02)
     assert not res.unstable
 
 
 def test_negative_moment_gamma3_stable():
     t = triple_product()
-    res = chaos3.negative_moment_gamma3(t, 0.25, 100_000, SEED)
+    (res,) = chaos3.negative_moment_gamma3(t, [0.25], 100_000, SEED)
     assert math.isfinite(res.estimate.mean)
     assert not res.unstable
 
@@ -507,13 +508,26 @@ def test_negative_moment_gamma3_instability_flag():
     # theta = 0.9 exceeds the small-ball exponent (~0.59) of this Gamma:
     # the moment is infinite and the mass concentrates in the top summands
     t = triple_product()
-    res = chaos3.negative_moment_gamma3(t, 0.9, 200_000, SEED)
+    (res,) = chaos3.negative_moment_gamma3(t, [0.9], 200_000, SEED)
     assert res.unstable
+
+
+def test_grid_columns_have_their_own_bits():
+    # a grid point computed beside others equals the one-point grid at the
+    # same seed, bitwise, across a chunk boundary
+    t = triple_product()
+    n = mc.CHUNK_SAMPLES + 4000
+    pair = chaos3.negative_moment_gamma3(t, [0.25, 0.5], n, SEED)
+    (alone,) = chaos3.negative_moment_gamma3(t, [0.5], n, SEED)
+    assert pair[1] == alone
+    checks = chaos3.verify_gamma_spec(t, [0.5, 1.0], 2000, SEED)
+    (single,) = chaos3.verify_gamma_spec(t, [1.0], 2000, SEED)
+    assert checks[1] == single
 
 
 def test_negative_moment_gamma3_domain():
     with pytest.raises(ValueError):
-        chaos3.negative_moment_gamma3(triple_product(), 1.0, 1000, SEED)
+        chaos3.negative_moment_gamma3(triple_product(), [1.0], 1000, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +540,7 @@ def test_s1_equals_trace_square(unit_tensor_factory):
     xh = rng.standard_normal((64, 5))
     lams = chaos3.spectra_batch(t, xh)
     tr2 = chaos3.trace_square_batch(t, xh)
-    s1 = np.array([chaos3.elementary_symmetric_spectrum(lam, 1)
-                   for lam in lams])
+    s1 = chaos3.elementary_symmetric_spectrum(lams, 1)[:, 0]
     assert np.allclose(s1, tr2, rtol=1e-10)
 
 
@@ -545,8 +558,41 @@ def test_spectra_batch_matches_single_spectra_across_steps():
     assert np.all(np.diff(np.abs(lams), axis=1) <= 0.0)
 
 
+def test_trace_square_batch_matches_unstepped_einsum():
+    # 2000 rows at n = 24 span four full steps and a partial one
+    t = family_generators("complete-3-tensor", 24)
+    xh = np.random.default_rng(13).standard_normal((2000, 24))
+    assert xh.shape[0] > 4 * (chaos3.STEP_ELEMENTS // 576)
+    got = chaos3.trace_square_batch(t, xh)
+    m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
+    assert np.allclose(got, np.einsum('bij,bij->b', m, m),
+                       rtol=1e-13, atol=0.0)
+    m = np.einsum('bk,ijk->bij', xh, 3.0 * t.a)
+    assert np.allclose(got, np.einsum('bij,bij->b', m, m),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_sp_grid_shares_one_table():
+    # every p of the grid reads the same draws: p = 1 of a grid equals
+    # the one-point grid bitwise, and each column is one Newton table
+    t = family_generators("block-3-tensor", 9)
+    grid = chaos3.sp_batch_estimate(t, [1, 2, 3], 2000, SEED)
+    (alone,) = chaos3.sp_batch_estimate(t, [1], 2000, SEED)
+    assert grid[0].estimate == alone.estimate
+    assert np.array_equal(grid[0].phat, alone.phat)
+    assert [r.p for r in grid] == [1, 2, 3]
+    lams = chaos3.spectra_batch(t, np.random.default_rng(1)
+                                .standard_normal((50, 9)))
+    table = chaos3.elementary_symmetric_spectrum(lams, 3)
+    for p in (1, 2, 3):
+        brute = np.array([sum(np.prod(np.square(lam[list(c)]))
+                              for c in itertools.combinations(range(9), p))
+                          for lam in lams])
+        assert np.allclose(table[:, p - 1], brute, rtol=1e-10)
+
+
 def test_sp_batch_triple_product_mean():
-    res = chaos3.sp_batch_estimate(triple_product(), 1, 50_000, SEED)
+    (res,) = chaos3.sp_batch_estimate(triple_product(), [1], 50_000, SEED)
     assert abs(res.estimate.mean - 1.5) <= 3.0 * res.estimate.stderr
 
 
@@ -554,21 +600,21 @@ def test_sp_domain_error():
     t = triple_product()
     sp = chaos3.spectrum(chaos3.sample_sharp_matrix(t, np.ones(3)))
     with pytest.raises(ValueError):
-        chaos3.elementary_symmetric_spectrum(sp, 4)
+        chaos3.elementary_symmetric_spectrum(sp.eigs, 4)
 
 
 def test_sp_bound_block_vs_complete_n12():
     # the spectral lower bound (1/2)(3/2)^p / p! at p = 2 is 0.5625: it holds
     # for the vanishing-kappa4 block family (E = 276/256) and fails for the
     # complete family (measured 0.485 +- 0.003, kappa4 = 58 there)
-    block = chaos3.sp_batch_estimate(
-        family_generators("block-3-tensor", 12), 2, 30_000, SEED)
+    (block,) = chaos3.sp_batch_estimate(
+        family_generators("block-3-tensor", 12), [2], 30_000, SEED)
     assert block.lower_bound == pytest.approx(0.5625)
     assert block.bound_holds
     assert abs(block.estimate.mean - 276.0 / 256.0) \
         <= 4.0 * block.estimate.stderr
-    complete = chaos3.sp_batch_estimate(
-        family_generators("complete-3-tensor", 12), 2, 30_000, SEED)
+    (complete,) = chaos3.sp_batch_estimate(
+        family_generators("complete-3-tensor", 12), [2], 30_000, SEED)
     assert not complete.bound_holds
 
 

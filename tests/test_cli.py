@@ -241,6 +241,26 @@ def test_run_spectral_radius_and_negmoment2(tmp_path):
     assert cli.main(["run", str(p2)]) == 0
 
 
+@pytest.mark.parametrize("name,key,csv", [
+    ("negmoment3", "theta", "negmoment3.csv"),
+    ("gamma-spec", "xi", "gamma_spec.csv"),
+])
+def test_grid_points_do_not_alias_across_seeds(tmp_path, name, key, csv):
+    # grid point 1 at seed 41 and grid point 0 at seed 42 evaluate the
+    # same grid value; they must not read the same random stream
+    rows = []
+    for seed, grid in ((41, "0.25, 0.5"), (42, "0.5")):
+        out = tmp_path / f"s{seed}"
+        p = write_config(tmp_path / f"s{seed}.ini", name,
+                         ["kind = complete-3-tensor", "size = 4"],
+                         [f"{key} = {grid}"], seed=seed, samples=2000,
+                         out=out)
+        assert cli.main(["run", str(p)]) in (0, 1)
+        rows.append((out / csv).read_text().strip().split("\n"))
+    assert rows[0][2].split(",")[0] == rows[1][1].split(",")[0] == "0.5"
+    assert rows[0][2] != rows[1][1]
+
+
 def test_rerun_reproduces_csv_bitwise(tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -82,12 +82,122 @@ def test_estimate_poisoned_sample_names_chunk():
 
 
 def test_estimate_complex():
-    res = mc.estimate_complex(
-        lambda rng, cnt: np.exp(1j * rng.standard_normal(cnt)),
-        200_000, mc.RngSpec(8))
+    # a complex sample reduces as two real Moments columns
+    def fn(rng, cnt):
+        z = np.exp(1j * rng.standard_normal(cnt))
+        return np.stack([z.real, z.imag], axis=1)
+
+    (m,) = mc.reduce(fn, 200_000, mc.RngSpec(8), mc.Moments())
+    re, im = m.results(mc.RngSpec(8))
     # E exp(iG) = exp(-1/2)
-    assert abs(res.mean.real - np.exp(-0.5)) <= 4.0 * res.stderr_re
-    assert abs(res.mean.imag) <= 4.0 * res.stderr_im
+    assert re.within(np.exp(-0.5), 4.0)
+    assert im.within(0.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# the reduction and its accumulators
+# ---------------------------------------------------------------------------
+
+def _flat(fn, n, spec):
+    return np.concatenate([np.asarray(fn(rng, cnt)).reshape(cnt, -1)
+                           for _, cnt, rng in mc.chunks(spec, n)])
+
+
+def _chan_reference(fn, n, spec):
+    # 1-D chunk means and the Chan-Golub-LeVeque merge, in Python floats
+    count, mean, m2 = 0, 0.0, 0.0
+    for _, cnt, rng in mc.chunks(spec, n):
+        x = fn(rng, cnt)
+        cm = float(x.mean())
+        cm2 = float(np.sum((x - cm) ** 2))
+        tot = count + cnt
+        delta = cm - mean
+        mean = mean + delta * cnt / tot
+        m2 = m2 + cm2 + delta * delta * count * cnt / tot
+        count = tot
+    return mean, float(np.sqrt(m2 / (count - 1) / count))
+
+
+@pytest.mark.parametrize("n", [100, 12_345, 150_000])
+def test_reduce_columns_match_estimate_bitwise(n):
+    fn = lambda rng, cnt: rng.standard_normal(cnt) ** 2
+    spec = mc.RngSpec(3, 2)
+    both = lambda rng, cnt: np.stack([fn(rng, cnt)] * 2, axis=1)
+    (m,) = mc.reduce(both, n, spec, mc.Moments())
+    ref = mc.estimate(fn, n, spec)
+    assert m.results(spec) == [ref, ref]
+    assert (ref.mean, ref.stderr) == _chan_reference(fn, n, spec)
+
+
+def test_reduce_feeds_each_output_to_its_accumulator():
+    fn = lambda rng, cnt: rng.standard_normal(cnt)
+    spec = mc.RngSpec(2)
+    m, hits = mc.reduce(lambda rng, cnt: (fn(rng, cnt), fn(rng, cnt)),
+                        1000, spec, mc.Moments(), mc.Hits([0.0]))
+    # one chunk: the second output holds the next draws of its generator
+    rng = spec.generator(block=0)
+    first, second = rng.standard_normal(1000), rng.standard_normal(1000)
+    assert m.mean[0] == pytest.approx(first.mean(), rel=1e-12)
+    assert hits.counts[0, 0] == np.count_nonzero(second < 0.0)
+
+
+def test_hits_across_chunks_match_flat_count():
+    n = mc.CHUNK_SAMPLES + 5000
+    spec = mc.RngSpec(4, 1)
+    thresholds = [0.1, 0.5, 1.0, 2.0]
+    fn = lambda rng, cnt: rng.standard_normal((cnt, 2)) ** 2
+    (hits,) = mc.reduce(fn, n, spec, mc.Hits(thresholds))
+    flat = _flat(fn, n, spec)
+    expected = np.array([[np.count_nonzero(col < t) for t in thresholds]
+                         for col in flat.T])
+    assert hits.counts.dtype == np.int64
+    assert np.array_equal(hits.counts, expected)
+    assert hits.n == n
+    assert np.array_equal(hits.fractions()[0], expected / n)
+
+
+def test_top_share_matches_brute_force():
+    n = 2 * mc.CHUNK_SAMPLES + 777
+    k = n // 1000
+    spec = mc.RngSpec(5, 3)
+    fn = lambda rng, cnt: np.exp(rng.standard_normal((cnt, 2)) * [1.0, 3.0])
+    (top,) = mc.reduce(fn, n, spec, mc.TopShare(k))
+    flat = _flat(fn, n, spec)
+    expected = np.sort(flat, axis=0)[-k:].sum(axis=0) / flat.sum(axis=0)
+    assert top.share == pytest.approx(expected, rel=1e-12)
+    assert top.share[1] > top.share[0]
+
+
+def test_reduce_poisoned_column_names_chunk():
+    calls = []
+
+    def fn(rng, cnt):
+        out = np.ones((cnt, 3))
+        if len(calls) == 1:
+            out[17, 1] = np.nan
+        calls.append(cnt)
+        return out
+
+    with pytest.raises(mc.PoisonedSampleError,
+                       match=r"chunk 1, output 0, column 1 \(seed=7, "
+                             r"stream=3\)"):
+        mc.reduce(fn, 2 * mc.CHUNK_SAMPLES + 10, mc.RngSpec(7, 3),
+                  mc.Moments())
+    assert len(calls) == 2
+
+
+def test_reduce_rejects_bad_shapes_and_counts():
+    with pytest.raises(ValueError, match="expected"):
+        mc.reduce(lambda rng, cnt: np.ones(cnt + 1), 1000, mc.RngSpec(0),
+                  mc.Moments())
+    with pytest.raises(ValueError, match="2 accumulators"):
+        mc.reduce(lambda rng, cnt: (np.ones(cnt),), 1000, mc.RngSpec(0),
+                  mc.Moments(), mc.Hits([1.0]))
+    drawn = []
+    with pytest.raises(ValueError, match="need at least 100 samples"):
+        mc.reduce(lambda rng, cnt: drawn.append(cnt), 99, mc.RngSpec(0),
+                  mc.Moments())
+    assert not drawn
 
 
 def test_loglog_slope_exact_power_law():
