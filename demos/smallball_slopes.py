@@ -24,7 +24,7 @@ def main():
     print("=" * 72)
     print("small-ball slopes of Gamma[F,F] (Carbery-Wright baseline: 1/4)")
     print("=" * 72)
-    t3 = chaos3.make_tensor(3, {(1, 2, 3): 1.0}, normalize=True)
+    t3 = chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
     slope_line("F = X1 X2 X3", t3, 500_000, seed=5)
 
     t20 = family_generators("complete-3-tensor", 20)

@@ -15,15 +15,15 @@ from wienerchaos.cli import family_generators
 
 
 def main():
-    t = chaos3.make_tensor(3, {(1, 2, 3): 1.0}, normalize=True)
+    t = chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
     print("F = X1 X2 X3  (unit variance: coefficient 1/6 on the triple)")
 
     xhat = np.array([0.0, 0.0, 1.0])
-    s = chaos3.sample_sharp_matrix(t, xhat)
-    sp = chaos3.spectrum(s)
+    m = chaos3.sharp_batch(t, xhat)
+    (eigs,) = chaos3.spectra_batch(t, xhat[None, :])
     print(f"\nsharp matrix at xhat = e3 (trace is exactly "
-          f"{np.trace(s.matrix):g}):\n{s.matrix}")
-    print(f"spectrum, |.|-ordered: {sp.eigs}")
+          f"{np.trace(m):g}):\n{m}")
+    print(f"spectrum, |.|-ordered: {eigs}")
 
     print("\nspectral identity, both sides estimated independently "
           "(2e4 samples):")
@@ -41,8 +41,8 @@ def main():
     print(f"  E Tr(A_hat^2)^(-1) via the second-chaos machinery: {neg:.6f} "
           "(exact 2 for chi^2_3/2)")
 
-    res = chaos3.kappa4_and_var_gamma(t, "exact")
-    print(f"\nfourth cumulant and Var Gamma (exact, Isserlis): "
+    res = chaos3.kappa4_and_var_gamma(t)
+    print(f"\nfourth cumulant and Var Gamma (exact, contractions): "
           f"kappa4={res.kappa4:g}, VarGamma={res.var_gamma:g}; "
           f"sqrt(VarGamma)={res.var_gamma ** 0.5:g} <= "
           f"3 sqrt(kappa4)={3 * res.kappa4 ** 0.5:.4g}")

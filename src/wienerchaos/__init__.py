@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from . import chaos2, chaos3, mc, wick
 from .chaos2 import DiagonalSecondChaos, MultivariateSecondChaos
-from .chaos3 import SymThreeTensor, make_tensor
+from .chaos3 import SymThreeTensor
 from .mc import EstimatorResult, RngSpec
 from .wick import GaussianPolynomial
 
@@ -23,5 +23,5 @@ __all__ = [
     "__version__",
     "wick", "chaos2", "chaos3", "mc",
     "GaussianPolynomial", "DiagonalSecondChaos", "MultivariateSecondChaos",
-    "SymThreeTensor", "make_tensor", "RngSpec", "EstimatorResult",
+    "SymThreeTensor", "RngSpec", "EstimatorResult",
 ]

@@ -545,10 +545,16 @@ def sphere_kappa4_max(m: MultivariateSecondChaos,
     return Kappa4Max(float(best_v), t)
 
 
-def laplace_vs_mc(f: DiagonalSecondChaos, lam: float, n: int,
-                  spec: mc.RngSpec) -> tuple[float, mc.EstimatorResult]:
-    """Closed-form Laplace transform next to its Monte Carlo estimate."""
-    closed = laplace_gamma(f, lam)
-    est = mc.estimate(
-        lambda rng, cnt: np.exp(-lam * f.sample_gamma(rng, cnt)), n, spec)
-    return closed, est
+def laplace_vs_mc(f: DiagonalSecondChaos, lam_grid, n: int,
+                  spec: mc.RngSpec) -> list[tuple[float, mc.EstimatorResult]]:
+    """Closed-form Laplace transform next to its Monte Carlo estimate, one
+    pair per lambda of the grid, all columns of one pass over spec."""
+    lams = [float(v) for v in np.ravel(lam_grid)]
+
+    def fn(rng, cnt):
+        g = f.sample_gamma(rng, cnt)
+        return np.stack([np.exp(-lam * g) for lam in lams], axis=1)
+
+    (moments,) = mc.reduce(fn, n, spec, mc.Moments())
+    return [(laplace_gamma(f, lam), est)
+            for lam, est in zip(lams, moments.results(spec))]

@@ -24,15 +24,15 @@ from scipy import sparse
 
 from . import mc
 from .chaos2 import DiagonalSecondChaos, PreconditionError, newton_to_elementary
-from .wick import GaussianPolynomial, gamma_of_polynomial, isserlis_expectation
+from .wick import GaussianPolynomial, isserlis_expectation
 
 UNIT_VAR_TOL = 1e-12
-EXACT_MODE_MAX_N = 6   # Isserlis cost cap for degree-12 expansions
+EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries of the Gamma kernels (2 MB)
-
-
-class CapacityError(ValueError):
-    """Exact mode requested beyond the Isserlis cost cap."""
+SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
+MIN_HITS = 50          # small-ball points with fewer hits leave the slope fit
+SP_ALPHA_GRID = np.geomspace(1e-3, 1.0, 7)   # S_hat_p small-ball grid
+SP_ALPHA_GRID.flags.writeable = False
 
 
 class EigenSolverError(RuntimeError):
@@ -131,11 +131,6 @@ class SymThreeTensor:
                 f"variance={self.variance:.6g})")
 
 
-def make_tensor(n: int, entries, normalize: bool = False) -> SymThreeTensor:
-    """Build a SymThreeTensor from {(i, j, k): value} with 1-based i<j<k."""
-    return SymThreeTensor(n, entries, normalize=normalize)
-
-
 def read_tensor_file(path) -> SymThreeTensor:
     """Read the plain-text tensor format.
 
@@ -152,21 +147,24 @@ def read_tensor_file(path) -> SymThreeTensor:
             if not line:
                 continue
             parts = line.split()
+            if len(parts) != (1 if n is None else 4):
+                raise ValueError(f"{path}:{lineno}: expected " + (
+                    "the dimension header" if n is None else "'i j k value'"))
+            try:
+                nums = ([int(v) for v in parts[:3]]
+                        + [float(v) for v in parts[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if n is None:
-                if len(parts) != 1:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected the dimension header")
-                n = int(parts[0])
+                n = nums[0]
                 continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'i j k value'")
-            trip = (int(parts[0]), int(parts[1]), int(parts[2]))
+            trip = tuple(nums[:3])
             if trip in first_line:
                 raise ValueError(
                     f"{path}:{lineno}: triple {trip} repeats the one on "
                     f"line {first_line[trip]}")
             first_line[trip] = lineno
-            entries[trip] = float(parts[3])
+            entries[trip] = nums[3]
     if n is None:
         raise ValueError(f"{path}: missing dimension header")
     return SymThreeTensor(n, entries)
@@ -184,20 +182,6 @@ def write_tensor_file(t: SymThreeTensor, path) -> None:
 # ---------------------------------------------------------------------------
 # carre du champ and the sharp matrix
 # ---------------------------------------------------------------------------
-
-def gradient(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """partial_i F = 3 sum_{j,k} a(i,j,k) x_j x_k."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (t.n,):
-        raise ValueError(f"x must have shape ({t.n},)")
-    t1 = np.tensordot(t.a, x, axes=([2], [0]))  # (i, j)
-    return 3.0 * (t1 @ x)
-
-def gamma_f(t: SymThreeTensor, x: np.ndarray) -> float:
-    """Gamma[F,F](x) = sum_i (partial_i F)^2, evaluated at a point."""
-    g = gradient(t, x)
-    return float(g @ g)
-
 
 def gamma_batch(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     """Gamma[F,F] for a batch of points, shape (batch, n).
@@ -235,33 +219,17 @@ def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
 def _gamma_unfolded(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     """Gamma by the unfolded GEMM: grad F(x) = A_hat(x) x."""
     out = np.empty(x.shape[0])
-    step = max(1, STEP_ELEMENTS // (t.n * t.n))
-    for s in range(0, x.shape[0], step):
-        xb = x[s:s + step]
+    for rows in _sharp_steps(t, x.shape[0]):
+        xb = x[rows]
         g = np.matmul(sharp_batch(t, xb), xb[:, :, None])[:, :, 0]
-        out[s:s + step] = np.einsum('bi,bi->b', g, g)
+        out[rows] = np.einsum('bi,bi->b', g, g)
     return out
 
 
-@dataclass(frozen=True)
-class SharpMatrixSample:
-    """One realization of the sharp-gradient matrix and its source vector."""
-
-    matrix: np.ndarray
-    source: np.ndarray
-
-
-def sample_sharp_matrix(t: SymThreeTensor, xhat: np.ndarray) -> SharpMatrixSample:
-    """A_hat(i,j) = 3 sum_k a(i,j,k) xhat_k; zero diagonal, zero trace."""
-    xhat = np.asarray(xhat, dtype=float)
-    if xhat.shape != (t.n,):
-        raise ValueError(f"xhat must have shape ({t.n},)")
-    return SharpMatrixSample(sharp_batch(t, xhat), xhat.copy())
-
-
 def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
-    """Sharp matrices for source vectors xhat of shape (B, n), or the one
-    matrix for shape (n,).
+    """Sharp matrices A_hat(i,j) = 3 sum_k a(i,j,k) xhat_k (zero diagonal,
+    zero trace) for source vectors xhat of shape (B, n), or the one matrix
+    for shape (n,).
 
     One GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
     which contracts the first slot; by symmetry that is any slot.
@@ -272,70 +240,40 @@ def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     return m.reshape(xhat.shape[:-1] + (n, n))
 
 
+def _sharp_steps(t: SymThreeTensor, n_rows: int):
+    """Yield slices of a batch of n_rows source vectors whose sharp
+    matrices fill a cache-sized step of STEP_ELEMENTS float64 values."""
+    step = max(1, STEP_ELEMENTS // (t.n * t.n))
+    for s in range(0, n_rows, step):
+        yield slice(s, s + step)
+
+
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """Tr(A_hat^2) = sum_{i,j} A_hat_{ij}^2 for a batch of source vectors,
-    shape (B, n); the sharp matrices are built a cache-sized step at a time."""
+    shape (B, n)."""
     xhat = np.asarray(xhat, dtype=float)
     out = np.empty(xhat.shape[0])
-    step = max(1, STEP_ELEMENTS // (t.n * t.n))
-    for s in range(0, xhat.shape[0], step):
-        m = sharp_batch(t, xhat[s:s + step])
-        out[s:s + step] = np.einsum('bij,bij->b', m, m)
+    for rows in _sharp_steps(t, xhat.shape[0]):
+        m = sharp_batch(t, xhat[rows])
+        out[rows] = np.einsum('bij,bij->b', m, m)
     return out
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Eigenvalues ordered by decreasing |lambda|; recentered marks the
-    zero-trace hygiene adjustment (applied only when |sum| broke tolerance)."""
+def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
+    """Spectra of the sharp matrices of a batch of source vectors, shape
+    (B, n), each row ordered by decreasing |lambda|.
 
-    eigs: np.ndarray
-    recentered: bool = False
-
-
-def spectrum(sample: SharpMatrixSample, tol: float = 1e-10) -> SpectrumSample:
-    """Eigenvalues of one sharp matrix with residual verification.
-
-    Checks symmetry, per-pair residuals ||A v - lam v|| <= tol ||A||, and
-    the zero-trace identity (recenter + flag if violated beyond tol).
-    """
-    m = np.asarray(sample.matrix, dtype=float)
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if not np.allclose(m, m.T, rtol=0.0, atol=tol * max(1.0, scale)):
-        raise ValueError("matrix is not symmetric within tolerance")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
-    norm = float(np.abs(w).max()) if w.size else 0.0
-    resid = np.linalg.norm(m @ v - v * w, axis=0)
-    if norm > 0 and np.any(resid > tol * norm * 10.0):
-        raise EigenSolverError(
-            f"eigenpair residual {resid.max():.3g} exceeds {tol * norm * 10.0:.3g}")
-    recentered = False
-    s = float(w.sum())
-    if abs(s) > tol * max(1.0, norm):
-        w = w - s / w.size
-        recentered = True
-    order = np.argsort(-np.abs(w), kind="stable")
-    return SpectrumSample(w[order], recentered)
-
-
-def spectra_batch(t: SymThreeTensor, xhat: np.ndarray,
-                  tol: float = 1e-10) -> np.ndarray:
-    """Ordered spectra for a batch of source vectors; shape (B, n).
-
-    Vectorized eigvalsh plus the same zero-sum hygiene as spectrum().
-    The sharp matrices are built and solved a cache-sized step at a time.
+    eigvalsh solves each matrix on its own.  Zero-trace hygiene: a row
+    whose sum breaks SPECTRUM_TOL (relative to its largest |lambda|) is
+    recentred.
     """
     xhat = np.asarray(xhat, dtype=float)
     w = np.empty(xhat.shape)
-    step = max(1, STEP_ELEMENTS // (t.n * t.n))
-    for s in range(0, xhat.shape[0], step):
-        w[s:s + step] = np.linalg.eigvalsh(sharp_batch(t, xhat[s:s + step]))
+    for rows in _sharp_steps(t, xhat.shape[0]):
+        w[rows] = np.linalg.eigvalsh(sharp_batch(t, xhat[rows]))
     norms = np.abs(w).max(axis=1)
     sums = w.sum(axis=1)
-    bad = np.abs(sums) > tol * np.maximum(1.0, norms)
+    bad = np.abs(sums) > SPECTRUM_TOL * np.maximum(1.0, norms)
     if np.any(bad):
         w[bad] -= (sums[bad] / w.shape[1])[:, None]
     order = np.argsort(-np.abs(w), axis=1, kind="stable")
@@ -475,85 +413,17 @@ def trace_form(t: SymThreeTensor) -> TraceFormSpectrum:
 class K4VarGamma:
     kappa4: float
     var_gamma: float
-    bound_holds: bool    # sqrt(Var Gamma) <= 3 sqrt(kappa4) (+ MC slack)
-    mode: str
-    kappa4_se: float = 0.0
-    var_gamma_se: float = 0.0
+    bound_holds: bool    # sqrt(Var Gamma) <= 3 sqrt(kappa4)
 
 
-def kappa4_and_var_gamma(t: SymThreeTensor, mode: str = "exact",
-                         n_samples: int = 200_000,
-                         seed: int = 0) -> K4VarGamma:
-    """kappa_4(F) and Var Gamma[F,F], exactly (n <= 6) or by Monte Carlo.
+def _contractions(t: SymThreeTensor) -> tuple[float, float]:
+    """v1 = ||a x_1 a||^2 and the K4 cycle
+    v2 = C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f), from two GEMMs,
+    O(n^5) flops in all.
 
-    Exact mode expands F^4 and Gamma^2 through the Isserlis oracle; the
-    cost cap keeps the degree-12 expansion tractable.  MC mode estimates
-    both and allows 3-standard-error slack in the bound check.
-    """
-    if mode == "exact":
-        if t.n > EXACT_MODE_MAX_N:
-            raise CapacityError(
-                f"exact mode limited to n <= {EXACT_MODE_MAX_N}")
-        f = t.to_polynomial()
-        m2 = isserlis_expectation(f * f)
-        m4 = isserlis_expectation((f * f) * (f * f))
-        kappa4 = m4 - 3.0 * m2 * m2
-        g = gamma_of_polynomial(f)
-        eg = isserlis_expectation(g)
-        eg2 = isserlis_expectation(g * g)
-        var_gamma = eg2 - eg * eg
-        holds = bool(math.sqrt(max(var_gamma, 0.0))
-                     <= 3.0 * math.sqrt(max(kappa4, 0.0))
-                     + 1e-9 * max(1.0, abs(kappa4)))
-        return K4VarGamma(float(kappa4), float(var_gamma), holds, "exact")
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-
-    def fn_f2(rng, cnt):
-        x = rng.standard_normal((cnt, t.n))
-        t1 = np.tensordot(x, t.a, axes=([1], [2]))
-        fv = np.einsum('bij,bi,bj->b', t1, x, x)
-        return fv * fv
-
-    def fn_gamma(rng, cnt):
-        return gamma_batch(t, rng.standard_normal((cnt, t.n)))
-
-    spec = mc.RngSpec(seed, 0)
-    e_f2 = mc.estimate(fn_f2, n_samples, spec)
-    e_f4 = mc.estimate(lambda rng, cnt: fn_f2(rng, cnt) ** 2,
-                       n_samples, mc.RngSpec(seed, 1))
-    e_g = mc.estimate(fn_gamma, n_samples, mc.RngSpec(seed, 2))
-    e_g2 = mc.estimate(lambda rng, cnt: fn_gamma(rng, cnt) ** 2,
-                       n_samples, mc.RngSpec(seed, 3))
-    kappa4 = e_f4.mean - 3.0 * e_f2.mean ** 2
-    kappa4_se = math.hypot(e_f4.stderr, 6.0 * e_f2.mean * e_f2.stderr)
-    var_gamma = e_g2.mean - e_g.mean ** 2
-    var_gamma_se = math.hypot(e_g2.stderr, 2.0 * e_g.mean * e_g.stderr)
-    lhs = math.sqrt(max(var_gamma, 0.0))
-    rhs = 3.0 * math.sqrt(max(kappa4, 0.0))
-    lhs_se = var_gamma_se / (2.0 * lhs) if lhs > 0 else var_gamma_se
-    rhs_se = (1.5 * kappa4_se / math.sqrt(kappa4)) if kappa4 > 0 else kappa4_se
-    holds = bool(lhs <= rhs + 3.0 * math.hypot(lhs_se, rhs_se))
-    return K4VarGamma(float(kappa4), float(var_gamma), holds, "mc",
-                      float(kappa4_se), float(var_gamma_se))
-
-
-def kappa4_contraction(t: SymThreeTensor) -> float:
-    """Exact kappa_4(F) by tensor contractions, any dimension.
-
-    Pairing the twelve Gaussian factors of F^4 leaves two connected
-    classes: the doubled 4-cycle, whose value is ||a x_1 a||^2, and the
-    all-pairs (K4) cycle
-    C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f).
-    Counting slot matchings gives kappa_4 = 1944 ||a x_1 a||^2 + 1296 C4(a)
-    (the q = 3 contraction formula, Nourdin-Peccati 2012, section 5.2).
-
-    Both terms come from two GEMMs, O(n^5) flops in all:
     c = r' r with r = a.reshape(n, n^2) is a x_1 a, indexed (bc, de);
     u = s s' with s = a.reshape(n^2, n) contracts the last slot, indexed
-    (bd, ce); and C4 = sum_{bcde} c(bc, de) u(bd, ce).  The tests check
-    the result against the Isserlis expansion of kappa4_and_var_gamma
-    (n <= 6) and against the symmetrised contraction formula (n > 6).
+    (bd, ce); and C4 = sum_{bcde} c(bc, de) u(bd, ce).
     """
     n = t.n
     r = t.a.reshape(n, n * n)   # rows indexed by the contracted slot
@@ -563,7 +433,39 @@ def kappa4_contraction(t: SymThreeTensor) -> float:
     u = s @ s.T
     v2 = float(np.einsum('bcde,bdce->', c.reshape(n, n, n, n),
                          u.reshape(n, n, n, n)))
+    return v1, v2
+
+
+def kappa4_contraction(t: SymThreeTensor) -> float:
+    """Exact kappa_4(F) by tensor contractions, any dimension.
+
+    Pairing the twelve Gaussian factors of F^4 leaves two connected
+    classes: the doubled 4-cycle, whose value is ||a x_1 a||^2, and the
+    all-pairs (K4) cycle C4(a).  Counting slot matchings gives
+    kappa_4 = 1944 ||a x_1 a||^2 + 1296 C4(a) (the q = 3 contraction
+    formula, Nourdin-Peccati 2012, section 5.2).  The tests check it
+    against the Isserlis expansion (n <= 6) and against the symmetrised
+    contraction formula (n > 6).
+    """
+    v1, v2 = _contractions(t)
     return 1944.0 * v1 + 1296.0 * v2
+
+
+def kappa4_and_var_gamma(t: SymThreeTensor) -> K4VarGamma:
+    """kappa_4(F) and Var Gamma[F,F], exactly, at any dimension.
+
+    Var Gamma = kappa_4 + 1296 ||a x_1 a||^2, so both come from the two
+    contractions of kappa4_contraction.  The tests check both values
+    against the Isserlis expansion (n <= 6), the closed forms of the
+    block family and Monte Carlo (n > 6).
+    """
+    v1, v2 = _contractions(t)
+    kappa4 = 1944.0 * v1 + 1296.0 * v2
+    var_gamma = kappa4 + 1296.0 * v1
+    holds = bool(math.sqrt(max(var_gamma, 0.0))
+                 <= 3.0 * math.sqrt(max(kappa4, 0.0))
+                 + 1e-9 * max(1.0, abs(kappa4)))
+    return K4VarGamma(kappa4, var_gamma, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +512,11 @@ class SmallBallResult:
     spec: mc.RngSpec
 
 
-def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int, seed: int,
-                     min_hits: int = 50) -> SmallBallResult:
+def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int,
+                     seed: int) -> SmallBallResult:
     """Empirical P(Gamma < eps) over a grid plus a log-log slope fit.
 
-    Grid points whose hit count falls below min_hits are excluded from
+    Grid points whose hit count falls below MIN_HITS are excluded from
     the fit and flagged (widened grid) rather than failing the run; fewer
     than 3 points left for the fit is a ValueError.
     """
@@ -629,11 +531,11 @@ def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int, seed: int,
         n_samples, spec, mc.Hits(eps))
     (phat,), (se,) = hits.fractions()
     n, counts = hits.n, hits.counts[0]
-    used = counts >= min_hits
+    used = counts >= MIN_HITS
     if used.sum() < 3:
         raise ValueError(
             f"only {int(used.sum())} of {eps.size} eps grid points reach "
-            f"min_hits={min_hits} (largest hit count {int(counts.max())} "
+            f"min_hits={MIN_HITS} (largest hit count {int(counts.max())} "
             f"of {n} samples); at least 3 are needed for the slope fit: "
             "raise the eps grid or the sample count")
     widened = bool(np.any(~used))
@@ -699,16 +601,14 @@ class SpBatchResult:
     se: np.ndarray
 
 
-def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int, seed: int,
-                      alpha_grid=None) -> list[SpBatchResult]:
+def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int,
+                      seed: int) -> list[SpBatchResult]:
     """Estimate E S_hat_p, compare with the lower bound, and record the
-    empirical small-ball curve P(S_hat_p < alpha), for every p of the
-    grid from one pass over stream 0."""
+    empirical small-ball curve P(S_hat_p < alpha) over SP_ALPHA_GRID, for
+    every p of the grid from one pass over stream 0."""
     ps = _grid(p_grid, int)
     if min(ps) < 1 or max(ps) > t.n:
         raise ValueError(f"p must lie in 1..{t.n}")
-    alpha = (np.geomspace(1e-3, 1.0, 7) if alpha_grid is None
-             else np.asarray(alpha_grid, dtype=float))
     cols = np.array(ps) - 1
 
     def fn(rng, cnt):
@@ -718,12 +618,12 @@ def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int, seed: int,
 
     spec = mc.RngSpec(seed, 0)
     moments, hits = mc.reduce(fn, n_samples, spec, mc.Moments(),
-                              mc.Hits(alpha))
+                              mc.Hits(SP_ALPHA_GRID))
     out = []
     for p, est, phat, se in zip(ps, moments.results(spec), *hits.fractions()):
         lb = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))
         out.append(SpBatchResult(p, est, float(lb), bool(est.mean >= lb),
-                                 alpha, phat, se))
+                                 SP_ALPHA_GRID, phat, se))
     return out
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import sys
@@ -68,30 +69,20 @@ def family_generators(kind: str, size: int):
             raise ValueError("chi2-average needs size >= 1")
         return chaos2.DiagonalSecondChaos(
             np.full(size, 1.0 / math.sqrt(2.0 * size)))
-    if kind == "complete-3-tensor":
+    if kind in ("complete-3-tensor", "spiked-3-tensor"):
         if size < 3:
-            raise ValueError("complete-3-tensor needs size >= 3")
-        entries = {(i, j, k): 1.0
-                   for i in range(1, size + 1)
-                   for j in range(i + 1, size + 1)
-                   for k in range(j + 1, size + 1)}
-        return chaos3.make_tensor(size, entries, normalize=True)
-    if kind == "spiked-3-tensor":
-        if size < 3:
-            raise ValueError("spiked-3-tensor needs size >= 3")
-        n_triples = math.comb(size, 3)
-        entries = {(i, j, k): 1.0
-                   for i in range(1, size + 1)
-                   for j in range(i + 1, size + 1)
-                   for k in range(j + 1, size + 1)}
-        entries[(1, 2, 3)] = math.sqrt(n_triples)
-        return chaos3.make_tensor(size, entries, normalize=True)
+            raise ValueError(f"{kind} needs size >= 3")
+        entries = dict.fromkeys(
+            itertools.combinations(range(1, size + 1), 3), 1.0)
+        if kind == "spiked-3-tensor":
+            entries[(1, 2, 3)] = math.sqrt(math.comb(size, 3))
+        return chaos3.SymThreeTensor(size, entries, normalize=True)
     if kind == "block-3-tensor":
         if size < 3 or size % 3 != 0:
             raise ValueError("block-3-tensor needs size >= 3 divisible by 3")
         entries = {(3 * b + 1, 3 * b + 2, 3 * b + 3): 1.0
                    for b in range(size // 3)}
-        return chaos3.make_tensor(size, entries, normalize=True)
+        return chaos3.SymThreeTensor(size, entries, normalize=True)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -233,9 +224,8 @@ def _exp_laplace_check(cfg, model, rec):
     f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
     lams = _parse_floats(cfg.grids.get("lambda", "0.25, 1, 4"))
     rows = []
-    for i, lam in enumerate(lams):
-        closed, est = chaos2.laplace_vs_mc(
-            f, lam, cfg.samples, mc.RngSpec(cfg.seed, i))
+    checks = chaos2.laplace_vs_mc(f, lams, cfg.samples, mc.RngSpec(cfg.seed))
+    for lam, (closed, est) in zip(lams, checks):
         ok = est.within(closed, 4.0)
         rec.check(f"laplace_lambda{lam:g}", ok,
                   f"closed={closed:.8g} mc={est.mean:.8g} se={est.stderr:.3g}")
@@ -269,11 +259,16 @@ def _exp_smallball2(cfg, model, rec):
 def _exp_negmoment2(cfg, model, rec):
     f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
     qs = _parse_floats(cfg.grids.get("q", "0.25"))
+    spec = mc.RngSpec(cfg.seed)
+
+    def fn(rng, cnt):
+        g = f.sample_gamma(rng, cnt)
+        return np.stack([g ** (-q) for q in qs], axis=1)
+
+    (moments,) = mc.reduce(fn, cfg.samples, spec, mc.Moments())
     rows = []
-    for i, q in enumerate(qs):
+    for q, est in zip(qs, moments.results(spec)):
         val = chaos2.negative_moment(f, q)
-        est = mc.estimate(lambda rng, cnt: f.sample_gamma(rng, cnt) ** (-q),
-                          cfg.samples, mc.RngSpec(cfg.seed, i))
         ok = est.within(val, 3.0)
         rec.check(f"negmoment_q{q:g}", ok,
                   f"mellin={val:.8g} mc={est.mean:.8g} se={est.stderr:.3g}")

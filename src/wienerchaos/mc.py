@@ -94,13 +94,6 @@ def chunks(spec: RngSpec, n: int):
         yield j, cnt, spec.generator(block=j)
 
 
-def gaussian_vector(spec: RngSpec, dim: int) -> np.ndarray:
-    """dim independent standard normals from the given stream."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return spec.generator().standard_normal(dim)
-
-
 def reduce(fn: Callable[[np.random.Generator, int], object], n: int,
            spec: RngSpec, *accumulators):
     """Feed n samples of fn from the stream spec to the accumulators.

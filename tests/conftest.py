@@ -22,7 +22,7 @@ def make_unit_tensor(rng, n=None):
                     entries[(i, j, k)] = float(rng.standard_normal())
     if not entries:
         entries[(1, 2, 3)] = 1.0
-    return chaos3.make_tensor(n, entries, normalize=True)
+    return chaos3.SymThreeTensor(n, entries, normalize=True)
 
 
 @pytest.fixture

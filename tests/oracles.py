@@ -1,0 +1,96 @@
+"""Independent routes to the third-chaos quantities, kept as test oracles.
+
+The library computes each quantity one way (contractions for kappa_4 and
+Var Gamma, batch kernels for Gamma and the spectra).  The routes here
+share none of that code: Isserlis expansion of the polynomials, Monte
+Carlo over four independent streams, the pointwise gradient from the
+dense tensor, and a residual-checked eigh of one matrix.
+"""
+
+import math
+
+import numpy as np
+
+from wienerchaos import mc
+from wienerchaos.wick import gamma_of_polynomial, isserlis_expectation
+
+ISSERLIS_MAX_N = 6   # cost cap of the degree-12 expansions
+
+
+def isserlis_k4_var_gamma(t):
+    """(kappa_4, Var Gamma) from the Isserlis expansion of F^4 and
+    Gamma^2, for n <= ISSERLIS_MAX_N."""
+    if t.n > ISSERLIS_MAX_N:
+        raise ValueError(f"Isserlis oracle limited to n <= {ISSERLIS_MAX_N}")
+    f = t.to_polynomial()
+    m2 = isserlis_expectation(f * f)
+    m4 = isserlis_expectation((f * f) * (f * f))
+    g = gamma_of_polynomial(f)
+    eg = isserlis_expectation(g)
+    eg2 = isserlis_expectation(g * g)
+    return m4 - 3.0 * m2 * m2, eg2 - eg * eg
+
+
+def mc_k4_var_gamma(t, n_samples, seed):
+    """Monte Carlo (kappa_4, se, Var Gamma, se): E F^2, E F^4, E Gamma and
+    E Gamma^2 each on its own stream, errors by the delta method."""
+
+    def fn_f2(rng, cnt):
+        x = rng.standard_normal((cnt, t.n))
+        t1 = np.tensordot(x, t.a, axes=([1], [2]))
+        fv = np.einsum('bij,bi,bj->b', t1, x, x)
+        return fv * fv
+
+    def fn_gamma(rng, cnt):
+        x = rng.standard_normal((cnt, t.n))
+        g = 3.0 * np.einsum('ijk,bj,bk->bi', t.a, x, x)
+        return np.einsum('bi,bi->b', g, g)
+
+    e_f2 = mc.estimate(fn_f2, n_samples, mc.RngSpec(seed, 0))
+    e_f4 = mc.estimate(lambda rng, cnt: fn_f2(rng, cnt) ** 2,
+                       n_samples, mc.RngSpec(seed, 1))
+    e_g = mc.estimate(fn_gamma, n_samples, mc.RngSpec(seed, 2))
+    e_g2 = mc.estimate(lambda rng, cnt: fn_gamma(rng, cnt) ** 2,
+                       n_samples, mc.RngSpec(seed, 3))
+    kappa4 = e_f4.mean - 3.0 * e_f2.mean ** 2
+    kappa4_se = math.hypot(e_f4.stderr, 6.0 * e_f2.mean * e_f2.stderr)
+    var_gamma = e_g2.mean - e_g.mean ** 2
+    var_gamma_se = math.hypot(e_g2.stderr, 2.0 * e_g.mean * e_g.stderr)
+    return kappa4, kappa4_se, var_gamma, var_gamma_se
+
+
+def gradient(t, x):
+    """partial_i F(x) = 3 sum_{j,k} a(i,j,k) x_j x_k at one point."""
+    x = np.asarray(x, dtype=float)
+    return 3.0 * (np.tensordot(t.a, x, axes=([2], [0])) @ x)
+
+
+def gamma_at(t, x):
+    """Gamma[F,F](x) = |grad F(x)|^2 at one point."""
+    g = gradient(t, x)
+    return float(g @ g)
+
+
+def spectrum(m, tol=1e-10):
+    """(eigenvalues ordered by decreasing |lambda|, recentred flag) of one
+    symmetric matrix.
+
+    Checks symmetry and every eigenpair residual ||A v - lam v|| against
+    tol ||A||; a sum beyond tol (a nonzero trace) is recentred and flagged.
+    """
+    m = np.asarray(m, dtype=float)
+    scale = float(np.abs(m).max()) if m.size else 0.0
+    if not np.allclose(m, m.T, rtol=0.0, atol=tol * max(1.0, scale)):
+        raise ValueError("matrix is not symmetric within tolerance")
+    w, v = np.linalg.eigh(m)
+    norm = float(np.abs(w).max()) if w.size else 0.0
+    resid = np.linalg.norm(m @ v - v * w, axis=0)
+    if norm > 0 and np.any(resid > tol * norm * 10.0):
+        raise AssertionError(
+            f"eigenpair residual {resid.max():.3g} exceeds "
+            f"{tol * norm * 10.0:.3g}")
+    s = float(w.sum())
+    recentred = abs(s) > tol * max(1.0, norm)
+    if recentred:
+        w = w - s / w.size
+    return w[np.argsort(-np.abs(w), kind="stable")], recentred

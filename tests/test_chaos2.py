@@ -207,7 +207,8 @@ def test_laplace_domain():
 @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
 def test_laplace_matches_mc(lam):
     f = DiagonalSecondChaos([0.5, 0.5])
-    closed, est = chaos2.laplace_vs_mc(f, lam, 200_000, mc.RngSpec(17))
+    ((closed, est),) = chaos2.laplace_vs_mc(f, [lam], 200_000,
+                                            mc.RngSpec(17))
     assert est.within(closed, 4.0)
 
 

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from wienerchaos import chaos2, chaos3, mc
-from wienerchaos.chaos3 import make_tensor
+from wienerchaos.chaos3 import SymThreeTensor
 from wienerchaos.cli import family_generators
 from wienerchaos.wick import isserlis_expectation
+
+import oracles
 
 SEED = 20260811
 
 
 def triple_product():
     # F = X1 X2 X3
-    return make_tensor(3, {(1, 2, 3): 1.0}, normalize=True)
+    return SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -39,16 +41,16 @@ def test_complete_tensor_entry_value():
 
 def test_coincident_index_rejected():
     with pytest.raises(ValueError):
-        make_tensor(3, {(1, 1, 2): 1.0})
+        SymThreeTensor(3, {(1, 1, 2): 1.0})
     with pytest.raises(ValueError):
-        make_tensor(3, {(2, 1, 3): 1.0})   # not strictly increasing
+        SymThreeTensor(3, {(2, 1, 3): 1.0})   # not strictly increasing
     with pytest.raises(ValueError):
-        make_tensor(3, {(1, 2, 4): 1.0})   # out of range
+        SymThreeTensor(3, {(1, 2, 4): 1.0})   # out of range
 
 
 def test_zero_tensor_normalize_rejected():
     with pytest.raises(ValueError):
-        make_tensor(4, {}, normalize=True)
+        SymThreeTensor(4, {}, normalize=True)
 
 
 def test_variance_matches_oracle(unit_tensor_factory):
@@ -65,10 +67,12 @@ def test_variance_matches_oracle(unit_tensor_factory):
 
 def test_gamma_point_values():
     t = triple_product()
-    assert chaos3.gamma_f(t, [1.0, 1.0, 1.0]) == pytest.approx(3.0)
-    assert chaos3.gamma_f(t, [0.0, 0.0, 0.0]) == 0.0
+    got = chaos3.gamma_batch(t, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    assert got[0] == pytest.approx(3.0)
+    assert got[1] == 0.0
+    assert oracles.gamma_at(t, [1.0, 1.0, 1.0]) == pytest.approx(3.0)
     with pytest.raises(ValueError):
-        chaos3.gamma_f(t, [1.0, 1.0])
+        chaos3.gamma_batch(t, [[1.0, 1.0]])
 
 
 def test_gamma_mean_is_three():
@@ -85,7 +89,7 @@ def test_gamma_batch_matches_pointwise(unit_tensor_factory):
     x = rng.standard_normal((16, t.n))
     batch = chaos3.gamma_batch(t, x)
     for row, val in zip(x, batch):
-        assert val == pytest.approx(chaos3.gamma_f(t, row), rel=1e-12)
+        assert val == pytest.approx(oracles.gamma_at(t, row), rel=1e-12)
 
 
 def random_sparse_tensor(n, fill, seed):
@@ -93,7 +97,7 @@ def random_sparse_tensor(n, fill, seed):
     entries = {trip: float(rng.standard_normal())
                for trip in itertools.combinations(range(1, n + 1), 3)
                if rng.random() < fill}
-    return make_tensor(n, entries, normalize=True)
+    return SymThreeTensor(n, entries, normalize=True)
 
 
 GAMMA_KERNEL_CASES = {
@@ -110,7 +114,7 @@ def test_gamma_kernels_match_pointwise(case):
     # both kernels, whichever one gamma_batch would pick for this tensor
     t = GAMMA_KERNEL_CASES[case]()
     x = np.random.default_rng(4).standard_normal((64, t.n))
-    ref = np.array([chaos3.gamma_f(t, row) for row in x])
+    ref = np.array([oracles.gamma_at(t, row) for row in x])
     triples = chaos3._gamma_triples(t, x)
     unfolded = chaos3._gamma_unfolded(t, x)
     assert triples == pytest.approx(ref, rel=1e-12)
@@ -126,12 +130,14 @@ def test_gamma_kernels_block_closed_form():
     sq = (x * x).reshape(300, 50, 3)
     ref = (sq[:, :, 0] * sq[:, :, 1] + sq[:, :, 0] * sq[:, :, 2]
            + sq[:, :, 1] * sq[:, :, 2]).sum(axis=1) / 50
-    assert chaos3._gamma_triples(t, x) == pytest.approx(ref, rel=1e-12)
+    # the unfolded kernel runs first: rows its steps left unwritten could
+    # otherwise read back the triple kernel's freed, identical result
     assert chaos3._gamma_unfolded(t, x) == pytest.approx(ref, rel=1e-12)
+    assert chaos3._gamma_triples(t, x) == pytest.approx(ref, rel=1e-12)
 
 
 def test_gamma_kernels_zero_tensor():
-    t = make_tensor(4, {})
+    t = SymThreeTensor(4, {})
     x = np.random.default_rng(6).standard_normal((10, 4))
     assert np.array_equal(chaos3._gamma_triples(t, x), np.zeros(10))
     assert np.array_equal(chaos3._gamma_unfolded(t, x), np.zeros(10))
@@ -150,17 +156,16 @@ def test_gamma_kernel_choice(case, triples):
 
 def test_sharp_matrix_basis_vector():
     t = triple_product()
-    s = chaos3.sample_sharp_matrix(t, np.array([0.0, 0.0, 1.0]))
+    m = chaos3.sharp_batch(t, np.array([0.0, 0.0, 1.0]))
     expect = np.zeros((3, 3))
     expect[0, 1] = expect[1, 0] = 0.5
-    assert np.allclose(s.matrix, expect, atol=1e-15)
-    assert np.trace(s.matrix) == 0.0
+    assert np.allclose(m, expect, atol=1e-15)
+    assert np.trace(m) == 0.0
 
 
 def test_sharp_matrix_zero_source():
     t = triple_product()
-    s = chaos3.sample_sharp_matrix(t, np.zeros(3))
-    assert np.all(s.matrix == 0.0)
+    assert np.all(chaos3.sharp_batch(t, np.zeros(3)) == 0.0)
 
 
 def test_sharp_quadratic_form_identity(unit_tensor_factory):
@@ -170,9 +175,9 @@ def test_sharp_quadratic_form_identity(unit_tensor_factory):
         t = unit_tensor_factory(rng)
         x = rng.standard_normal(t.n)
         xhat = rng.standard_normal(t.n)
-        m = chaos3.sample_sharp_matrix(t, xhat).matrix
+        m = chaos3.sharp_batch(t, xhat)
         assert float(x @ m @ x) == pytest.approx(
-            float(chaos3.gradient(t, x) @ xhat), rel=1e-12, abs=1e-12)
+            float(oracles.gradient(t, x) @ xhat), rel=1e-12, abs=1e-12)
 
 
 def test_sharp_second_moment_is_gamma():
@@ -191,47 +196,52 @@ def test_sharp_second_moment_is_gamma():
 
 def test_spectrum_basis_sample():
     t = triple_product()
-    s = chaos3.sample_sharp_matrix(t, np.array([0.0, 0.0, 1.0]))
-    sp = chaos3.spectrum(s)
-    assert np.allclose(np.abs(sp.eigs), [0.5, 0.5, 0.0], atol=1e-12)
-    assert not sp.recentered
+    xh = np.array([[0.0, 0.0, 1.0]])
+    (eigs,) = chaos3.spectra_batch(t, xh)
+    assert np.allclose(np.abs(eigs), [0.5, 0.5, 0.0], atol=1e-12)
+    ref, recentred = oracles.spectrum(chaos3.sharp_batch(t, xh[0]))
+    assert np.allclose(eigs, ref, atol=1e-12)
+    assert not recentred
 
 
 def test_spectrum_zero_matrix():
     t = triple_product()
-    sp = chaos3.spectrum(chaos3.sample_sharp_matrix(t, np.zeros(3)))
-    assert np.all(sp.eigs == 0.0)
+    assert np.all(chaos3.spectra_batch(t, np.zeros((1, 3))) == 0.0)
 
 
 def test_spectrum_trace_identities(unit_tensor_factory):
     rng = np.random.default_rng(4)
     for _ in range(5):
         t = unit_tensor_factory(rng)
-        xh = rng.standard_normal(t.n)
-        s = chaos3.sample_sharp_matrix(t, xh)
-        sp = chaos3.spectrum(s)
-        assert abs(sp.eigs.sum()) <= 1e-10 * max(1.0, np.abs(sp.eigs).max())
-        assert float(np.sum(sp.eigs ** 2)) == pytest.approx(
-            float(np.sum(s.matrix ** 2)), rel=1e-10)
+        xh = rng.standard_normal((1, t.n))
+        (eigs,) = chaos3.spectra_batch(t, xh)
+        m = chaos3.sharp_batch(t, xh[0])
+        assert abs(eigs.sum()) <= 1e-10 * max(1.0, np.abs(eigs).max())
+        assert float(np.sum(eigs ** 2)) == pytest.approx(
+            float(np.sum(m ** 2)), rel=1e-10)
+        assert np.allclose(eigs, oracles.spectrum(m)[0], atol=1e-12)
 
 
 def test_spectrum_invariant_under_permutation(unit_tensor_factory):
+    # relabelling the coordinates of the tensor and of the source vector
+    # conjugates A_hat by a permutation, which keeps its spectrum
     rng = np.random.default_rng(5)
     t = unit_tensor_factory(rng, n=5)
-    xh = rng.standard_normal(5)
-    m = chaos3.sample_sharp_matrix(t, xh).matrix
     perm = rng.permutation(5)
-    m2 = m[np.ix_(perm, perm)]
-    e1 = np.sort(chaos3.spectrum(chaos3.SharpMatrixSample(m, xh)).eigs)
-    e2 = np.sort(chaos3.spectrum(chaos3.SharpMatrixSample(m2, xh)).eigs)
-    assert np.allclose(e1, e2, atol=1e-8)
+    relabelled = SymThreeTensor(5, {
+        tuple(sorted(int(perm[i - 1]) + 1 for i in trip)): v
+        for trip, v in t.entries.items()})
+    xh = rng.standard_normal((8, 5))
+    yh = np.empty_like(xh)
+    yh[:, perm] = xh
+    assert np.allclose(chaos3.spectra_batch(t, xh),
+                       chaos3.spectra_batch(relabelled, yh), atol=1e-8)
 
 
 def test_spectrum_rejects_asymmetric():
-    bad = chaos3.SharpMatrixSample(
-        np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+    # the residual-checked oracle refuses a matrix that is not symmetric
     with pytest.raises(ValueError):
-        chaos3.spectrum(bad)
+        oracles.spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +288,7 @@ def test_trace_form_triple_product():
 
 
 def test_trace_form_requires_unit_variance():
-    t = make_tensor(3, {(1, 2, 3): 1.0})
+    t = SymThreeTensor(3, {(1, 2, 3): 1.0})
     with pytest.raises(chaos2.PreconditionError):
         chaos3.trace_form(t)
 
@@ -321,7 +331,7 @@ def test_trace_form_negative_moment_reuse():
 # ---------------------------------------------------------------------------
 
 def test_k4_var_gamma_triple_product():
-    res = chaos3.kappa4_and_var_gamma(triple_product(), "exact")
+    res = chaos3.kappa4_and_var_gamma(triple_product())
     assert res.kappa4 == pytest.approx(24.0, rel=1e-12)
     assert res.var_gamma == pytest.approx(36.0, rel=1e-12)
     assert res.bound_holds  # 6 <= 3 sqrt(24)
@@ -329,41 +339,77 @@ def test_k4_var_gamma_triple_product():
 
 def test_k4_var_gamma_complete_n6():
     res = chaos3.kappa4_and_var_gamma(
-        family_generators("complete-3-tensor", 6), "exact")
+        family_generators("complete-3-tensor", 6))
     assert res.bound_holds
     assert res.kappa4 >= 0.0
 
 
-def test_k4_exact_cap():
-    with pytest.raises(chaos3.CapacityError):
-        chaos3.kappa4_and_var_gamma(
-            family_generators("complete-3-tensor", 7), "exact")
+def test_k4_exact_beyond_isserlis_range():
+    # the contraction route has no dimension cap: n = 7 is past the
+    # Isserlis oracle's reach and still exact
+    t = family_generators("complete-3-tensor", 7)
+    res = chaos3.kappa4_and_var_gamma(t)
+    assert res.kappa4 == chaos3.kappa4_contraction(t)
+    assert res.var_gamma > res.kappa4 > 0.0
+    assert res.bound_holds
 
 
 def test_k4_nonnegative_and_bound(unit_tensor_factory):
     rng = np.random.default_rng(8)
     for _ in range(10):
         t = unit_tensor_factory(rng, n=int(rng.integers(3, 6)))
-        res = chaos3.kappa4_and_var_gamma(t, "exact")
+        res = chaos3.kappa4_and_var_gamma(t)
         assert res.kappa4 >= -1e-10
         assert res.bound_holds
-
-
-def test_k4_mc_mode_agrees():
-    t = triple_product()
-    res = chaos3.kappa4_and_var_gamma(t, "mc", n_samples=400_000, seed=SEED)
-    assert abs(res.kappa4 - 24.0) <= 4.0 * res.kappa4_se
-    assert abs(res.var_gamma - 36.0) <= 4.0 * res.var_gamma_se
-    assert res.bound_holds
 
 
 def test_kappa4_contraction_matches_isserlis(unit_tensor_factory):
     rng = np.random.default_rng(9)
     for _ in range(8):
         t = unit_tensor_factory(rng, n=int(rng.integers(3, 7)))
-        exact = chaos3.kappa4_and_var_gamma(t, "exact").kappa4
+        exact, _ = oracles.isserlis_k4_var_gamma(t)
         assert chaos3.kappa4_contraction(t) == pytest.approx(
             exact, rel=1e-10, abs=1e-10)
+
+
+VAR_GAMMA_ISSERLIS_CASES = {
+    "complete-6": lambda: family_generators("complete-3-tensor", 6),
+    "spiked-6": lambda: family_generators("spiked-3-tensor", 6),
+    "block-6": lambda: family_generators("block-3-tensor", 6),
+    "triple-3": triple_product,
+    **{f"random-{n}": (lambda n=n: random_sparse_tensor(n, 1.0, 20 + n))
+       for n in (4, 5, 6)},
+}
+
+
+@pytest.mark.parametrize("case", VAR_GAMMA_ISSERLIS_CASES)
+def test_k4_var_gamma_matches_isserlis(case):
+    t = VAR_GAMMA_ISSERLIS_CASES[case]()
+    kappa4, var_gamma = oracles.isserlis_k4_var_gamma(t)
+    res = chaos3.kappa4_and_var_gamma(t)
+    assert res.kappa4 == pytest.approx(kappa4, rel=1e-10)
+    assert res.var_gamma == pytest.approx(var_gamma, rel=1e-10)
+
+
+@pytest.mark.parametrize("n_blocks", [2, 4, 10])
+def test_k4_var_gamma_block_closed_form(n_blocks):
+    # F averages n_b independent copies of X1 X2 X3, whose
+    # (kappa4, Var Gamma) is (24, 36): both scale as 1/n_b
+    res = chaos3.kappa4_and_var_gamma(
+        family_generators("block-3-tensor", 3 * n_blocks))
+    assert res.kappa4 == pytest.approx(24.0 / n_blocks, rel=1e-12)
+    assert res.var_gamma == pytest.approx(36.0 / n_blocks, rel=1e-12)
+
+
+def test_k4_var_gamma_matches_mc_oracle():
+    # beyond the Isserlis range: a random dense tensor at n = 8 against
+    # four independent Monte Carlo streams
+    t = random_sparse_tensor(8, 1.0, 8)
+    res = chaos3.kappa4_and_var_gamma(t)
+    k4, k4_se, vg, vg_se = oracles.mc_k4_var_gamma(t, 400_000, SEED)
+    assert abs(res.kappa4 - k4) <= 4.0 * k4_se
+    assert abs(res.var_gamma - vg) <= 4.0 * vg_se
+    assert res.bound_holds
 
 
 def test_kappa4_block_family_exact():
@@ -389,7 +435,7 @@ def test_spectral_radius_triple_product():
 
 
 def test_spectral_radius_zero_tensor():
-    t = make_tensor(3, {})
+    t = SymThreeTensor(3, {})
     (est,) = chaos3.spectral_radius_moments(t, [1], 1000, SEED)
     assert est.mean == 0.0 and est.stderr == 0.0
 
@@ -550,9 +596,8 @@ def test_spectra_batch_matches_single_spectra_across_steps():
     xh = np.random.default_rng(12).standard_normal((1500, 20))
     lams = chaos3.spectra_batch(t, xh)
     assert xh.shape[0] > 2 * (chaos3.STEP_ELEMENTS // 400)
-    single = np.array([
-        chaos3.spectrum(chaos3.sample_sharp_matrix(t, row)).eigs
-        for row in xh])
+    single = np.array([oracles.spectrum(chaos3.sharp_batch(t, row))[0]
+                       for row in xh])
     assert np.allclose(np.sort(lams, axis=1), np.sort(single, axis=1),
                        rtol=0.0, atol=1e-12)
     assert np.all(np.diff(np.abs(lams), axis=1) <= 0.0)
@@ -598,9 +643,9 @@ def test_sp_batch_triple_product_mean():
 
 def test_sp_domain_error():
     t = triple_product()
-    sp = chaos3.spectrum(chaos3.sample_sharp_matrix(t, np.ones(3)))
+    eigs = chaos3.spectra_batch(t, np.ones((1, 3)))
     with pytest.raises(ValueError):
-        chaos3.elementary_symmetric_spectrum(sp.eigs, 4)
+        chaos3.elementary_symmetric_spectrum(eigs, 4)
 
 
 def test_sp_bound_block_vs_complete_n12():
@@ -675,7 +720,7 @@ def test_kappa4_random_dense_symmetrised_contraction(n):
     rng = np.random.default_rng(100 + n)
     entries = {trip: float(rng.standard_normal())
                for trip in itertools.combinations(range(1, n + 1), 3)}
-    t = make_tensor(n, entries, normalize=True)
+    t = SymThreeTensor(n, entries, normalize=True)
     assert chaos3.kappa4_contraction(t) == pytest.approx(
         symmetrised_contraction_kappa4(t.a), rel=1e-9)
 
@@ -721,3 +766,16 @@ def test_tensor_file_parse_errors(tmp_path):
                        match=r"bad\.txt:4: triple \(1, 2, 3\) repeats the "
                              r"one on line 2"):
         chaos3.read_tensor_file(p)
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("four\n", "1: invalid literal for int() with base 10: 'four'"),
+    ("3\n1 2 x 0.5\n", "2: invalid literal for int() with base 10: 'x'"),
+    ("3\n1 2 3 abc\n", "2: could not convert string to float: 'abc'"),
+], ids=["header", "index", "value"])
+def test_tensor_file_non_numeric_field(tmp_path, text, bad):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        chaos3.read_tensor_file(p)
+    assert str(err.value) == f"{p}:{bad}"

@@ -76,7 +76,7 @@ def test_build_model_kinds(tmp_path):
                          "mat.2": "0 0.5 ; 0.5 0"})
     assert isinstance(m, chaos2.MultivariateSecondChaos)
     assert m.has_identity_cov()
-    t = chaos3.make_tensor(3, {(1, 2, 3): 1.0}, normalize=True)
+    t = chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
     path = tmp_path / "t.txt"
     chaos3.write_tensor_file(t, path)
     back = cli.build_model({"kind": "tensor-file", "path": str(path)})
@@ -259,6 +259,25 @@ def test_grid_points_do_not_alias_across_seeds(tmp_path, name, key, csv):
         rows.append((out / csv).read_text().strip().split("\n"))
     assert rows[0][2].split(",")[0] == rows[1][1].split(",")[0] == "0.5"
     assert rows[0][2] != rows[1][1]
+
+
+@pytest.mark.parametrize("name,key,csv", [
+    ("laplace-check", "lambda", "laplace_check.csv"),
+    ("negmoment2", "q", "negmoment2.csv"),
+])
+def test_second_chaos_grid_reads_one_stream(tmp_path, name, key, csv):
+    # every grid point is a column of the same draws: the second point of
+    # a two-point grid equals the one-point grid at the same seed, bitwise
+    rows = []
+    for tag, grid in (("pair", "0.25, 1"), ("alone", "1")):
+        out = tmp_path / tag
+        p = write_config(tmp_path / f"{tag}.ini", name,
+                         ["kind = chi2-average", "size = 12"],
+                         [f"{key} = {grid}"], seed=5, samples=20_000,
+                         out=out)
+        assert cli.main(["run", str(p)]) in (0, 1)
+        rows.append((out / csv).read_text().strip().split("\n"))
+    assert rows[0][2] == rows[1][1]
 
 
 def test_rerun_reproduces_csv_bitwise(tmp_path):
