@@ -118,7 +118,8 @@ def newton_to_elementary(newton: np.ndarray) -> np.ndarray:
     """Newton-Girard recursion p*S_p = sum_i (-1)^(i-1) N_i S_{p-i}.
 
     newton has shape (p_max, ...); returns S of the same shape.  Works on
-    batches along trailing axes (used for eigenvalue spectra too).
+    batches along trailing axes (used for the Newton sums of batches of
+    sharp matrices too).
     """
     newton = np.asarray(newton, dtype=float)
     p_max = newton.shape[0]

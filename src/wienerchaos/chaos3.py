@@ -52,17 +52,8 @@ class SymThreeTensor:
         if n < 3:
             raise ValueError("dimension must be >= 3")
         self.n = int(n)
-        canon: dict[tuple, float] = {}
-        for trip, val in dict(entries).items():
-            i, j, k = (int(v) for v in trip)
-            if not (1 <= i < j < k <= self.n):
-                raise ValueError(
-                    f"triple {trip!r} must satisfy 1 <= i < j < k <= {self.n} "
-                    "(coincident or unordered indices are invalid)")
-            val = float(val)
-            if not math.isfinite(val):
-                raise ValueError(f"non-finite value at {trip!r}")
-            canon[(i, j, k)] = val
+        canon = dict(_checked_entry(trip, val, self.n)
+                     for trip, val in dict(entries).items())
         if normalize:
             ssq = sum(v * v for v in canon.values())
             if ssq == 0.0:
@@ -131,6 +122,20 @@ class SymThreeTensor:
                 f"variance={self.variance:.6g})")
 
 
+def _checked_entry(trip, val, n: int) -> tuple[tuple, float]:
+    """One (triple, value) entry of a tensor on [1, n] as ints and a float,
+    or a ValueError naming what is wrong with it."""
+    i, j, k = (int(v) for v in trip)
+    if not (1 <= i < j < k <= n):
+        raise ValueError(
+            f"triple {trip!r} must satisfy 1 <= i < j < k <= {n} "
+            "(coincident or unordered indices are invalid)")
+    val = float(val)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite value at {trip!r}")
+    return (i, j, k), val
+
+
 def read_tensor_file(path) -> SymThreeTensor:
     """Read the plain-text tensor format.
 
@@ -157,14 +162,19 @@ def read_tensor_file(path) -> SymThreeTensor:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if n is None:
                 n = nums[0]
+                if n < 3:
+                    raise ValueError(f"{path}:{lineno}: dimension must be >= 3")
                 continue
-            trip = tuple(nums[:3])
+            try:
+                trip, val = _checked_entry(tuple(nums[:3]), nums[3], n)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if trip in first_line:
                 raise ValueError(
                     f"{path}:{lineno}: triple {trip} repeats the one on "
                     f"line {first_line[trip]}")
             first_line[trip] = lineno
-            entries[trip] = nums[3]
+            entries[trip] = val
     if n is None:
         raise ValueError(f"{path}: missing dimension header")
     return SymThreeTensor(n, entries)
@@ -189,12 +199,18 @@ def gamma_batch(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     The tensor's fill picks the kernel: the triple scatter costs O(nnz)
     per point, the unfolded GEMM O(n^3) at a far higher flop rate.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != t.n:
-        raise ValueError(f"batch must have shape (B, {t.n})")
+    x = _batch(t, x)
     if _triples_win(len(t.entries), t.n):
         return _gamma_triples(t, x)
     return _gamma_unfolded(t, x)
+
+
+def _batch(t: SymThreeTensor, x) -> np.ndarray:
+    """x as a float batch of points of the tensor's space, shape (B, n)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != t.n:
+        raise ValueError(f"batch must have shape (B, {t.n})")
+    return x
 
 
 def _triples_win(nnz: int, n: int) -> bool:
@@ -251,11 +267,38 @@ def _sharp_steps(t: SymThreeTensor, n_rows: int):
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """Tr(A_hat^2) = sum_{i,j} A_hat_{ij}^2 for a batch of source vectors,
     shape (B, n)."""
-    xhat = np.asarray(xhat, dtype=float)
+    xhat = _batch(t, xhat)
     out = np.empty(xhat.shape[0])
     for rows in _sharp_steps(t, xhat.shape[0]):
         m = sharp_batch(t, xhat[rows])
         out[rows] = np.einsum('bij,bij->b', m, m)
+    return out
+
+
+def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,
+                     q_max: int) -> np.ndarray:
+    """Newton sums N_q = Tr((A_hat^2)^q) = sum_k lam_k^(2q), q = 1..q_max,
+    of the sharp matrices of a batch of source vectors (B, n); shape
+    (q_max, B).
+
+    No eigensolve: with M2 = A_hat @ A_hat, N_1 = ||A_hat||_F^2 and
+    N_q = <M2^ceil(q/2), M2^floor(q/2)>_F, so q_max sums cost
+    ceil(q_max / 2) batched products.
+    """
+    xhat = _batch(t, xhat)
+    if not 1 <= q_max <= t.n:
+        raise ValueError(f"q_max must lie in 1..{t.n}")
+    out = np.empty((q_max, xhat.shape[0]))
+    for rows in _sharp_steps(t, xhat.shape[0]):
+        m = sharp_batch(t, xhat[rows])
+        out[0, rows] = np.einsum('bij,bij->b', m, m)
+        if q_max == 1:
+            continue
+        m2 = low = m @ m      # at step q, low = M2^floor(q/2)
+        for q in range(2, q_max + 1):
+            high = low @ m2 if q % 2 else low
+            out[q - 1, rows] = np.einsum('bij,bij->b', high, low)
+            low = high
     return out
 
 
@@ -267,7 +310,7 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     whose sum breaks SPECTRUM_TOL (relative to its largest |lambda|) is
     recentred.
     """
-    xhat = np.asarray(xhat, dtype=float)
+    xhat = _batch(t, xhat)
     w = np.empty(xhat.shape)
     for rows in _sharp_steps(t, xhat.shape[0]):
         w[rows] = np.linalg.eigvalsh(sharp_batch(t, xhat[rows]))
@@ -578,18 +621,6 @@ def negative_moment_gamma3(t: SymThreeTensor, theta_grid, n_samples: int,
 # elementary symmetric functions of the squared spectrum
 # ---------------------------------------------------------------------------
 
-def elementary_symmetric_spectrum(eigs, p: int) -> np.ndarray:
-    """S_hat_1 .. S_hat_p of squared spectra: shape (..., n) -> (..., p),
-    with S_hat_q = sum_{i1<...<iq} lam_{i1}^2 ... lam_{iq}^2, from one
-    Newton-Girard table of the power sums of lam^2."""
-    eigs = np.asarray(eigs, dtype=float)
-    if p < 1 or p > eigs.shape[-1]:
-        raise ValueError(f"p must lie in 1..{eigs.shape[-1]}")
-    lam2 = eigs * eigs
-    newton = np.stack([np.sum(lam2 ** q, axis=-1) for q in range(1, p + 1)])
-    return np.moveaxis(newton_to_elementary(newton), 0, -1)
-
-
 @dataclass(frozen=True)
 class SpBatchResult:
     p: int
@@ -605,15 +636,20 @@ def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int,
                       seed: int) -> list[SpBatchResult]:
     """Estimate E S_hat_p, compare with the lower bound, and record the
     empirical small-ball curve P(S_hat_p < alpha) over SP_ALPHA_GRID, for
-    every p of the grid from one pass over stream 0."""
+    every p of the grid from one pass over stream 0.
+
+    S_hat_p, the p-th elementary symmetric function of the squared
+    spectrum of A_hat, comes from the Newton sums of sharp_power_sums by
+    the Newton-Girard recursion; no spectrum is computed.
+    """
     ps = _grid(p_grid, int)
     if min(ps) < 1 or max(ps) > t.n:
         raise ValueError(f"p must lie in 1..{t.n}")
     cols = np.array(ps) - 1
 
     def fn(rng, cnt):
-        lams = spectra_batch(t, rng.standard_normal((cnt, t.n)))
-        sp = elementary_symmetric_spectrum(lams, max(ps))[:, cols]
+        newton = sharp_power_sums(t, rng.standard_normal((cnt, t.n)), max(ps))
+        sp = newton_to_elementary(newton)[cols].T
         return sp, sp
 
     spec = mc.RngSpec(seed, 0)

@@ -400,17 +400,27 @@ def _exp_negmoment3(cfg, model, rec):
 def _exp_sp_lower_bound(cfg, model, rec):
     t = _require(model, chaos3.SymThreeTensor, cfg.name)
     ps = [int(v) for v in cfg.grids.get("p", "1 2").replace(",", " ").split()]
+    results = chaos3.sp_batch_estimate(t, ps, cfg.samples, cfg.seed)
     # identity self-check on a small batch: S_hat_1 == Tr(A_hat^2)
     rng = mc.RngSpec(cfg.seed, 999).generator()
     xh = rng.standard_normal((256, t.n))
     lams = chaos3.spectra_batch(t, xh)
     tr2 = chaos3.trace_square_batch(t, xh)
-    s1 = np.sum(lams * lams, axis=1)
+    lam2 = lams * lams
+    s1 = np.sum(lam2, axis=1)
     rec.check("s1_equals_trace",
               bool(np.max(np.abs(s1 - tr2)) <= 1e-10 * max(1.0, tr2.max())),
               f"max_gap={np.max(np.abs(s1 - tr2)):.3g}")
+    # the product route of S_hat_p against the eigenvalues:
+    # Tr((A_hat^2)^q) == sum lam^(2q) within 1e-12 (Tr A_hat^2)^q
+    newton = chaos3.sharp_power_sums(t, xh, max(ps))
+    rel = max(float(np.max(np.abs(n_q - np.sum(lam2 ** q, axis=1))
+                           / np.maximum(tr2 ** q, np.finfo(float).tiny)))
+              for q, n_q in enumerate(newton, start=1))
+    rec.check("newton_sums_match_spectrum", rel <= 1e-12,
+              f"q_max={max(ps)} max_rel_gap={rel:.3g}")
     rows = []
-    for res in chaos3.sp_batch_estimate(t, ps, cfg.samples, cfg.seed):
+    for res in results:
         p = res.p
         rows.append((p, res.estimate.mean, res.estimate.stderr,
                      res.lower_bound, res.bound_holds))

@@ -4,7 +4,10 @@ The library computes each quantity one way (contractions for kappa_4 and
 Var Gamma, batch kernels for Gamma and the spectra).  The routes here
 share none of that code: Isserlis expansion of the polynomials, Monte
 Carlo over four independent streams, the pointwise gradient from the
-dense tensor, and a residual-checked eigh of one matrix.
+dense tensor, a residual-checked eigh of one matrix, and the power sums
+of a squared spectrum from its eigenvalues.  The symmetric functions of
+those sums reuse the library's Newton-Girard recursion, which
+test_sp_grid_shares_one_table checks against brute-force sums.
 """
 
 import math
@@ -12,6 +15,7 @@ import math
 import numpy as np
 
 from wienerchaos import mc
+from wienerchaos.chaos2 import newton_to_elementary
 from wienerchaos.wick import gamma_of_polynomial, isserlis_expectation
 
 ISSERLIS_MAX_N = 6   # cost cap of the degree-12 expansions
@@ -94,3 +98,21 @@ def spectrum(m, tol=1e-10):
     if recentred:
         w = w - s / w.size
     return w[np.argsort(-np.abs(w), kind="stable")], recentred
+
+
+def spectrum_power_sums(eigs, q_max):
+    """sum_k lam_k^(2q) for q = 1..q_max of spectra (..., n): shape
+    (q_max, ...)."""
+    lam2 = np.square(np.asarray(eigs, dtype=float))
+    return np.stack([np.sum(lam2 ** q, axis=-1) for q in range(1, q_max + 1)])
+
+
+def elementary_symmetric_spectrum(eigs, p):
+    """S_hat_1 .. S_hat_p of squared spectra: shape (..., n) -> (..., p),
+    with S_hat_q = sum_{i1<...<iq} lam_{i1}^2 ... lam_{iq}^2, from the
+    Newton-Girard table of the eigenvalue power sums."""
+    eigs = np.asarray(eigs, dtype=float)
+    if p < 1 or p > eigs.shape[-1]:
+        raise ValueError(f"p must lie in 1..{eigs.shape[-1]}")
+    newton = spectrum_power_sums(eigs, p)
+    return np.moveaxis(newton_to_elementary(newton), 0, -1)

@@ -586,7 +586,7 @@ def test_s1_equals_trace_square(unit_tensor_factory):
     xh = rng.standard_normal((64, 5))
     lams = chaos3.spectra_batch(t, xh)
     tr2 = chaos3.trace_square_batch(t, xh)
-    s1 = chaos3.elementary_symmetric_spectrum(lams, 1)[:, 0]
+    s1 = oracles.elementary_symmetric_spectrum(lams, 1)[:, 0]
     assert np.allclose(s1, tr2, rtol=1e-10)
 
 
@@ -626,14 +626,16 @@ def test_sp_grid_shares_one_table():
     assert grid[0].estimate == alone.estimate
     assert np.array_equal(grid[0].phat, alone.phat)
     assert [r.p for r in grid] == [1, 2, 3]
-    lams = chaos3.spectra_batch(t, np.random.default_rng(1)
-                                .standard_normal((50, 9)))
-    table = chaos3.elementary_symmetric_spectrum(lams, 3)
+    xh = np.random.default_rng(1).standard_normal((50, 9))
+    lams = chaos3.spectra_batch(t, xh)
+    table = oracles.elementary_symmetric_spectrum(lams, 3)
+    products = chaos2.newton_to_elementary(chaos3.sharp_power_sums(t, xh, 3))
     for p in (1, 2, 3):
         brute = np.array([sum(np.prod(np.square(lam[list(c)]))
                               for c in itertools.combinations(range(9), p))
                           for lam in lams])
         assert np.allclose(table[:, p - 1], brute, rtol=1e-10)
+        assert np.allclose(products[p - 1], brute, rtol=1e-10)
 
 
 def test_sp_batch_triple_product_mean():
@@ -642,10 +644,88 @@ def test_sp_batch_triple_product_mean():
 
 
 def test_sp_domain_error():
-    t = triple_product()
-    eigs = chaos3.spectra_batch(t, np.ones((1, 3)))
-    with pytest.raises(ValueError):
-        chaos3.elementary_symmetric_spectrum(eigs, 4)
+    with pytest.raises(ValueError, match=r"p must lie in 1\.\.3"):
+        chaos3.sp_batch_estimate(triple_product(), [4], 1000, SEED)
+
+
+def test_sp_batch_estimate_never_eigensolves(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("S_hat_p must not call eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    t = family_generators("complete-3-tensor", 8)
+    res = chaos3.sp_batch_estimate(t, [1, 2, 8], 2000, SEED)
+    assert [r.p for r in res] == [1, 2, 8]
+    assert all(math.isfinite(r.estimate.mean) for r in res)
+
+
+def _dense_unit_tensor(n, seed):
+    rng = np.random.default_rng(seed)
+    return SymThreeTensor(n, {
+        trip: float(rng.standard_normal())
+        for trip in itertools.combinations(range(1, n + 1), 3)},
+        normalize=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: family_generators("complete-3-tensor", 6),
+    lambda: family_generators("block-3-tensor", 12),
+    lambda: _dense_unit_tensor(8, 14),
+], ids=["complete-6", "block-12", "dense-8"])
+def test_sharp_power_sums_match_eigenvalue_oracle(make):
+    t = make()
+    xh = np.random.default_rng(15).standard_normal((40, t.n))
+    got = chaos3.sharp_power_sums(t, xh, t.n)
+    lams = np.array([oracles.spectrum(chaos3.sharp_batch(t, row))[0]
+                     for row in xh])
+    ref = oracles.spectrum_power_sums(lams, t.n)
+    assert got.shape == (t.n, 40)
+    scale = ref[0] ** np.arange(1, t.n + 1)[:, None]     # S_1^q
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("q_max", [5, 6])
+def test_sharp_power_sums_match_unstepped_products(q_max):
+    # 1500 rows at n = 20 span two full steps and a partial one
+    t = _dense_unit_tensor(20, 16)
+    xh = np.random.default_rng(17).standard_normal((1500, 20))
+    assert xh.shape[0] > 2 * (chaos3.STEP_ELEMENTS // 400)
+    got = chaos3.sharp_power_sums(t, xh, q_max)
+    m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
+    for q in range(1, q_max + 1):
+        mq = np.linalg.matrix_power(m, q)
+        assert np.allclose(got[q - 1], np.einsum('bij,bij->b', mq, mq),
+                           rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("q_max", [1, 4])
+def test_sharp_power_sums_zero_rows(q_max):
+    t = family_generators("complete-3-tensor", 5)
+    assert chaos3.sharp_power_sums(t, np.zeros((0, 5)), q_max).shape \
+        == (q_max, 0)
+    assert np.all(chaos3.sharp_power_sums(t, np.zeros((3, 5)), q_max) == 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, x: chaos3.spectra_batch(t, x),
+    lambda t, x: chaos3.trace_square_batch(t, x),
+    lambda t, x: chaos3.sharp_power_sums(t, x, 2),
+    lambda t, x: chaos3.gamma_batch(t, x),
+], ids=["spectra_batch", "trace_square_batch", "sharp_power_sums",
+        "gamma_batch"])
+@pytest.mark.parametrize("shape", [(4,), (2, 5), (2, 4, 4)],
+                         ids=["1-d", "wrong-width", "3-d"])
+def test_batch_shape_errors(call, shape):
+    t = family_generators("complete-3-tensor", 4)
+    with pytest.raises(ValueError, match=r"batch must have shape \(B, 4\)"):
+        call(t, np.ones(shape))
+
+
+@pytest.mark.parametrize("q_max", [0, 5])
+def test_sharp_power_sums_q_max_domain(q_max):
+    t = family_generators("complete-3-tensor", 4)
+    with pytest.raises(ValueError, match=r"q_max must lie in 1\.\.4"):
+        chaos3.sharp_power_sums(t, np.ones((2, 4)), q_max)
 
 
 def test_sp_bound_block_vs_complete_n12():
@@ -766,6 +846,19 @@ def test_tensor_file_parse_errors(tmp_path):
                        match=r"bad\.txt:4: triple \(1, 2, 3\) repeats the "
                              r"one on line 2"):
         chaos3.read_tensor_file(p)
+    # what the tensor constructor would reject is reported at its line
+    for text, bad in [
+            ("# dim\n2\n", r"bad\.txt:2: dimension must be >= 3"),
+            ("3\n1 1 2 0.5\n", r"bad\.txt:2: triple \(1, 1, 2\) must "
+                               r"satisfy 1 <= i < j < k <= 3"),
+            ("3\n1 2 3 0.5\n1 2 4 0.5\n",
+             r"bad\.txt:3: triple \(1, 2, 4\) must satisfy "
+             r"1 <= i < j < k <= 3"),
+            ("3\n1 2 3 nan\n", r"bad\.txt:2: non-finite value at "
+                                r"\(1, 2, 3\)")]:
+        p.write_text(text)
+        with pytest.raises(ValueError, match=bad):
+            chaos3.read_tensor_file(p)
 
 
 @pytest.mark.parametrize("text, bad", [

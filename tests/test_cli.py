@@ -226,6 +226,11 @@ def test_run_sp_lower_bound(tmp_path):
     assert cli.main(["run", str(p)]) == 0
     rows = (out / "sp_lower_bound.csv").read_text().strip().split("\n")
     assert rows[0] == "p,mean_sp,se,lower_bound,bound_holds"
+    checks = {a["name"]: a for a in read_manifest(out)["assertions"]}
+    assert checks["s1_equals_trace"]["passed"]
+    assert checks["newton_sums_match_spectrum"]["passed"]
+    assert checks["newton_sums_match_spectrum"]["detail"].startswith(
+        "q_max=2 ")
 
 
 def test_run_spectral_radius_and_negmoment2(tmp_path):
