@@ -49,9 +49,7 @@ class SymThreeTensor:
     """
 
     def __init__(self, n: int, entries, normalize: bool = False):
-        if n < 3:
-            raise ValueError("dimension must be >= 3")
-        self.n = int(n)
+        self.n = _checked_dimension(n)
         canon = dict(_checked_entry(trip, val, self.n)
                      for trip, val in dict(entries).items())
         if normalize:
@@ -122,6 +120,14 @@ class SymThreeTensor:
                 f"variance={self.variance:.6g})")
 
 
+def _checked_dimension(n) -> int:
+    """A tensor dimension as an int, or a ValueError if it is below 3."""
+    n = int(n)
+    if n < 3:
+        raise ValueError("dimension must be >= 3")
+    return n
+
+
 def _checked_entry(trip, val, n: int) -> tuple[tuple, float]:
     """One (triple, value) entry of a tensor on [1, n] as ints and a float,
     or a ValueError naming what is wrong with it."""
@@ -158,14 +164,9 @@ def read_tensor_file(path) -> SymThreeTensor:
             try:
                 nums = ([int(v) for v in parts[:3]]
                         + [float(v) for v in parts[3:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if n is None:
-                n = nums[0]
-                if n < 3:
-                    raise ValueError(f"{path}:{lineno}: dimension must be >= 3")
-                continue
-            try:
+                if n is None:
+                    n = _checked_dimension(nums[0])
+                    continue
                 trip, val = _checked_entry(tuple(nums[:3]), nums[3], n)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -266,13 +267,8 @@ def _sharp_steps(t: SymThreeTensor, n_rows: int):
 
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """Tr(A_hat^2) = sum_{i,j} A_hat_{ij}^2 for a batch of source vectors,
-    shape (B, n)."""
-    xhat = _batch(t, xhat)
-    out = np.empty(xhat.shape[0])
-    for rows in _sharp_steps(t, xhat.shape[0]):
-        m = sharp_batch(t, xhat[rows])
-        out[rows] = np.einsum('bij,bij->b', m, m)
-    return out
+    shape (B, n): the first Newton sum."""
+    return sharp_power_sums(t, xhat, 1)[0]
 
 
 def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,
@@ -283,7 +279,11 @@ def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,
 
     No eigensolve: with M2 = A_hat @ A_hat, N_1 = ||A_hat||_F^2 and
     N_q = <M2^ceil(q/2), M2^floor(q/2)>_F, so q_max sums cost
-    ceil(q_max / 2) batched products.
+    ceil(q_max / 2) batched products.  That is about ceil(q_max / 2) n^3
+    flops per row against the eigensolve's n^3: measured on 2 CPUs, the
+    products win at every q_max <= n up to n = 36, but at n = 48 and 60
+    they lose beyond q_max of about n / 2 (1.4x and 2.2x slower at
+    q_max = n).
     """
     xhat = _batch(t, xhat)
     if not 1 <= q_max <= t.n:
