@@ -7,14 +7,25 @@ only on (seed, stream, sample index) -- never on how chunks are
 distributed over workers.
 
 One reduction serves every estimator: reduce(fn, n, spec, *accumulators)
-calls fn(rng, count) once per chunk and feeds each array it returns, one
-row per sample and one column per quantity (say, the points of a grid
-on the same draws), to its accumulator.  Moments gives each column's
-mean and standard error (pairwise sums within a chunk, the
-Chan-Golub-LeVeque merge across chunks in block order), Hits exact
-counts of x < t, TopShare the share of the total carried by the k
-largest values.  Results are bitwise reproducible on one platform, and a
-column's bits do not depend on the columns beside it.
+walks the chunks and feeds each array fn returns, one row per sample and
+one column per quantity (say, the points of a grid on the same draws),
+to its accumulator.  Within a chunk, fn(rng, count) is called on
+consecutive steps of at most STEP_SAMPLES rows, all with the chunk's
+generator, and the steps' outputs are joined: each accumulator still gets
+one array per chunk, but the largest array fn draws is one step.
+Successive draws on a generator continue its stream.  So when fn draws
+its rows in order, one row per sample, and computes each row on its own,
+its values depend only on (seed, stream, sample index) and equal those
+of one whole-chunk call, bit for bit.  A fn that draws twice per call
+(two arrays of count rows) still gets a fixed, reproducible stream, but
+not the one a whole-chunk call would see.
+
+Moments gives each column's mean and standard error (pairwise sums
+within a chunk, the Chan-Golub-LeVeque merge across chunks in block
+order), Hits exact counts of x < t, TopShare the share of the total
+carried by the k largest values.  Results are bitwise reproducible on
+one platform, and a column's bits do not depend on the columns beside
+it.
 """
 
 from __future__ import annotations
@@ -27,6 +38,9 @@ import numpy as np
 
 # Samples per counter block.  Fixed: changing it changes the sample stream.
 CHUNK_SAMPLES = 1 << 16
+# Rows per fn call within a block: bounds the arrays fn draws, not the
+# stream (6.3 MB of normals at dimension 192).
+STEP_SAMPLES = 1 << 12
 
 _U64 = 1 << 64
 
@@ -99,33 +113,46 @@ def reduce(fn: Callable[[np.random.Generator, int], object], n: int,
     """Feed n samples of fn from the stream spec to the accumulators.
 
     fn(rng, count) returns one float array per accumulator (the array
-    itself when there is one), of shape (count,) or (count, m).  Each
-    accumulator gets it sample-minor: shape (m, count), rows contiguous.
-    A non-finite value raises PoisonedSampleError naming the chunk, the
-    output and the column.  Returns the accumulators.
+    itself when there is one), of shape (count,) or (count, m).  It is
+    called on consecutive steps of at most STEP_SAMPLES rows of each
+    chunk, all with the chunk's generator; see the module docstring for
+    when that gives the bits of one whole-chunk call.  Each accumulator
+    gets one array per chunk, the steps joined, sample-minor: shape
+    (m, count), rows contiguous.  A non-finite value raises
+    PoisonedSampleError naming the chunk, the output, the column and the
+    sample index.  Returns the accumulators.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
     for j, cnt, rng in chunks(spec, n):
-        out = fn(rng, cnt)
-        out = (out,) if len(accumulators) == 1 else out
-        if len(out) != len(accumulators):
-            raise ValueError(f"fn returned {len(out)} arrays for "
-                             f"{len(accumulators)} accumulators")
-        for i, (acc, x) in enumerate(zip(accumulators, out)):
-            x = np.asarray(x, dtype=float)
-            if x.ndim not in (1, 2) or x.shape[0] != cnt:
-                raise ValueError(f"fn returned shape {x.shape}, expected "
-                                 f"({cnt},) or ({cnt}, m)")
-            xt = np.ascontiguousarray(x.reshape(cnt, -1).T)
-            finite = np.isfinite(xt).all(axis=1)
-            if not finite.all():
+        parts = [[] for _ in accumulators]
+        for s in range(0, cnt, STEP_SAMPLES):
+            k = min(STEP_SAMPLES, cnt - s)
+            out = fn(rng, k)
+            out = (out,) if len(accumulators) == 1 else out
+            if len(out) != len(accumulators):
+                raise ValueError(f"fn returned {len(out)} arrays for "
+                                 f"{len(accumulators)} accumulators")
+            for part, x in zip(parts, out):
+                x = np.asarray(x, dtype=float)
+                if x.ndim not in (1, 2) or x.shape[0] != k:
+                    raise ValueError(f"fn returned shape {x.shape}, "
+                                     f"expected ({k},) or ({k}, m)")
+                part.append(x.reshape(k, -1).T)
+        for i, (acc, part) in enumerate(zip(accumulators, parts)):
+            xt = np.concatenate(part, axis=1,
+                                out=np.empty((part[0].shape[0], cnt)))
+            parts[i] = None    # the steps' arrays go before acc.add
+            bad = ~np.isfinite(xt)
+            if bad.any():
+                col = int(np.argmax(bad.any(axis=1)))
+                row = int(np.argmax(bad[col]))
                 raise PoisonedSampleError(
                     f"non-finite sample value in chunk {j}, output {i}, "
-                    f"column {int(np.argmin(finite))} "
+                    f"column {col}, sample {j * CHUNK_SAMPLES + row} "
                     f"(seed={spec.seed}, stream={spec.stream})")
             acc.add(xt)
-        del out, x, xt    # release this chunk's arrays before the next draw
+        del xt, bad    # release this chunk's arrays before the next draw
     return accumulators
 
 

@@ -92,12 +92,9 @@ def test_c04_smallball_certified_family():
     cert = chaos2.thm1_certificate(kappa4, 3)
     eps = np.array([0.05, 0.1, 0.2])
     nsamp = 1_000_000
-    counts = np.zeros(3, dtype=np.int64)
-    for _, cnt, rng in mc.chunks(mc.RngSpec(SEED, 0), nsamp):
-        g = f.sample_gamma(rng, cnt)
-        counts += (g[:, None] < eps[None, :]).sum(axis=0)
-    phat = counts / nsamp
-    se = np.sqrt(phat * (1 - phat) / nsamp)
+    (hits,) = mc.reduce(f.sample_gamma, nsamp, mc.RngSpec(SEED, 0),
+                        mc.Hits(eps))
+    (phat,), (se,) = hits.fractions()
     bounds = np.array([chaos2.smallball_bound(3, e) for e in eps])
     within = np.all(phat <= bounds + 3 * se)
     elapsed = time.perf_counter() - start

@@ -571,6 +571,38 @@ def test_grid_columns_have_their_own_bits():
     assert checks[1] == single
 
 
+def _whole_chunks(fn, n, spec, acc):
+    # the reference reduction: fn(rng, cnt) once per counter block
+    for _, cnt, rng in mc.chunks(spec, n):
+        acc.add(np.ascontiguousarray(fn(rng, cnt).reshape(cnt, -1).T))
+    return acc
+
+
+def test_stepped_estimators_match_whole_chunks_bitwise():
+    # two chunks of whole steps, then a ragged last chunk of 777 samples;
+    # the reference calls fn once per counter block
+    t = family_generators("complete-3-tensor", 20)
+    n = 2 * mc.CHUNK_SAMPLES + 777
+    spec = mc.RngSpec(SEED, 0)
+    gamma = lambda rng, cnt: chaos3.gamma_batch(
+        t, rng.standard_normal((cnt, t.n)))
+    eps = np.geomspace(0.01, 0.3, 8)
+    res = chaos3.smallball_gamma3(t, eps, n, SEED)
+    hits = _whole_chunks(gamma, n, spec, mc.Hits(eps))
+    assert np.array_equal(res.hits, hits.counts[0])
+
+    thetas = [0.25, 0.5]
+
+    def powers(rng, cnt):
+        g = gamma(rng, cnt)
+        return np.stack([g ** -theta for theta in thetas], axis=1)
+
+    got = chaos3.negative_moment_gamma3(t, thetas, n, SEED)
+    moments = _whole_chunks(powers, n, spec, mc.Moments())
+    for r, ref in zip(got, moments.results(spec)):
+        assert (r.estimate.mean, r.estimate.stderr) == (ref.mean, ref.stderr)
+
+
 def test_negative_moment_gamma3_domain():
     with pytest.raises(ValueError):
         chaos3.negative_moment_gamma3(triple_product(), [1.0], 1000, SEED)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wienerchaos import chaos2, mc
+from wienerchaos.cli import family_generators
 
 
 def test_gaussian_vector_deterministic():
@@ -169,21 +172,40 @@ def test_top_share_matches_brute_force():
 
 
 def test_reduce_poisoned_column_names_chunk():
+    # the bad value sits in the second step of chunk 1; the error names its
+    # global sample index, and nothing of chunk 2 is drawn
+    bad = mc.CHUNK_SAMPLES + mc.STEP_SAMPLES + 17
     calls = []
 
     def fn(rng, cnt):
         out = np.ones((cnt, 3))
-        if len(calls) == 1:
-            out[17, 1] = np.nan
+        first = sum(calls)
+        if first <= bad < first + cnt:
+            out[bad - first, 1] = np.nan
         calls.append(cnt)
         return out
 
     with pytest.raises(mc.PoisonedSampleError,
-                       match=r"chunk 1, output 0, column 1 \(seed=7, "
-                             r"stream=3\)"):
+                       match=rf"chunk 1, output 0, column 1, sample {bad} "
+                             r"\(seed=7, stream=3\)"):
         mc.reduce(fn, 2 * mc.CHUNK_SAMPLES + 10, mc.RngSpec(7, 3),
                   mc.Moments())
-    assert len(calls) == 2
+    assert sum(calls) == 2 * mc.CHUNK_SAMPLES
+
+
+def test_reduce_memory_is_one_step_not_one_chunk():
+    # chi2-average m = 192: one chunk of normals is 100 MB, one step 6.3 MB.
+    # numpy reports its buffers to tracemalloc.
+    f = family_generators("chi2-average", 192)
+    tracemalloc.start()
+    try:
+        (hits,) = mc.reduce(f.sample_gamma, 100_000, mc.RngSpec(11),
+                            mc.Hits([0.5, 1.0, 1.5]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits.n == 100_000
+    assert peak < 16 * 2 ** 20
 
 
 def test_reduce_rejects_bad_shapes_and_counts():
