@@ -30,8 +30,8 @@ def main():
     for chk in chaos3.verify_gamma_spec(t, (0.5, 1.0, 2.0), 20_000, seed=11):
         print(f"  xi={chk.xi:<4g} "
               f"lhs={chk.lhs.mean:.5f}+-{chk.lhs.stderr:.5f}  "
-              f"Re rhs={chk.rhs.mean.real:.5f}+-{chk.rhs.stderr_re:.5f}  "
-              f"Im rhs={chk.rhs.mean.imag:+.5f}  agree={chk.real_ok}")
+              f"Re rhs={chk.rhs_re.mean:.5f}+-{chk.rhs_re.stderr:.5f}  "
+              f"Im rhs={chk.rhs_im.mean:+.5f}  agree={chk.real_ok}")
 
     tf = chaos3.trace_form(t)
     print(f"\ntrace form Tr(A_hat^2) = sum beta_k G_k^2:")

@@ -17,7 +17,6 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 from . import mc
-from .wick import GaussianPolynomial
 
 UNIT_VAR_TOL = 1e-12
 
@@ -86,16 +85,6 @@ class DiagonalSecondChaos:
         g = rng.standard_normal((n, self.m))
         return np.square(g, out=g) @ (4.0 * self.alphas ** 2)
 
-    def to_polynomial(self) -> GaussianPolynomial:
-        p = GaussianPolynomial(self.m, {})
-        for k, a in enumerate(self.alphas):
-            if a == 0.0:
-                continue
-            e = [0] * self.m
-            e[k] = 2
-            p = p + GaussianPolynomial(self.m, {tuple(e): float(a)}) - float(a)
-        return p
-
     def __repr__(self):
         return f"DiagonalSecondChaos(m={self.m}, variance={self.variance:.6g})"
 
@@ -152,42 +141,6 @@ def newton_cumulants(f: DiagonalSecondChaos, p_max: int) -> SymmetricFunctionTab
     return SymmetricFunctionTable(p_max, newton, elem, cumul)
 
 
-def _partition_multiplicities(p: int):
-    # multiplicity vectors (m_1, ..., m_p) with sum i*m_i = p
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - i, i):
-                yield (i,) + rest
-
-    for parts in rec(p, p):
-        m = [0] * p
-        for i in parts:
-            m[i - 1] += 1
-        yield m
-
-
-def girard_partition_sum(newton: np.ndarray, p: int) -> float:
-    """Explicit partition-sum form of S_p (test oracle, p <= 6 intended).
-
-    S_p = (-1)^p sum over {m: sum i*m_i = p} of prod_i (-N_i)^m_i / (m_i! i^m_i).
-    Exponentially slower than the recursion; kept as an independent route.
-    """
-    newton = np.asarray(newton, dtype=float)
-    if p < 1 or p > newton.shape[0]:
-        raise ValueError("p out of range for the supplied Newton sums")
-    total = 0.0
-    for m in _partition_multiplicities(p):
-        term = 1.0
-        for i, mi in enumerate(m, start=1):
-            if mi:
-                term *= (-newton[i - 1]) ** mi / (math.factorial(mi) * i ** mi)
-        total += term
-    return ((-1.0) ** p) * total
-
-
 @dataclass(frozen=True)
 class SpDeviation:
     lhs: float   # |S_p - 1/(2^p p!)|
@@ -208,12 +161,18 @@ def check_sp_deviation(f: DiagonalSecondChaos, p: int) -> SpDeviation:
     return SpDeviation(float(lhs), float(rhs), bool(lhs <= rhs))
 
 
-def laplace_gamma(f: DiagonalSecondChaos, lam: float) -> float:
-    """E exp(-lam * Gamma[F,F]) = prod_k (1 + 8 lam alpha_k^2)^(-1/2)."""
-    if lam < 0:
+def laplace_gamma(f: DiagonalSecondChaos, lam):
+    """E exp(-lam * Gamma[F,F]) = prod_k (1 + 8 lam alpha_k^2)^(-1/2).
+
+    The product runs over the nonzero coefficients.  Accepts a scalar or
+    an array of lam values.
+    """
+    lam_arr = np.asarray(lam, dtype=float)
+    if (lam_arr < 0).any():
         raise ValueError("lam must be >= 0")
-    a2 = f.alphas ** 2
-    return float(np.exp(-0.5 * np.sum(np.log1p(8.0 * lam * a2))))
+    a2 = f.alphas[f.alphas != 0.0] ** 2
+    out = np.exp(-0.5 * np.log1p(8.0 * np.multiply.outer(lam_arr, a2)).sum(-1))
+    return float(out) if lam_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -265,23 +224,18 @@ def negative_moment(f: DiagonalSecondChaos, q: float,
         raise DivergenceError(
             f"E Gamma^(-q) diverges for q >= m/2 (q={q}, m={m})")
 
-    def laplace(lam):
-        lam = np.asarray(lam, dtype=float)
-        return np.exp(-0.5 * np.sum(np.log1p(8.0 * np.multiply.outer(lam, a2)),
-                                    axis=-1))
-
     head, e_head = integrate.quad(
-        lambda u: laplace(u ** (1.0 / q)) / q, 0.0, 1.0,
+        lambda u: laplace_gamma(f, u ** (1.0 / q)) / q, 0.0, 1.0,
         epsabs=0.0, epsrel=1e-11, limit=200)
 
-    # tail cutoff from laplace(e^t) <= K exp(-m t / 2); log K as a sum of
+    # tail cutoff from laplace_gamma(e^t) <= K exp(-m t / 2); log K as a sum of
     # logs, since the product of m factors overflows for large m
     log_k = -0.5 * float(np.sum(np.log(8.0 * a2)))
     decay = m / 2.0 - q
     t_max = max(5.0, (log_k - math.log(decay)
                       - math.log(1e-13 * max(head, 1e-300))) / decay)
     tail, e_tail = integrate.quad(
-        lambda t: math.exp(q * t) * float(laplace(math.exp(t))), 0.0, t_max,
+        lambda t: math.exp(q * t) * laplace_gamma(f, math.exp(t)), 0.0, t_max,
         epsabs=0.0, epsrel=1e-11, limit=400)
 
     total = head + tail

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, chaos2, chaos3, mc
 
@@ -103,6 +104,16 @@ class ExperimentConfig:
 
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.replace(",", " ").split()]
+
+
+def _int_grid(grids: dict, key: str, default: str) -> list[int]:
+    """The integers of grid `key`; a ValueError names the key and value."""
+    text = grids.get(key, default)
+    try:
+        return [int(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"grid {key!r} must hold integers, "
+                         f"got {text!r}") from None
 
 
 def parse_config(path, seed=None, samples=None, out=None) -> ExperimentConfig:
@@ -208,7 +219,7 @@ def _require(model, cls, experiment):
 
 def _exp_thm1_certificate(cfg, model, rec):
     f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
-    ps = [int(v) for v in cfg.grids.get("p", "1 2 3").replace(",", " ").split()]
+    ps = _int_grid(cfg.grids, "p", "1 2 3")
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
     rows = []
     for p in ps:
@@ -236,7 +247,10 @@ def _exp_laplace_check(cfg, model, rec):
 
 def _exp_smallball2(cfg, model, rec):
     f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
-    p = int(float(cfg.grids.get("p", "3")))
+    ps = _int_grid(cfg.grids, "p", "3")
+    if len(ps) != 1:
+        raise ValueError(f"smallball2 takes one p, got {cfg.grids['p']!r}")
+    (p,) = ps
     eps = _parse_floats(cfg.grids.get("eps", "0.05, 0.1, 0.2"))
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
     cert = chaos2.thm1_certificate(kappa4, p)
@@ -317,9 +331,9 @@ def _exp_gamma_spec(cfg, model, rec):
         xi = chk.xi
         rec.check(f"gamma_spec_xi{xi:g}", chk.real_ok and chk.imag_ok,
                   f"gap={chk.gap:.3g} combined_se={chk.combined_se:.3g} "
-                  f"im={chk.rhs.mean.imag:.3g}")
-        rows.append((xi, chk.lhs.mean, chk.lhs.stderr, chk.rhs.mean.real,
-                     chk.rhs.stderr_re, chk.rhs.mean.imag, chk.rhs.stderr_im,
+                  f"im={chk.rhs_im.mean:.3g}")
+        rows.append((xi, chk.lhs.mean, chk.lhs.stderr, chk.rhs_re.mean,
+                     chk.rhs_re.stderr, chk.rhs_im.mean, chk.rhs_im.stderr,
                      chk.real_ok, chk.imag_ok))
     rec.csv("gamma_spec.csv",
             ["xi", "lhs", "lhs_se", "rhs_re", "rhs_re_se", "rhs_im",
@@ -328,7 +342,7 @@ def _exp_gamma_spec(cfg, model, rec):
 
 def _exp_spectral_radius(cfg, model, rec):
     t = _require(model, chaos3.SymThreeTensor, cfg.name)
-    ps = [int(v) for v in cfg.grids.get("p", "1 2").replace(",", " ").split()]
+    ps = _int_grid(cfg.grids, "p", "1 2")
     rows = []
     ests = chaos3.spectral_radius_moments(t, ps, cfg.samples, cfg.seed)
     for p, est in zip(ps, ests):
@@ -339,8 +353,7 @@ def _exp_spectral_radius(cfg, model, rec):
 
 
 def _exp_trace_concentration(cfg, model, rec):
-    sizes = [int(v) for v in
-             cfg.grids.get("sizes", "6, 12, 24").replace(",", " ").split()]
+    sizes = _int_grid(cfg.grids, "sizes", "6, 12, 24")
     kind = cfg.model.get("kind", "complete-3-tensor")
     rows = []
     for i, size in enumerate(sizes):
@@ -399,7 +412,7 @@ def _exp_negmoment3(cfg, model, rec):
 
 def _exp_sp_lower_bound(cfg, model, rec):
     t = _require(model, chaos3.SymThreeTensor, cfg.name)
-    ps = [int(v) for v in cfg.grids.get("p", "1 2").replace(",", " ").split()]
+    ps = _int_grid(cfg.grids, "p", "1 2")
     results = chaos3.sp_batch_estimate(t, ps, cfg.samples, cfg.seed)
     # identity self-check on a small batch: S_hat_1 == Tr(A_hat^2)
     rng = mc.RngSpec(cfg.seed, 999).generator()
@@ -474,17 +487,13 @@ def run(cfg: ExperimentConfig) -> int:
             "wienerchaos": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
+            "scipy": scipy.__version__,
         },
         "wall_time_s": round(wall, 3),
         "files": rec.files,
         "assertions": rec.assertions,
         "n_failed": n_failed,
     }
-    try:
-        import scipy
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     with open(cfg.out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,18 +7,18 @@ only on (seed, stream, sample index) -- never on how chunks are
 distributed over workers.
 
 One reduction serves every estimator: reduce(fn, n, spec, *accumulators)
-walks the chunks and feeds each array fn returns, one row per sample and
-one column per quantity (say, the points of a grid on the same draws),
-to its accumulator.  Within a chunk, fn(rng, count) is called on
-consecutive steps of at most STEP_SAMPLES rows, all with the chunk's
-generator, and the steps' outputs are joined: each accumulator still gets
-one array per chunk, but the largest array fn draws is one step.
-Successive draws on a generator continue its stream.  So when fn draws
-its rows in order, one row per sample, and computes each row on its own,
-its values depend only on (seed, stream, sample index) and equal those
-of one whole-chunk call, bit for bit.  A fn that draws twice per call
-(two arrays of count rows) still gets a fixed, reproducible stream, but
-not the one a whole-chunk call would see.
+walks the chunks and hands the one array fn returns, one row per sample
+and one column per quantity (say, the points of a grid on the same
+draws), to every accumulator.  Within a chunk, fn(rng, count) is called
+on consecutive steps of at most STEP_SAMPLES rows, all with the chunk's
+generator, and the steps' outputs are written into one array per chunk:
+the accumulators see one array per chunk, but the largest array fn
+draws is one step.  Successive draws on a generator continue its stream.
+So when fn draws its rows in order, one row per sample, and computes
+each row on its own, its values depend only on (seed, stream, sample
+index) and equal those of one whole-chunk call, bit for bit.  A fn that
+draws twice per call (two arrays of count rows) still gets a fixed,
+reproducible stream, but not the one a whole-chunk call would see.
 
 Moments gives each column's mean and standard error (pairwise sums
 within a chunk, the Chan-Golub-LeVeque merge across chunks in block
@@ -84,18 +84,6 @@ class EstimatorResult:
         return abs(self.mean - value) <= k * self.stderr
 
 
-@dataclass(frozen=True)
-class ComplexEstimatorResult:
-    """Mean of a complex-valued sample with per-component standard errors
-    (a complex sample reduces as two real Moments columns)."""
-
-    mean: complex
-    stderr_re: float
-    stderr_im: float
-    n: int
-    spec: RngSpec
-
-
 def chunks(spec: RngSpec, n: int):
     """Yield (block_index, count, generator) covering n samples.
 
@@ -108,51 +96,48 @@ def chunks(spec: RngSpec, n: int):
         yield j, cnt, spec.generator(block=j)
 
 
-def reduce(fn: Callable[[np.random.Generator, int], object], n: int,
+def reduce(fn: Callable[[np.random.Generator, int], np.ndarray], n: int,
            spec: RngSpec, *accumulators):
     """Feed n samples of fn from the stream spec to the accumulators.
 
-    fn(rng, count) returns one float array per accumulator (the array
-    itself when there is one), of shape (count,) or (count, m).  It is
-    called on consecutive steps of at most STEP_SAMPLES rows of each
-    chunk, all with the chunk's generator; see the module docstring for
-    when that gives the bits of one whole-chunk call.  Each accumulator
-    gets one array per chunk, the steps joined, sample-minor: shape
-    (m, count), rows contiguous.  A non-finite value raises
-    PoisonedSampleError naming the chunk, the output, the column and the
-    sample index.  Returns the accumulators.
+    fn(rng, count) returns one float array of shape (count,) or
+    (count, m).  It is called on consecutive steps of at most
+    STEP_SAMPLES rows of each chunk, all with the chunk's generator; see
+    the module docstring for when that gives the bits of one whole-chunk
+    call.  The steps' transposes fill one sample-minor array per chunk,
+    shape (m, count), rows contiguous, and every accumulator gets that
+    same array.  A step whose column count differs from the chunk's
+    first step is a ValueError.  A non-finite value raises
+    PoisonedSampleError naming the chunk, the column and the sample
+    index.  Returns the accumulators.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
     for j, cnt, rng in chunks(spec, n):
-        parts = [[] for _ in accumulators]
+        xt = None
         for s in range(0, cnt, STEP_SAMPLES):
             k = min(STEP_SAMPLES, cnt - s)
-            out = fn(rng, k)
-            out = (out,) if len(accumulators) == 1 else out
-            if len(out) != len(accumulators):
-                raise ValueError(f"fn returned {len(out)} arrays for "
-                                 f"{len(accumulators)} accumulators")
-            for part, x in zip(parts, out):
-                x = np.asarray(x, dtype=float)
-                if x.ndim not in (1, 2) or x.shape[0] != k:
-                    raise ValueError(f"fn returned shape {x.shape}, "
-                                     f"expected ({k},) or ({k}, m)")
-                part.append(x.reshape(k, -1).T)
-        for i, (acc, part) in enumerate(zip(accumulators, parts)):
-            xt = np.concatenate(part, axis=1,
-                                out=np.empty((part[0].shape[0], cnt)))
-            parts[i] = None    # the steps' arrays go before acc.add
+            x = np.asarray(fn(rng, k), dtype=float)
+            if x.ndim not in (1, 2) or x.shape[0] != k:
+                raise ValueError(f"fn returned shape {x.shape}, "
+                                 f"expected ({k},) or ({k}, m)")
+            x = x.reshape(k, -1)
+            if xt is None:
+                xt = np.empty((x.shape[1], cnt))
+            elif x.shape[1] != xt.shape[0]:
+                raise ValueError(f"fn returned {x.shape[1]} columns, but "
+                                 f"{xt.shape[0]} at the chunk's first step")
+            xt[:, s:s + k] = x.T
+        if not np.isfinite(xt).all():
             bad = ~np.isfinite(xt)
-            if bad.any():
-                col = int(np.argmax(bad.any(axis=1)))
-                row = int(np.argmax(bad[col]))
-                raise PoisonedSampleError(
-                    f"non-finite sample value in chunk {j}, output {i}, "
-                    f"column {col}, sample {j * CHUNK_SAMPLES + row} "
-                    f"(seed={spec.seed}, stream={spec.stream})")
+            col = int(np.argmax(bad.any(axis=1)))
+            row = int(np.argmax(bad[col]))
+            raise PoisonedSampleError(
+                f"non-finite sample value in chunk {j}, column {col}, "
+                f"sample {j * CHUNK_SAMPLES + row} "
+                f"(seed={spec.seed}, stream={spec.stream})")
+        for acc in accumulators:
             acc.add(xt)
-        del xt, bad    # release this chunk's arrays before the next draw
     return accumulators
 
 

@@ -1,13 +1,15 @@
-"""Independent routes to the third-chaos quantities, kept as test oracles.
+"""Independent routes to chaos quantities, kept as test oracles.
 
-The library computes each quantity one way (contractions for kappa_4 and
-Var Gamma, batch kernels for Gamma and the spectra).  The routes here
-share none of that code: Isserlis expansion of the polynomials, Monte
-Carlo over four independent streams, the pointwise gradient from the
-dense tensor, a residual-checked eigh of one matrix, and the power sums
-of a squared spectrum from its eigenvalues.  The symmetric functions of
-those sums reuse the library's Newton-Girard recursion, which
-test_sp_grid_shares_one_table checks against brute-force sums.
+The library computes each quantity one way (the Newton-Girard recursion
+for S_p, contractions for kappa_4 and Var Gamma, batch kernels for Gamma
+and the spectra).  The routes here share none of that code: the explicit
+partition sum of S_p, the Gaussian polynomials of F for the Isserlis
+expansion, Monte Carlo over four independent streams, the pointwise
+gradient from the dense tensor, a residual-checked eigh of one matrix,
+and the power sums of a squared spectrum from its eigenvalues.  The
+symmetric functions of those sums reuse the library's Newton-Girard
+recursion, which test_sp_grid_shares_one_table checks against
+brute-force sums.
 """
 
 import math
@@ -16,9 +18,62 @@ import numpy as np
 
 from wienerchaos import mc
 from wienerchaos.chaos2 import newton_to_elementary
-from wienerchaos.wick import gamma_of_polynomial, isserlis_expectation
+from wienerchaos.wick import (
+    GaussianPolynomial,
+    gamma_of_polynomial,
+    isserlis_expectation,
+)
 
 ISSERLIS_MAX_N = 6   # cost cap of the degree-12 expansions
+
+
+def diagonal_polynomial(f):
+    """F = sum_k alpha_k (G_k^2 - 1) of a DiagonalSecondChaos as a
+    GaussianPolynomial."""
+    p = GaussianPolynomial(f.m, {})
+    for k, a in enumerate(f.alphas):
+        if a == 0.0:
+            continue
+        e = [0] * f.m
+        e[k] = 2
+        p = p + GaussianPolynomial(f.m, {tuple(e): float(a)}) - float(a)
+    return p
+
+
+def _partition_multiplicities(p):
+    # multiplicity vectors (m_1, ..., m_p) with sum i*m_i = p
+    def rec(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for i in range(min(remaining, max_part), 0, -1):
+            for rest in rec(remaining - i, i):
+                yield (i,) + rest
+
+    for parts in rec(p, p):
+        m = [0] * p
+        for i in parts:
+            m[i - 1] += 1
+        yield m
+
+
+def girard_partition_sum(newton, p):
+    """Explicit partition-sum form of S_p (p <= 6 intended).
+
+    S_p = (-1)^p sum over {m: sum i*m_i = p} of prod_i (-N_i)^m_i / (m_i! i^m_i).
+    Exponentially slower than the recursion; an independent route to it.
+    """
+    newton = np.asarray(newton, dtype=float)
+    if p < 1 or p > newton.shape[0]:
+        raise ValueError("p out of range for the supplied Newton sums")
+    total = 0.0
+    for m in _partition_multiplicities(p):
+        term = 1.0
+        for i, mi in enumerate(m, start=1):
+            if mi:
+                term *= (-newton[i - 1]) ** mi / (math.factorial(mi) * i ** mi)
+        total += term
+    return ((-1.0) ** p) * total
 
 
 def isserlis_k4_var_gamma(t):

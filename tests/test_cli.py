@@ -306,3 +306,32 @@ def test_run_smallball2(tmp_path):
     assert cli.main(["run", str(p)]) == 0
     rows = (out / "smallball2.csv").read_text().strip().split("\n")
     assert rows[0] == "eps,phat,se,bound,pass"
+
+
+@pytest.mark.parametrize("name,model,key,value", [
+    ("smallball2", ["kind = chi2-average", "size = 192"], "p", "2.5"),
+    ("thm1-certificate", ["kind = chi2-average", "size = 192"], "p",
+     "1, two"),
+    ("spectral-radius", ["kind = complete-3-tensor", "size = 6"], "p", "1.5"),
+    ("sp-lower-bound", ["kind = block-3-tensor", "size = 12"], "p",
+     "1, 2.0"),
+    ("trace-concentration", ["kind = complete-3-tensor"], "sizes", "6, 12x"),
+])
+def test_integer_grids_reject_other_values_by_name(tmp_path, capsys, name,
+                                                   model, key, value):
+    # smallball2 used to run p = 2.5 as p = 2 and write its CSV
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, [f"{key} = {value}"],
+                     samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid {key!r} must hold integers, got {value!r}" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_smallball2_takes_one_p(tmp_path, capsys):
+    p = write_config(tmp_path / "c.ini", "smallball2",
+                     ["kind = chi2-average", "size = 192"], ["p = 2, 3"],
+                     samples=2000, out=tmp_path / "run")
+    assert cli.main(["run", str(p)]) == 2
+    assert "smallball2 takes one p, got '2, 3'" in capsys.readouterr().err

@@ -132,16 +132,22 @@ def test_reduce_columns_match_estimate_bitwise(n):
     assert (ref.mean, ref.stderr) == _chan_reference(fn, n, spec)
 
 
-def test_reduce_feeds_each_output_to_its_accumulator():
-    fn = lambda rng, cnt: rng.standard_normal(cnt)
-    spec = mc.RngSpec(2)
-    m, hits = mc.reduce(lambda rng, cnt: (fn(rng, cnt), fn(rng, cnt)),
-                        1000, spec, mc.Moments(), mc.Hits([0.0]))
-    # one chunk: the second output holds the next draws of its generator
-    rng = spec.generator(block=0)
-    first, second = rng.standard_normal(1000), rng.standard_normal(1000)
-    assert m.mean[0] == pytest.approx(first.mean(), rel=1e-12)
-    assert hits.counts[0, 0] == np.count_nonzero(second < 0.0)
+def test_reduce_hands_one_array_to_every_accumulator():
+    # accumulators reduced together each give, bit for bit, what they give
+    # alone, across whole and ragged chunks
+    n = 2 * mc.CHUNK_SAMPLES + 777
+    spec = mc.RngSpec(2, 5)
+    fn = lambda rng, cnt: np.exp(rng.standard_normal((cnt, 3)) * [0.5, 1, 2])
+    m, hits, top = mc.reduce(fn, n, spec, mc.Moments(),
+                             mc.Hits([0.5, 1.0, 2.0]), mc.TopShare(n // 1000))
+    (m1,) = mc.reduce(fn, n, spec, mc.Moments())
+    (hits1,) = mc.reduce(fn, n, spec, mc.Hits([0.5, 1.0, 2.0]))
+    (top1,) = mc.reduce(fn, n, spec, mc.TopShare(n // 1000))
+    assert m.results(spec) == m1.results(spec)
+    assert hits.n == hits1.n == n
+    assert np.array_equal(hits.counts, hits1.counts)
+    assert np.array_equal(top.share, top1.share)
+    assert np.array_equal(top.top, top1.top)
 
 
 def test_hits_across_chunks_match_flat_count():
@@ -186,7 +192,7 @@ def test_reduce_poisoned_column_names_chunk():
         return out
 
     with pytest.raises(mc.PoisonedSampleError,
-                       match=rf"chunk 1, output 0, column 1, sample {bad} "
+                       match=rf"chunk 1, column 1, sample {bad} "
                              r"\(seed=7, stream=3\)"):
         mc.reduce(fn, 2 * mc.CHUNK_SAMPLES + 10, mc.RngSpec(7, 3),
                   mc.Moments())
@@ -212,9 +218,13 @@ def test_reduce_rejects_bad_shapes_and_counts():
     with pytest.raises(ValueError, match="expected"):
         mc.reduce(lambda rng, cnt: np.ones(cnt + 1), 1000, mc.RngSpec(0),
                   mc.Moments())
-    with pytest.raises(ValueError, match="2 accumulators"):
-        mc.reduce(lambda rng, cnt: (np.ones(cnt),), 1000, mc.RngSpec(0),
-                  mc.Moments(), mc.Hits([1.0]))
+    # a step with other columns than the chunk's first step is named, not
+    # left to numpy's broadcast error
+    widths = iter([2, 3])
+    with pytest.raises(ValueError, match="fn returned 3 columns, but 2 at "
+                                         "the chunk's first step"):
+        mc.reduce(lambda rng, cnt: np.ones((cnt, next(widths))),
+                  mc.STEP_SAMPLES + 1, mc.RngSpec(0), mc.Moments())
     drawn = []
     with pytest.raises(ValueError, match="need at least 100 samples"):
         mc.reduce(lambda rng, cnt: drawn.append(cnt), 99, mc.RngSpec(0),
