@@ -28,7 +28,7 @@ from .wick import GaussianPolynomial, isserlis_expectation
 
 UNIT_VAR_TOL = 1e-12
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
-STEP_ELEMENTS = 250_000   # per-step temporaries of the Gamma kernels (2 MB)
+STEP_ELEMENTS = 250_000   # per-step temporaries (2 MB); the pair slab takes 4x
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
 MIN_HITS = 50          # small-ball points with fewer hits leave the slope fit
 SP_ALPHA_GRID = np.geomspace(1e-3, 1.0, 7)   # S_hat_p small-ball grid
@@ -44,8 +44,7 @@ class SymThreeTensor:
 
     entries maps strictly increasing 1-based triples (i, j, k) to values.
     The dense array `a`, with all permutations filled in, is built on
-    first access and kept read-only; sparse tensors sampled through
-    gamma_batch never build it.
+    first access and kept read-only; gamma_batch never builds it.
     """
 
     def __init__(self, n: int, entries, normalize: bool = False):
@@ -75,6 +74,14 @@ class SymThreeTensor:
         a.flags.writeable = False
         return a
 
+    def _gradient_triples(self):
+        """The triples as 0-based index arrays i < j < k, and the weight
+        6 a(i,j,k) that each of their slots carries in grad F."""
+        trips = np.array(list(self.entries), dtype=np.intp).reshape(-1, 3) - 1
+        vals = 6.0 * np.fromiter(self.entries.values(), float,
+                                 len(self.entries))
+        return (*trips.T, vals)
+
     @cached_property
     def _scatter(self):
         """The triple list as gathers plus a scatter matrix.
@@ -82,12 +89,10 @@ class SymThreeTensor:
         Slot m of the 3 * nnz slots contributes w[t, m] * x[left[m]] *
         x[right[m]] to partial_t F, so grad F(x) = w @ (x[left] * x[right])
         with weight 6 a(i,j,k) on each of the three slots of a triple.
-        Slots are ordered by their target row.
+        Slots are ordered by their target row.  The sparse twin of
+        _pair_weights: it gathers only the pairs that some triple uses.
         """
-        trips = np.array(list(self.entries), dtype=np.intp).reshape(-1, 3) - 1
-        vals = 6.0 * np.fromiter(self.entries.values(), float,
-                                 len(self.entries))
-        i, j, k = trips.T
+        i, j, k, vals = self._gradient_triples()
         target = np.concatenate([i, j, k])
         order = np.argsort(target, kind="stable")
         left = np.concatenate([j, i, i])[order]
@@ -96,6 +101,23 @@ class SymThreeTensor:
             (np.tile(vals, 3)[order], (target[order], np.arange(target.size))),
             shape=(self.n, target.size))
         return left, right, w
+
+    @cached_property
+    def _pair_weights(self) -> np.ndarray:
+        """W of shape (n, n(n-1)/2) with grad F(x) = W @ pairs(x).
+
+        pairs(x) lists the products x_j x_k, j < k, row by row of the
+        strict upper triangle: pair (j, k) sits at column
+        off_j + k - j - 1, with off_j = j(2n - j - 1)/2.  Column (j, k)
+        holds 6 a(i,j,k) in row i.
+        """
+        n = self.n
+        i, j, k, vals = self._gradient_triples()
+        w = np.zeros((n, n * (n - 1) // 2))
+        for target, lo, hi in ((i, j, k), (j, i, k), (k, i, j)):
+            w[target, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = vals
+        w.flags.writeable = False
+        return w
 
     @property
     def variance(self) -> float:
@@ -195,15 +217,16 @@ def write_tensor_file(t: SymThreeTensor, path) -> None:
 # ---------------------------------------------------------------------------
 
 def gamma_batch(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """Gamma[F,F] for a batch of points, shape (batch, n).
+    """Gamma[F,F] = |grad F|^2 for a batch of points, shape (batch, n).
 
     The tensor's fill picks the kernel: the triple scatter costs O(nnz)
-    per point, the unfolded GEMM O(n^3) at a far higher flop rate.
+    per point, the pair GEMM n^2(n-1)/2 multiply-adds at a far higher
+    flop rate.
     """
     x = _batch(t, x)
     if _triples_win(len(t.entries), t.n):
         return _gamma_triples(t, x)
-    return _gamma_unfolded(t, x)
+    return _gamma_pairs(t, x)
 
 
 def _batch(t: SymThreeTensor, x) -> np.ndarray:
@@ -215,8 +238,9 @@ def _batch(t: SymThreeTensor, x) -> np.ndarray:
 
 
 def _triples_win(nnz: int, n: int) -> bool:
-    # measured crossover: nnz ~ n^2 / 3 at n = 8 .. 60, 65536 rows per call
-    return 3 * nnz < n * n
+    # measured crossover against the pair GEMM: nnz ~ n^2 / 4 at
+    # n = 20 .. 60, 65536 rows in 4096-row calls
+    return 4 * nnz < n * n
 
 
 def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
@@ -233,13 +257,30 @@ def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_unfolded(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """Gamma by the unfolded GEMM: grad F(x) = A_hat(x) x."""
+def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
+    """Gamma by the pair GEMM: grad F(x) = W @ pairs(x), one GEMM of
+    n^2(n-1)/2 multiply-adds per point on a slab of pair products.
+
+    The slab holds up to 4 * STEP_ELEMENTS values (8 MB), so at n <= 22
+    it takes a whole 4096-row reduction step in one GEMM.  Measured at
+    n = 20 and 40, slabs of 1x and 2x STEP_ELEMENTS were slower (more,
+    smaller GEMMs) and 8x or 16x no faster.
+    """
+    n, w = t.n, t._pair_weights
+    n_pairs = w.shape[1]
     out = np.empty(x.shape[0])
-    for rows in _sharp_steps(t, x.shape[0]):
-        xb = x[rows]
-        g = np.matmul(sharp_batch(t, xb), xb[:, :, None])[:, :, 0]
-        out[rows] = np.einsum('bi,bi->b', g, g)
+    step = max(1, 4 * STEP_ELEMENTS // n_pairs)
+    slab = np.empty(n_pairs * min(step, x.shape[0]))
+    for s in range(0, x.shape[0], step):
+        # sample-minor layout: row j of xt is x_j over the step's points
+        xt = np.ascontiguousarray(x[s:s + step].T)
+        pairs = slab[:n_pairs * xt.shape[1]].reshape(n_pairs, xt.shape[1])
+        off = 0
+        for j in range(n - 1):
+            np.multiply(xt[j], xt[j + 1:], out=pairs[off:off + n - 1 - j])
+            off += n - 1 - j
+        g = w @ pairs
+        out[s:s + step] = np.einsum('ib,ib->b', g, g)
     return out
 
 

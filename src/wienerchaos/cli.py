@@ -202,6 +202,8 @@ class RunRecorder:
         return bool(passed)
 
     def csv(self, name: str, header, rows) -> None:
+        # the first artifact makes the directory: a rejected config leaves none
+        self.outdir.mkdir(parents=True, exist_ok=True)
         write_csv(self.outdir / name, header, rows)
         self.files.append(name)
 
@@ -468,7 +470,6 @@ def run(cfg: ExperimentConfig) -> int:
         raise ValueError(
             f"unknown experiment {cfg.name!r}; choose one of "
             f"{', '.join(sorted(EXPERIMENTS))}")
-    cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.name in SIZE_SWEEP_EXPERIMENTS or not cfg.model:
         model = None
     else:
@@ -494,6 +495,7 @@ def run(cfg: ExperimentConfig) -> int:
         "assertions": rec.assertions,
         "n_failed": n_failed,
     }
+    cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

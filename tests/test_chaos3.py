@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,13 @@ GAMMA_KERNEL_CASES = {
     "spiked-20": lambda: family_generators("spiked-3-tensor", 20),
     "block-60": lambda: family_generators("block-3-tensor", 60),
     "random-30": lambda: random_sparse_tensor(30, 0.06, 3),  # ~1 % of n^3
+    "triple-product": triple_product,     # n = 3: all three pairs, one slab
+    # one each side of the triple kernel's crossover nnz ~ n^2 / 4
+    # (C(20,3) = 1140 and C(40,3) = 9880 triples)
+    "random-20-sparse": lambda: random_sparse_tensor(20, 0.04, 17),
+    "random-20-dense": lambda: random_sparse_tensor(20, 0.25, 18),
+    "random-40-sparse": lambda: random_sparse_tensor(40, 0.02, 19),
+    "random-40-dense": lambda: random_sparse_tensor(40, 0.08, 20),
 }
 
 
@@ -116,10 +124,10 @@ def test_gamma_kernels_match_pointwise(case):
     x = np.random.default_rng(4).standard_normal((64, t.n))
     ref = np.array([oracles.gamma_at(t, row) for row in x])
     triples = chaos3._gamma_triples(t, x)
-    unfolded = chaos3._gamma_unfolded(t, x)
+    pairs = chaos3._gamma_pairs(t, x)
     assert triples == pytest.approx(ref, rel=1e-12)
-    assert unfolded == pytest.approx(ref, rel=1e-12)
-    assert triples == pytest.approx(unfolded, rel=1e-12)
+    assert pairs == pytest.approx(ref, rel=1e-12)
+    assert triples == pytest.approx(pairs, rel=1e-12)
 
 
 def test_gamma_kernels_block_closed_form():
@@ -130,9 +138,9 @@ def test_gamma_kernels_block_closed_form():
     sq = (x * x).reshape(300, 50, 3)
     ref = (sq[:, :, 0] * sq[:, :, 1] + sq[:, :, 0] * sq[:, :, 2]
            + sq[:, :, 1] * sq[:, :, 2]).sum(axis=1) / 50
-    # the unfolded kernel runs first: rows its steps left unwritten could
+    # the pair kernel runs first: rows its steps left unwritten could
     # otherwise read back the triple kernel's freed, identical result
-    assert chaos3._gamma_unfolded(t, x) == pytest.approx(ref, rel=1e-12)
+    assert chaos3._gamma_pairs(t, x) == pytest.approx(ref, rel=1e-12)
     assert chaos3._gamma_triples(t, x) == pytest.approx(ref, rel=1e-12)
 
 
@@ -140,14 +148,55 @@ def test_gamma_kernels_zero_tensor():
     t = SymThreeTensor(4, {})
     x = np.random.default_rng(6).standard_normal((10, 4))
     assert np.array_equal(chaos3._gamma_triples(t, x), np.zeros(10))
-    assert np.array_equal(chaos3._gamma_unfolded(t, x), np.zeros(10))
+    assert np.array_equal(chaos3._gamma_pairs(t, x), np.zeros(10))
+
+
+def test_gamma_kernels_empty_batch():
+    for t in (triple_product(), family_generators("complete-3-tensor", 20)):
+        x = np.empty((0, t.n))
+        assert chaos3._gamma_triples(t, x).shape == (0,)
+        assert chaos3._gamma_pairs(t, x).shape == (0,)
 
 
 @pytest.mark.parametrize("case, triples", [
-    ("block-60", True), ("complete-20", False), ("spiked-20", False)])
+    ("block-60", True), ("complete-20", False), ("spiked-20", False),
+    ("random-20-sparse", True), ("random-20-dense", False),
+    ("random-40-sparse", True), ("random-40-dense", False)])
 def test_gamma_kernel_choice(case, triples):
     t = GAMMA_KERNEL_CASES[case]()
     assert chaos3._triples_win(len(t.entries), t.n) is triples
+
+
+def test_gamma_batch_builds_no_sharp_matrix(monkeypatch):
+    def no_sharp(*args, **kwargs):
+        raise AssertionError("Gamma must not build sharp matrices")
+
+    monkeypatch.setattr(chaos3, "sharp_batch", no_sharp)
+    t = family_generators("complete-3-tensor", 20)
+    x = np.random.default_rng(22).standard_normal((100, 20))
+    assert np.all(chaos3.gamma_batch(t, x) > 0.0)
+    assert "a" not in vars(t)     # the dense tensor is never built
+    with pytest.raises(ValueError):
+        t._pair_weights[0, 0] = 1.0
+
+
+def test_gamma_pairs_memory_is_one_slab():
+    # complete-40: a slab for the whole 4096-row call would be 25.6 MB; the
+    # kernel's slab stays within 4 * STEP_ELEMENTS values (8 MB), and the
+    # rest (transposed rows, gradients, output) is O(n * rows).
+    # numpy reports its buffers to tracemalloc.
+    t = family_generators("complete-3-tensor", 40)
+    rows = 4096
+    x = np.random.default_rng(23).standard_normal((rows, t.n))
+    t._pair_weights     # cached with the tensor, not per call
+    tracemalloc.start()
+    try:
+        g = chaos3.gamma_batch(t, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (rows,)
+    assert peak < 8 * (4 * chaos3.STEP_ELEMENTS + 4 * t.n * rows)
 
 
 # ---------------------------------------------------------------------------

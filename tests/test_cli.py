@@ -329,6 +329,16 @@ def test_integer_grids_reject_other_values_by_name(tmp_path, capsys, name,
     assert not list(out.glob("*.csv"))
 
 
+def test_rejected_config_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "smallball2",
+                     ["kind = chi2-average", "size = 192"], ["p = 2.5"],
+                     samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert "must hold integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_smallball2_takes_one_p(tmp_path, capsys):
     p = write_config(tmp_path / "c.ini", "smallball2",
                      ["kind = chi2-average", "size = 192"], ["p = 2, 3"],
