@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
+from scipy import fft
 
 from . import mc
 
 UNIT_VAR_TOL = 1e-12
+MELLIN_REL_TOL = 1e-13   # negative_moment: agreement of two step levels
+MAX_GRID_NODES = 1 << 21   # largest uniform grid of either transform
 
 
 class PreconditionError(ValueError):
@@ -30,11 +31,15 @@ class DivergenceError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the accuracy target."""
+    """The trapezoid sums did not settle to the accuracy target."""
 
 
 class NonIntegrableError(ValueError):
     """The characteristic function is not absolutely integrable."""
+
+
+class NodeCapError(ValueError):
+    """The density inversion would need more than MAX_GRID_NODES xi nodes."""
 
 
 class DiagonalSecondChaos:
@@ -206,113 +211,101 @@ def smallball_bound(p: int, eps: float) -> float:
     return math.sqrt(2.0 * math.factorial(p)) / 2.0 ** p * eps ** (p / 2.0)
 
 
-def negative_moment(f: DiagonalSecondChaos, q: float,
-                    rel_tol: float = 1e-8) -> float:
-    """E Gamma[F,F]^(-q) by the Mellin integral of the Laplace transform.
+def negative_moment(f: DiagonalSecondChaos, q: float) -> float:
+    """E Gamma[F,F]^(-q) = (1/Gamma(q)) int_R e^(qt) L(e^t) dt, L the
+    Laplace transform, by one trapezoid sum in t = log lam; q < m/2.
 
-    E Gamma^(-q) = (1/Gamma(q)) int_0^inf lam^(q-1) E exp(-lam Gamma) dlam.
-    Requires q < m/2 (m = number of nonzero coefficients), else the
-    integral diverges.  The integrand decays like lam^(q-1-m/2): the
-    head [0,1] is regularized by lam = u^(1/q), the tail by lam = e^t up
-    to a cutoff with analytic remainder below 1e-12 of the result.
+    With Gamma scaled to mean 1, exp(-e^t) is subtracted and its integral
+    Gamma(q), a lower bound of the whole, added back; the rest decays like
+    e^((q+2)t) to the left.  Tails are cut below unit roundoff of Gamma(q),
+    logs are scaled by their maximum, and the step is halved from 1/2 until
+    two levels agree to MELLIN_REL_TOL, else QuadratureError.
     """
     if q <= 0:
         raise ValueError("q must be > 0")
-    a2 = f.alphas[f.alphas != 0.0] ** 2
-    m = a2.size
+    a = f.alphas[f.alphas != 0.0]
+    m, scale = a.size, float(np.abs(a).max())
     if q >= m / 2.0:
         raise DivergenceError(
             f"E Gamma^(-q) diverges for q >= m/2 (q={q}, m={m})")
 
-    head, e_head = integrate.quad(
-        lambda u: laplace_gamma(f, u ** (1.0 / q)) / q, 0.0, 1.0,
-        epsabs=0.0, epsrel=1e-11, limit=200)
-
-    # tail cutoff from laplace_gamma(e^t) <= K exp(-m t / 2); log K as a sum of
-    # logs, since the product of m factors overflows for large m
-    log_k = -0.5 * float(np.sum(np.log(8.0 * a2)))
+    a2 = (a / scale) ** 2
+    log_c = math.log(4.0 * float(np.sum(a2))) + 2.0 * math.log(scale)
+    a2 /= 4.0 * np.sum(a2)          # now E Gamma = 4 sum alpha^2 = 1
+    logs, counts = np.unique(np.log(8.0 * a2), return_counts=True)
+    d = 16.0 * float(np.sum(a2 * a2))
+    log_tol = math.log(2.0 ** -53) + math.lgamma(q)
+    # L(e^t) <= e^(-mt/2) prod (8 alpha^2)^(-1/2); and while d lam^2 <= 1,
+    # L(lam) e^lam - 1 <= 2 d lam^2, from x - log1p(x) <= x^2 / 2
     decay = m / 2.0 - q
-    t_max = max(5.0, (log_k - math.log(decay)
-                      - math.log(1e-13 * max(head, 1e-300))) / decay)
-    tail, e_tail = integrate.quad(
-        lambda t: math.exp(q * t) * laplace_gamma(f, math.exp(t)), 0.0, t_max,
-        epsabs=0.0, epsrel=1e-11, limit=400)
+    t_hi = (-0.5 * float(counts @ logs) - math.log(decay) - log_tol) / decay
+    t_lo = min(-0.5 * math.log(d),
+               (log_tol + math.log((q + 2.0) / (2.0 * d))) / (q + 2.0))
+    h, prev = 0.5, None
+    while (t_hi - t_lo) / h < MAX_GRID_NODES:
+        t = t_lo + h * np.arange(math.ceil((t_hi - t_lo) / h) + 1)
+        log_g = q * t - 0.5 * sum(k * np.logaddexp(0.0, t + b)
+                                  for b, k in zip(logs, counts))
+        top = float(log_g.max())
+        with np.errstate(over="ignore"):   # exp(-e^t) is 0 there anyway
+            g = np.exp(log_g - top) - np.exp(q * t - np.exp(t) - top)
+        val = 1.0 + math.exp(top - math.lgamma(q)) * np.trapezoid(g, dx=h)
+        if prev is not None and abs(val - prev) <= MELLIN_REL_TOL * val:
+            return math.exp(math.log(val) - q * log_c)
+        prev, h = val, 0.5 * h
+    raise QuadratureError(f"no agreement in {MAX_GRID_NODES} nodes, q={q}")
 
-    total = head + tail
-    if total <= 0 or (e_head + e_tail) > rel_tol * total:
-        raise QuadratureError(
-            f"quadrature error {e_head + e_tail:.3g} exceeds target "
-            f"{rel_tol * total:.3g}")
-    return total / float(gamma_fn(q))
+
+def log_char_product(z):
+    """log prod_k (1 - 2 i z_k)^(-1/2) over the last axis of z, principal
+    branch factor-wise."""
+    w = 2.0 * np.asarray(z, dtype=float)
+    log_mod = -0.25 * np.sum(np.log1p(w * w), axis=-1)
+    return log_mod + 1j * (0.5 * np.sum(np.arctan(w), axis=-1))
 
 
 def char_function(f: DiagonalSecondChaos, xi):
-    """E exp(i xi F) = prod_k exp(-i alpha_k xi) (1 - 2 i alpha_k xi)^(-1/2).
-
-    Principal branch sqrt(1+ix) = (1+x^2)^(1/4) exp(i arctan(x)/2), applied
-    factor-wise; the modulus is prod_k (1 + 4 alpha_k^2 xi^2)^(-1/4).
-    Accepts a scalar or an array of xi values.
-    """
-    xi_arr = np.asarray(xi, dtype=float)
-    a = f.alphas
-    ax = np.multiply.outer(xi_arr, a)
-    log_mod = -0.25 * np.sum(np.log1p(4.0 * ax * ax), axis=-1)
-    phase = np.sum(0.5 * np.arctan(2.0 * ax) - ax, axis=-1)
-    out = np.exp(log_mod + 1j * phase)
-    return complex(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
+    """E exp(i xi F) = prod_k exp(-i alpha_k xi) (1 - 2 i alpha_k xi)^(-1/2)
+    at a scalar or an array of xi values."""
+    ax = np.multiply.outer(np.asarray(xi, dtype=float), f.alphas)
+    out = np.exp(log_char_product(ax) - 1j * np.sum(ax, axis=-1))
+    return complex(out) if out.ndim == 0 else out
 
 
 def density_by_inversion(f: DiagonalSecondChaos, x_min: float = -6.0,
                          x_max: float = 6.0, dx: float = 0.01,
                          tail_eps: float = 1e-8):
-    """Density of F on a grid by Fourier inversion of char_function.
+    """(xs, density) of F, needing >= 3 nonzero coefficients:
+    (1/pi) Re int_0^inf phi(xi) e^(-i xi x) dxi.
 
-    Requires at least 3 nonzero coefficients so |phi| is integrable.
-    The xi integral is truncated where the exact modulus drops below
-    tail_eps and evaluated by the trapezoid rule.  Returns (xs, density).
+    Trapezoid rule on xi_n = n dxi up to the first node with |phi| <=
+    tail_eps, found on a geometric grid; NodeCapError past MAX_GRID_NODES.
+    As n k = (n^2 + k^2 - (k-n)^2) / 2, the sum at x_k = x_min + k dx is
+    one chirp convolution by FFT (Bluestein's chirp-z).
     """
     if f.nonzero_count() < 3:
         raise NonIntegrableError(
             "need >= 3 nonzero coefficients for an integrable |phi|")
-    if x_max <= x_min or dx <= 0:
+    if x_max <= x_min or dx <= 0 or not 0.0 < tail_eps < 1.0:
         raise ValueError("bad grid")
-
-    a2 = f.alphas[f.alphas != 0.0] ** 2
-
-    def modulus(xi):
-        return math.exp(-0.25 * float(np.sum(np.log1p(4.0 * a2 * xi * xi))))
-
-    hi = 1.0
-    while modulus(hi) > tail_eps:
-        hi *= 2.0
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if modulus(mid) > tail_eps:
-            lo = mid
-        else:
-            hi = mid
-    xi_cut = hi
-
-    x_scale = max(abs(x_min), abs(x_max), 1.0)
-    dxi = min(0.02, 2.0 * math.pi / (64.0 * x_scale))
-    xis = np.arange(0.0, xi_cut + dxi, dxi)
-    phi = char_function(f, xis)
-
-    # trapezoid weights; f(x) = (1/pi) Re int_0^inf phi(xi) e^(-i xi x) dxi
-    w = np.full(xis.size, dxi)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    wr = w * phi.real
-    wi = w * phi.imag
+    dxi = min(0.02, math.pi / (32.0 * max(abs(x_min), abs(x_max), 1.0)))
+    probe = dxi * 2.0 ** np.arange(0.0, math.log2(MAX_GRID_NODES), 0.0625)
+    below = np.abs(char_function(f, probe)) <= tail_eps
+    if not below.any():
+        raise NodeCapError(f"|phi| > {tail_eps} past {MAX_GRID_NODES} nodes")
+    phi = char_function(
+        f, dxi * np.arange(math.ceil(probe[below.argmax()] / dxi) + 1))
+    n = int(np.argmax(np.abs(phi) <= tail_eps)) + 1
 
     xs = np.arange(x_min, x_max + 0.5 * dx, dx)
-    dens = np.zeros(xs.size)
-    blk = max(1, 6_000_000 // xs.size)
-    for s in range(0, xis.size, blk):
-        arg = np.outer(xs, xis[s:s + blk])
-        dens += np.cos(arg) @ wr[s:s + blk] + np.sin(arg) @ wi[s:s + blk]
-    return xs, dens / math.pi
+    j = np.arange(1 - n, xs.size)      # j = k - n
+    chirp = np.exp(0.5j * dxi * dx * j * j)
+    u = dxi * phi[:n] * np.exp(-1j * dxi * x_min * np.arange(n))
+    u *= np.conj(chirp[n - 1::-1])
+    u[[0, -1]] *= 0.5      # trapezoid end weights
+    size = fft.next_fast_len(j.size)
+    conv = fft.ifft(fft.fft(u, size) * fft.fft(chirp, size))[n - 1:j.size]
+    return xs, (conv * np.conj(chirp[n - 1:])).real / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 from scipy import sparse
 
 from . import mc
-from .chaos2 import DiagonalSecondChaos, PreconditionError, newton_to_elementary
+from .chaos2 import (DiagonalSecondChaos, PreconditionError,
+                     log_char_product, newton_to_elementary)
 from .wick import GaussianPolynomial, isserlis_expectation
 
 UNIT_VAR_TOL = 1e-12
@@ -368,14 +369,6 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
 # spectral identity for the Laplace transform of Gamma
 # ---------------------------------------------------------------------------
 
-def _char_product(lams: np.ndarray, xi: float) -> np.ndarray:
-    # prod_k (1 - 2 i xi lam_k)^(-1/2), principal branch factor-wise
-    z = 2.0 * xi * lams
-    log_mod = -0.25 * np.sum(np.log1p(z * z), axis=1)
-    phase = 0.5 * np.sum(np.arctan(z), axis=1)
-    return np.exp(log_mod + 1j * phase)
-
-
 def _grid(values, cast=float) -> list:
     """A grid of scalars as a list; a single scalar is a one-point grid."""
     grid = [cast(v) for v in np.ravel(values)]
@@ -429,7 +422,7 @@ def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
 
     def fn_rhs(rng, cnt):
         lams = spectra_batch(t, rng.standard_normal((cnt, t.n)))
-        z = np.stack([_char_product(lams, xi) for xi in xis], axis=1)
+        z = np.stack([np.exp(log_char_product(x * lams)) for x in xis], axis=1)
         return np.concatenate([z.real, z.imag], axis=1)
 
     spec_l, spec_r = mc.RngSpec(seed, 0), mc.RngSpec(seed, 1)
@@ -503,22 +496,16 @@ class K4VarGamma:
 
 def _contractions(t: SymThreeTensor) -> tuple[float, float]:
     """v1 = ||a x_1 a||^2 and the K4 cycle
-    v2 = C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f), from two GEMMs,
-    O(n^5) flops in all.
+    v2 = C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f), from one GEMM.
 
-    c = r' r with r = a.reshape(n, n^2) is a x_1 a, indexed (bc, de);
-    u = s s' with s = a.reshape(n^2, n) contracts the last slot, indexed
-    (bd, ce); and C4 = sum_{bcde} c(bc, de) u(bd, ce).
+    c = r' r with r = a.reshape(n, n^2) is a x_1 a, indexed (bc, de); as a
+    is symmetric, it is also sum_f a(b,d,f) a(c,e,f) indexed (bd, ce).
     """
     n = t.n
     r = t.a.reshape(n, n * n)   # rows indexed by the contracted slot
     c = r.T @ r
-    v1 = float(np.sum(c * c))
-    s = t.a.reshape(n * n, n)   # columns indexed by the contracted slot
-    u = s @ s.T
-    v2 = float(np.einsum('bcde,bdce->', c.reshape(n, n, n, n),
-                         u.reshape(n, n, n, n)))
-    return v1, v2
+    c4 = c.reshape(n, n, n, n)
+    return float(np.sum(c * c)), float(np.einsum('bcde,bdce->', c4, c4))
 
 
 def kappa4_contraction(t: SymThreeTensor) -> float:

@@ -9,12 +9,16 @@ gradient from the dense tensor, a residual-checked eigh of one matrix,
 and the power sums of a squared spectrum from its eigenvalues.  The
 symmetric functions of those sums reuse the library's Newton-Girard
 recursion, which test_sp_grid_shares_one_table checks against
-brute-force sums.
+brute-force sums.  The second-chaos transforms have slow references
+here too: the Mellin integral by adaptive quadrature and the density by
+a direct cos/sin sum over every (x, xi) pair.
 """
 
 import math
 
 import numpy as np
+from scipy import integrate
+from scipy.special import gamma as gamma_fn
 
 from wienerchaos import mc
 from wienerchaos.chaos2 import newton_to_elementary
@@ -171,3 +175,76 @@ def elementary_symmetric_spectrum(eigs, p):
         raise ValueError(f"p must lie in 1..{eigs.shape[-1]}")
     newton = spectrum_power_sums(eigs, p)
     return np.moveaxis(newton_to_elementary(newton), 0, -1)
+
+
+def mellin_quad_negative_moment(f, q):
+    """E Gamma^(-q) of a DiagonalSecondChaos by adaptive quadrature of
+    (1/Gamma(q)) int_0^inf lam^(q-1) L(lam) dlam, L the Laplace transform.
+
+    The head [0, 1] is regularised by lam = u^(1/q), the tail by
+    lam = e^t up to a cutoff with analytic remainder below 1e-13 of the
+    head.  Needs q < m/2; overflows for q near m/2.
+    """
+    a2 = f.alphas[f.alphas != 0.0] ** 2
+    m = a2.size
+
+    def laplace(lam):
+        return math.exp(-0.5 * math.fsum(math.log1p(8.0 * lam * v)
+                                         for v in a2))
+
+    head, e_head = integrate.quad(lambda u: laplace(u ** (1.0 / q)) / q,
+                                  0.0, 1.0, epsabs=0.0, epsrel=1e-11,
+                                  limit=200)
+    log_k = -0.5 * float(np.sum(np.log(8.0 * a2)))
+    decay = m / 2.0 - q
+    t_max = max(5.0, (log_k - math.log(decay)
+                      - math.log(1e-13 * max(head, 1e-300))) / decay)
+    tail, e_tail = integrate.quad(
+        lambda t: math.exp(q * t) * laplace(math.exp(t)), 0.0, t_max,
+        epsabs=0.0, epsrel=1e-11, limit=400)
+    total = head + tail
+    if total <= 0 or (e_head + e_tail) > 1e-8 * total:
+        raise AssertionError(f"quadrature error {e_head + e_tail:.3g}")
+    return total / float(gamma_fn(q))
+
+
+def density_outer_product(f, x_min=-6.0, x_max=6.0, dx=0.01,
+                          tail_eps=1e-8):
+    """(xs, density) of a DiagonalSecondChaos by the trapezoid rule on
+    xi_n = n dxi, summed as cos/sin over every (x, xi) pair.
+
+    The xi integral ends at the first node past the point where the
+    modulus prod (1 + 4 alpha^2 xi^2)^(-1/4) falls to tail_eps, found by
+    bisection; dxi is chosen as in chaos2.density_by_inversion.
+    """
+    a = f.alphas[f.alphas != 0.0]
+
+    def log_modulus(xi):
+        return -0.25 * float(np.sum(np.log1p(4.0 * a * a * xi * xi)))
+
+    hi = 1.0
+    while log_modulus(hi) > math.log(tail_eps):
+        hi *= 2.0
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if log_modulus(mid) > math.log(tail_eps):
+            lo = mid
+        else:
+            hi = mid
+    x_scale = max(abs(x_min), abs(x_max), 1.0)
+    dxi = min(0.02, 2.0 * math.pi / (64.0 * x_scale))
+    xis = np.arange(0.0, hi + dxi, dxi)
+    ax = np.multiply.outer(xis, a)
+    phi = np.exp(-0.25 * np.sum(np.log1p(4.0 * ax * ax), axis=-1)
+                 + 1j * np.sum(0.5 * np.arctan(2.0 * ax) - ax, axis=-1))
+    w = np.full(xis.size, dxi)
+    w[[0, -1]] *= 0.5
+    xs = np.arange(x_min, x_max + 0.5 * dx, dx)
+    dens = np.zeros(xs.size)
+    blk = max(1, 6_000_000 // xs.size)
+    for s in range(0, xis.size, blk):
+        arg = np.outer(xs, xis[s:s + blk])
+        dens += (np.cos(arg) @ (w * phi.real)[s:s + blk]
+                 + np.sin(arg) @ (w * phi.imag)[s:s + blk])
+    return xs, dens / math.pi

@@ -272,17 +272,65 @@ def test_negative_moment_matches_mc():
     assert est.within(val, 3.0)
 
 
+def chi2_average(m):
+    return DiagonalSecondChaos(np.full(m, 1.0 / math.sqrt(2 * m)))
+
+
+def chi2_average_negative_moment(m, q):
+    # Gamma = 4a^2 chi^2_m with a^2 = 1/(2m), so E Gamma^(-q) =
+    # (4a^2)^(-q) 2^(-q) Gamma(m/2 - q) / Gamma(m/2)
+    return math.exp(q * math.log(m / 4.0) + math.lgamma(m / 2.0 - q)
+                    - math.lgamma(m / 2.0))
+
+
+def spread_family(m):
+    # coefficients spread over three decades, unit variance
+    return DiagonalSecondChaos(np.geomspace(1.0, 1e-3, m), normalize=True)
+
+
 @pytest.mark.parametrize("m", [400, 1000])
 def test_negative_moment_large_m(m):
-    # chi2-average: Gamma = 4a^2 chi^2_m, so E Gamma^(-q) =
-    # (4a^2)^(-q) 2^(-q) Gamma(m/2 - q) / Gamma(m/2); the tail cutoff once
-    # overflowed here through a product of m factors
-    f = DiagonalSecondChaos(np.full(m, 1.0 / math.sqrt(2 * m)))
-    a2 = f.alphas[0] ** 2
-    for q in (0.25, 1.0, 2.0):
-        ref = (4.0 * a2) ** -q * 2.0 ** -q * math.exp(
-            math.lgamma(m / 2.0 - q) - math.lgamma(m / 2.0))
-        assert chaos2.negative_moment(f, q) == pytest.approx(ref, rel=1e-6)
+    # the tail cutoff once overflowed here through a product of m factors,
+    # and the integrand itself at q near m/2
+    f = chi2_average(m)
+    for q in (0.25, 1.0, 2.0, 0.49 * m):
+        val = chaos2.negative_moment(f, q)
+        assert math.isfinite(val)
+        assert val == pytest.approx(chi2_average_negative_moment(m, q),
+                                    rel=1e-11)
+
+
+@pytest.mark.parametrize("m,q", [(2, 0.98), (12, 5.9), (64, 31.0)])
+def test_negative_moment_near_divergence(m, q):
+    # each of these once raised OverflowError: math range error
+    val = chaos2.negative_moment(chi2_average(m), q)
+    assert val == pytest.approx(chi2_average_negative_moment(m, q),
+                                rel=1e-12)
+
+
+def test_negative_moment_spread_family_near_divergence():
+    f = spread_family(8)
+    vals = [chaos2.negative_moment(f, q) for q in (3.0, 3.5, 3.9)]
+    assert all(math.isfinite(v) for v in vals)
+    # Lyapunov: (E Gamma^(-q))^(1/q) grows with q
+    roots = [v ** (1.0 / q) for v, q in zip(vals, (3.0, 3.5, 3.9))]
+    assert roots[0] < roots[1] < roots[2]
+
+
+@pytest.mark.parametrize("family,qs", [
+    (spread_family(3), (0.01, 0.25, 0.75, 1.2)),
+    (spread_family(8), (0.01, 0.5, 1.0, 2.0, 3.0)),
+    (spread_family(20), (0.1, 2.0, 6.0)),
+    (chi2_average(1), (0.01, 0.25, 0.4)),
+    (chi2_average(12), (0.25, 1.0, 2.0, 4.5)),
+    (chi2_average(192), (0.5, 5.0, 40.0)),
+], ids=["spread3", "spread8", "spread20", "chi2avg1", "chi2avg12",
+        "chi2avg192"])
+def test_negative_moment_matches_quadrature_oracle(family, qs):
+    for q in qs:
+        ref = oracles.mellin_quad_negative_moment(family, q)
+        assert chaos2.negative_moment(family, q) == pytest.approx(
+            ref, rel=1e-12)
 
 
 def test_negative_moment_divergence():
@@ -345,6 +393,36 @@ def test_density_small_family_is_skewed():
 def test_density_requires_three_coefficients():
     with pytest.raises(chaos2.NonIntegrableError):
         chaos2.density_by_inversion(DiagonalSecondChaos([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_density_matches_outer_product_oracle(n):
+    f = chi2_average(n)
+    xs, dens = chaos2.density_by_inversion(f)
+    xo, ref = oracles.density_outer_product(f)
+    assert np.array_equal(xs, xo)
+    assert np.max(np.abs(dens - ref)) <= 1e-11
+
+
+def test_density_spread_signed_family_matches_outer_product_oracle():
+    signs = np.array([1, -1, 1, -1, 1, -1])
+    f = DiagonalSecondChaos(np.geomspace(1.0, 1e-3, 6) * signs,
+                            normalize=True)
+    xs, dens = chaos2.density_by_inversion(f, -3.0, 5.0, 0.02, tail_eps=1e-4)
+    _, ref = oracles.density_outer_product(f, -3.0, 5.0, 0.02, tail_eps=1e-4)
+    assert np.max(np.abs(dens - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("tail_eps", [0.0, -1e-8, 1.0])
+def test_density_rejects_tail_eps_outside_unit_interval(tail_eps):
+    with pytest.raises(ValueError, match="bad grid"):
+        chaos2.density_by_inversion(chi2_average(4), tail_eps=tail_eps)
+
+
+def test_density_node_cap():
+    # |phi| ~ xi^(-3/2): the default grid would need ~1.6e7 xi nodes
+    with pytest.raises(chaos2.NodeCapError, match="past"):
+        chaos2.density_by_inversion(chi2_average(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +182,31 @@ def test_run_density(tmp_path):
     man = read_manifest(out)
     names = {a["name"] for a in man["assertions"]}
     assert names == {"mass_unit", "nonnegative", "tv_bound"}
+
+
+def test_run_density_beyond_node_cap_exits_2(tmp_path, capsys):
+    # |phi| ~ xi^(-3/2) on chi2-average 3: the default x grid needs about
+    # 1.6e7 xi nodes, which once ran for minutes
+    p = write_config(tmp_path / "c.ini", "density",
+                     ["kind = chi2-average", "size = 3"],
+                     out=tmp_path / "run")
+    start = time.perf_counter()
+    assert cli.main(["run", str(p)]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert f"past {chaos2.MAX_GRID_NODES} nodes" in err
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # every CLI run and benchmark pass pays the import time of these
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, wienerchaos.cli; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_trace_concentration(tmp_path):
