@@ -41,8 +41,7 @@ def main():
     print("=" * 72)
     for n in (4, 16, 64):
         fam = DiagonalSecondChaos(np.full(n, 1.0 / np.sqrt(2 * n)))
-        xs, dens = chaos2.density_by_inversion(fam, -4.0, 4.0, 0.01,
-                                               tail_eps=1e-7)
+        xs, dens = chaos2.density_by_inversion(fam, -4.0, 4.0, 0.01)
         mass = float(np.trapezoid(dens, xs))
         mode = float(xs[np.argmax(dens)])
         gauss = np.exp(-xs * xs / 2) / math.sqrt(2 * math.pi)

@@ -18,9 +18,9 @@ def main():
     t = chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
     print("F = X1 X2 X3  (unit variance: coefficient 1/6 on the triple)")
 
-    xhat = np.array([0.0, 0.0, 1.0])
-    m = chaos3.sharp_batch(t, xhat)
-    (eigs,) = chaos3.spectra_batch(t, xhat[None, :])
+    xhat = np.array([[0.0, 0.0, 1.0]])
+    (m,) = chaos3.sharp_batch(t, xhat)
+    (eigs,) = chaos3.spectra_batch(t, xhat)
     print(f"\nsharp matrix at xhat = e3 (trace is exactly "
           f"{np.trace(m):g}):\n{m}")
     print(f"spectrum, |.|-ordered: {eigs}")

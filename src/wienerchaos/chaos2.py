@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from . import mc
 
 UNIT_VAR_TOL = 1e-12
 MELLIN_REL_TOL = 1e-13   # negative_moment: agreement of two step levels
 MAX_GRID_NODES = 1 << 21   # largest uniform grid of either transform
+DENSITY_TAIL_EPS = 1e-8   # density_by_inversion: |phi| at the xi cutoff
+SPHERE_RESOLUTION = 64   # points of sphere_grid, before the two +-e_1
 
 
 class PreconditionError(ValueError):
@@ -30,7 +31,7 @@ class DivergenceError(ValueError):
     """The requested negative moment does not exist."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ValueError):
     """The trapezoid sums did not settle to the accuracy target."""
 
 
@@ -59,7 +60,7 @@ class DiagonalSecondChaos:
         if np.all(a == 0.0):
             raise ValueError("all-zero coefficient vector has variance 0")
         if normalize:
-            a = a / np.sqrt(2.0 * np.sum(a * a))
+            a = a / (math.sqrt(2.0) * scaled_norm(a))
         a = a.copy()
         a.flags.writeable = False
         self.alphas = a
@@ -92,6 +93,16 @@ class DiagonalSecondChaos:
 
     def __repr__(self):
         return f"DiagonalSecondChaos(m={self.m}, variance={self.variance:.6g})"
+
+
+def scaled_norm(v) -> float:
+    """sqrt(sum v^2), summed in order, on v scaled by a power of two near
+    max |v|: no square over- or underflows, and where the plain sum is
+    finite and nonzero the exact scaling keeps its bits."""
+    v = np.asarray(v, dtype=float)
+    _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
+    w = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(sum(w * w)), e)
 
 
 @dataclass(frozen=True)
@@ -186,10 +197,6 @@ class Thm1Certificate:
     certified: bool
     q_sup: float  # negative moments certified for all q < q_sup
 
-    @property
-    def q_range(self) -> str:
-        return f"q < {self.q_sup:g}" if self.certified else "none"
-
 
 def thm1_certificate(kappa4: float, p: int) -> Thm1Certificate:
     """Certificate kappa4 < 24 / (2^p (p+1)!) for 1/Gamma in L^q, q < p/2."""
@@ -273,29 +280,29 @@ def char_function(f: DiagonalSecondChaos, xi):
 
 
 def density_by_inversion(f: DiagonalSecondChaos, x_min: float = -6.0,
-                         x_max: float = 6.0, dx: float = 0.01,
-                         tail_eps: float = 1e-8):
+                         x_max: float = 6.0, dx: float = 0.01):
     """(xs, density) of F, needing >= 3 nonzero coefficients:
     (1/pi) Re int_0^inf phi(xi) e^(-i xi x) dxi.
 
     Trapezoid rule on xi_n = n dxi up to the first node with |phi| <=
-    tail_eps, found on a geometric grid; NodeCapError past MAX_GRID_NODES.
-    As n k = (n^2 + k^2 - (k-n)^2) / 2, the sum at x_k = x_min + k dx is
-    one chirp convolution by FFT (Bluestein's chirp-z).
+    DENSITY_TAIL_EPS, found on a geometric grid; NodeCapError past
+    MAX_GRID_NODES.  As n k = (n^2 + k^2 - (k-n)^2) / 2, the sum at
+    x_k = x_min + k dx is one chirp convolution (Bluestein's chirp-z).
     """
     if f.nonzero_count() < 3:
         raise NonIntegrableError(
             "need >= 3 nonzero coefficients for an integrable |phi|")
-    if x_max <= x_min or dx <= 0 or not 0.0 < tail_eps < 1.0:
+    if x_max <= x_min or dx <= 0:
         raise ValueError("bad grid")
     dxi = min(0.02, math.pi / (32.0 * max(abs(x_min), abs(x_max), 1.0)))
     probe = dxi * 2.0 ** np.arange(0.0, math.log2(MAX_GRID_NODES), 0.0625)
-    below = np.abs(char_function(f, probe)) <= tail_eps
+    below = np.abs(char_function(f, probe)) <= DENSITY_TAIL_EPS
     if not below.any():
-        raise NodeCapError(f"|phi| > {tail_eps} past {MAX_GRID_NODES} nodes")
+        raise NodeCapError(
+            f"|phi| > {DENSITY_TAIL_EPS} past {MAX_GRID_NODES} nodes")
     phi = char_function(
         f, dxi * np.arange(math.ceil(probe[below.argmax()] / dxi) + 1))
-    n = int(np.argmax(np.abs(phi) <= tail_eps)) + 1
+    n = int(np.argmax(np.abs(phi) <= DENSITY_TAIL_EPS)) + 1
 
     xs = np.arange(x_min, x_max + 0.5 * dx, dx)
     j = np.arange(1 - n, xs.size)      # j = k - n
@@ -303,8 +310,9 @@ def density_by_inversion(f: DiagonalSecondChaos, x_min: float = -6.0,
     u = dxi * phi[:n] * np.exp(-1j * dxi * x_min * np.arange(n))
     u *= np.conj(chirp[n - 1::-1])
     u[[0, -1]] *= 0.5      # trapezoid end weights
-    size = fft.next_fast_len(j.size)
-    conv = fft.ifft(fft.fft(u, size) * fft.fft(chirp, size))[n - 1:j.size]
+    size = 1 << (j.size - 1).bit_length()
+    conv = np.fft.ifft(np.fft.fft(u, size)
+                       * np.fft.fft(chirp, size))[n - 1:j.size]
     return xs, (conv * np.conj(chirp[n - 1:])).real / math.pi
 
 
@@ -338,10 +346,6 @@ class MultivariateSecondChaos:
     def d(self) -> int:
         return len(self.mats)
 
-    @property
-    def dim(self) -> int:
-        return int(self.mats[0].shape[0])
-
     def covariance(self) -> np.ndarray:
         d = self.d
         c = np.empty((d, d))
@@ -350,15 +354,16 @@ class MultivariateSecondChaos:
                 c[i, j] = 2.0 * np.trace(self.mats[i] @ self.mats[j])
         return c
 
-    def has_identity_cov(self, tol: float = UNIT_VAR_TOL) -> bool:
-        return bool(np.max(np.abs(self.covariance() - np.eye(self.d))) <= tol)
+    def has_identity_cov(self) -> bool:
+        return bool(np.max(np.abs(self.covariance() - np.eye(self.d)))
+                    <= UNIT_VAR_TOL)
 
     def combined(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return np.einsum('i,ijk->jk', t, np.array(self.mats))
 
 
-def sphere_grid(d: int, resolution: int) -> np.ndarray:
+def sphere_grid(d: int) -> np.ndarray:
     """Deterministic quasi-uniform directions on the unit sphere S^(d-1).
 
     d = 1: the two signs; d = 2: equal angles; d = 3: Fibonacci lattice;
@@ -368,11 +373,11 @@ def sphere_grid(d: int, resolution: int) -> np.ndarray:
         raise ValueError("d must be >= 1")
     if d == 1:
         return np.array([[1.0], [-1.0]])
+    npts = SPHERE_RESOLUTION
     if d == 2:
-        ang = 2.0 * math.pi * np.arange(resolution) / resolution
+        ang = 2.0 * math.pi * np.arange(npts) / npts
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
     elif d == 3:
-        npts = max(resolution, 16)
         i = np.arange(npts) + 0.5
         z = 1.0 - 2.0 * i / npts
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -382,7 +387,7 @@ def sphere_grid(d: int, resolution: int) -> np.ndarray:
     else:
         rng = np.random.Generator(np.random.Philox(key=np.array(
             [0x5eed, d], dtype=np.uint64)))
-        pts = rng.standard_normal((max(resolution, 64), d))
+        pts = rng.standard_normal((npts, d))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     axes = np.zeros((2, d))
     axes[0, 0] = 1.0
@@ -395,23 +400,24 @@ class CrossGammaStats:
     var_diag: np.ndarray        # Var(Gamma[F_i, F_i])
     cross_l2: np.ndarray        # ||Gamma[F_i, F_j]||_2, d x d
     bound_rhs: float            # max var + d^2 max off-diagonal L2 norm
-    worst_lhs: float            # max over grid of Var(Gamma[F_t, F_t])
+    kappa4_max: Kappa4Max       # the one sphere search
+    worst_lhs: float            # Var(Gamma[F_t, F_t]) at its direction
     worst_direction: np.ndarray
     holds: bool
 
 
-def cross_gamma_stats(m: MultivariateSecondChaos,
-                      n_directions: int = 64) -> CrossGammaStats:
+def cross_gamma_stats(m: MultivariateSecondChaos) -> CrossGammaStats:
     """Exact carre-du-champ statistics and the direction-uniform bound.
 
     Every statistic is a moment of a quadratic form X'GX in standard
     Gaussians with G symmetric, so two trace identities give it exactly:
     Var(X'GX) = 2 Tr(G^2) and E (X'GX)^2 = (Tr G)^2 + 2 Tr(G^2).
     Here G = 2 (A_i A_j + A_j A_i), the symmetrized matrix of
-    Gamma[F_i, F_j] = 4 X'A_iA_jX, and G = 4 A_t^2 along a direction t.
-    The tests check every field against the Isserlis expansion of the
-    same quadratic-form polynomials.  The bound checked on the sphere
-    grid is
+    Gamma[F_i, F_j] = 4 X'A_iA_jX.  Along a direction t, G = 4 A_t^2, so
+    Var(Gamma[F_t, F_t]) = 32 Tr(A_t^4) = (2/3) kappa_4(F_t) and the worst
+    direction is the one sphere_kappa4_max finds.  The tests check every
+    field against the Isserlis expansion of the same quadratic-form
+    polynomials.  The bound checked at that direction is
     Var(Gamma[F_t, F_t]) <= max_i Var(Gamma[F_i, F_i])
                             + d^2 max_{i != j} ||Gamma[F_i, F_j]||_2.
     """
@@ -428,17 +434,11 @@ def cross_gamma_stats(m: MultivariateSecondChaos,
             cross[i, j] = math.sqrt(float(np.trace(gmat)) ** 2 + 2.0 * tr_g2)
     off = [cross[i, j] for i in range(d) for j in range(d) if i != j]
     rhs = float(var_diag.max() + (d ** 2) * (max(off) if off else 0.0))
-
-    worst, worst_t = -np.inf, None
-    for t in sphere_grid(d, n_directions):
-        at = m.combined(t)
-        g = 4.0 * (at @ at)
-        v = 2.0 * float(np.sum(g * g))
-        if v > worst:
-            worst, worst_t = v, t
+    k4 = sphere_kappa4_max(m)
+    worst = 2.0 / 3.0 * k4.value
     holds = bool(worst <= rhs + 1e-12 * max(1.0, abs(rhs)))
-    return CrossGammaStats(var_diag, cross, rhs, float(worst),
-                           np.asarray(worst_t), holds)
+    return CrossGammaStats(var_diag, cross, rhs, k4, worst, k4.direction,
+                           holds)
 
 
 @dataclass(frozen=True)
@@ -453,8 +453,7 @@ def kappa4_of_direction(m: MultivariateSecondChaos, t) -> float:
     return float(48.0 * np.trace(a2 @ a2))
 
 
-def sphere_kappa4_max(m: MultivariateSecondChaos,
-                      resolution: int = 64) -> Kappa4Max:
+def sphere_kappa4_max(m: MultivariateSecondChaos) -> Kappa4Max:
     """max over the unit sphere of kappa_4(F_t) = 48 Tr(A_t^4).
 
     Evaluates a deterministic grid, then refines the best point by
@@ -463,7 +462,7 @@ def sphere_kappa4_max(m: MultivariateSecondChaos,
     smooth objective on the grid's basin).
     """
     best_v, best_t = -np.inf, None
-    for t in sphere_grid(m.d, resolution):
+    for t in sphere_grid(m.d):
         v = kappa4_of_direction(m, t)
         if v > best_v:
             best_v, best_t = v, t

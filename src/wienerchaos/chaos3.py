@@ -23,11 +23,10 @@ import numpy as np
 from scipy import sparse
 
 from . import mc
-from .chaos2 import (DiagonalSecondChaos, PreconditionError,
-                     log_char_product, newton_to_elementary)
+from .chaos2 import (UNIT_VAR_TOL, DiagonalSecondChaos, PreconditionError,
+                     log_char_product, newton_to_elementary, scaled_norm)
 from .wick import GaussianPolynomial, isserlis_expectation
 
-UNIT_VAR_TOL = 1e-12
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries (2 MB); the pair slab takes 4x
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
@@ -53,10 +52,10 @@ class SymThreeTensor:
         canon = dict(_checked_entry(trip, val, self.n)
                      for trip, val in dict(entries).items())
         if normalize:
-            ssq = sum(v * v for v in canon.values())
-            if ssq == 0.0:
+            norm = scaled_norm(list(canon.values()))
+            if norm == 0.0:
                 raise ValueError("cannot normalize an all-zero tensor")
-            scale = 1.0 / (6.0 * math.sqrt(ssq))
+            scale = 1.0 / (6.0 * norm)
             canon = {t: v * scale for t, v in canon.items()}
         self.entries = canon
         if self.n <= EXACT_MODE_MAX_N:
@@ -287,16 +286,14 @@ def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
 
 def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """Sharp matrices A_hat(i,j) = 3 sum_k a(i,j,k) xhat_k (zero diagonal,
-    zero trace) for source vectors xhat of shape (B, n), or the one matrix
-    for shape (n,).
+    zero trace), shape (B, n, n), for source vectors xhat of shape (B, n).
 
     One GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
     which contracts the first slot; by symmetry that is any slot.
     """
-    xhat = np.asarray(xhat, dtype=float)
+    xhat = _batch(t, xhat)
     n = t.n
-    m = xhat @ (3.0 * t.a).reshape(n, n * n)
-    return m.reshape(xhat.shape[:-1] + (n, n))
+    return (xhat @ (3.0 * t.a).reshape(n, n * n)).reshape(-1, n, n)
 
 
 def _sharp_steps(t: SymThreeTensor, n_rows: int):

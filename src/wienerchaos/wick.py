@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-DEFAULT_DEGREE_CAP = 16
+DEGREE_CAP = 16   # largest total degree isserlis_expectation expands
 
 
 class DegreeCapError(ValueError):
-    """A monomial exceeds the configured total-degree cap."""
+    """A monomial exceeds the total-degree cap DEGREE_CAP."""
 
 
 class GaussianPolynomial:
@@ -149,20 +149,19 @@ def _double_factorials(cap: int) -> list[float]:
     return df
 
 
-def isserlis_expectation(p: GaussianPolynomial,
-                         degree_cap: int = DEFAULT_DEGREE_CAP) -> float:
+def isserlis_expectation(p: GaussianPolynomial) -> float:
     """E[p(G_1, ..., G_n)] for independent standard Gaussians.
 
     Uses E[G^m] = (m-1)!! for even m and 0 for odd m, per variable.
-    Raises DegreeCapError when a monomial degree exceeds degree_cap.
+    Raises DegreeCapError when a monomial degree exceeds DEGREE_CAP.
     """
-    df = _double_factorials(max(degree_cap, 2))
+    df = _double_factorials(DEGREE_CAP)
     acc = 0.0
     for e, c in p.terms.items():
         deg = sum(e)
-        if deg > degree_cap:
+        if deg > DEGREE_CAP:
             raise DegreeCapError(
-                f"monomial of degree {deg} exceeds cap {degree_cap}")
+                f"monomial of degree {deg} exceeds cap {DEGREE_CAP}")
         if any(v & 1 for v in e):
             continue
         v = c

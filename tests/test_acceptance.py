@@ -171,7 +171,7 @@ def test_c07_trace_normalization():
                 t, r.standard_normal((c, t.n))),
             100_000, mc.RngSpec(SEED, 20 + i))
         worst_z = max(worst_z, abs(est.mean - 1.5) / est.stderr)
-        sharp = chaos3.sharp_batch(t, rng.standard_normal(t.n))
+        (sharp,) = chaos3.sharp_batch(t, rng.standard_normal((1, t.n)))
         zero_trace &= float(np.trace(sharp)) == 0.0
     ok = worst_det <= 1e-12 and worst_z <= 3.0 and zero_trace
     assert report(7, ok, f"max |sum beta - 3/2| {worst_det:.2e} (det), "
@@ -199,10 +199,10 @@ def test_c08_variance_kappa4_bound():
 def test_c09_multivariate_worked_example():
     m = MultivariateSecondChaos([np.diag([0.5, -0.5]),
                                  np.array([[0.0, 0.5], [0.5, 0.0]])])
-    stats = chaos2.cross_gamma_stats(m, n_directions=64)
+    stats = chaos2.cross_gamma_stats(m)
     cross_ok = stats.cross_l2[0, 1] <= 1e-12
     k4_vals = [chaos2.kappa4_of_direction(m, t)
-               for t in chaos2.sphere_grid(2, 64)]
+               for t in chaos2.sphere_grid(2)]
     k4_ok = all(abs(v - 6.0) <= 1e-12 for v in k4_vals)
     ok = cross_ok and k4_ok and stats.holds
     assert report(9, ok, f"||Gamma_12||_2={stats.cross_l2[0, 1]:.2e}; "

@@ -54,6 +54,17 @@ def test_zero_tensor_normalize_rejected():
         SymThreeTensor(4, {}, normalize=True)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_normalize_survives_extreme_scales(scale):
+    # the squares under- or overflow: once "all-zero" and 0.0 entries
+    t = SymThreeTensor(6, {(1, 2, 3): scale, (4, 5, 6): scale},
+                       normalize=True)
+    assert list(t.entries.values()) == [t.entries[(1, 2, 3)]] * 2
+    assert t.entries[(1, 2, 3)] == pytest.approx(1.0 / (6.0 * 2 ** 0.5),
+                                                 rel=1e-15)
+    assert t.unit_variance
+
+
 def test_variance_matches_oracle(unit_tensor_factory):
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -205,7 +216,7 @@ def test_gamma_pairs_memory_is_one_slab():
 
 def test_sharp_matrix_basis_vector():
     t = triple_product()
-    m = chaos3.sharp_batch(t, np.array([0.0, 0.0, 1.0]))
+    (m,) = chaos3.sharp_batch(t, np.array([[0.0, 0.0, 1.0]]))
     expect = np.zeros((3, 3))
     expect[0, 1] = expect[1, 0] = 0.5
     assert np.allclose(m, expect, atol=1e-15)
@@ -214,7 +225,7 @@ def test_sharp_matrix_basis_vector():
 
 def test_sharp_matrix_zero_source():
     t = triple_product()
-    assert np.all(chaos3.sharp_batch(t, np.zeros(3)) == 0.0)
+    assert np.all(chaos3.sharp_batch(t, np.zeros((1, 3))) == 0.0)
 
 
 def test_sharp_quadratic_form_identity(unit_tensor_factory):
@@ -224,7 +235,7 @@ def test_sharp_quadratic_form_identity(unit_tensor_factory):
         t = unit_tensor_factory(rng)
         x = rng.standard_normal(t.n)
         xhat = rng.standard_normal(t.n)
-        m = chaos3.sharp_batch(t, xhat)
+        (m,) = chaos3.sharp_batch(t, xhat[None, :])
         assert float(x @ m @ x) == pytest.approx(
             float(oracles.gradient(t, x) @ xhat), rel=1e-12, abs=1e-12)
 
@@ -248,7 +259,7 @@ def test_spectrum_basis_sample():
     xh = np.array([[0.0, 0.0, 1.0]])
     (eigs,) = chaos3.spectra_batch(t, xh)
     assert np.allclose(np.abs(eigs), [0.5, 0.5, 0.0], atol=1e-12)
-    ref, recentred = oracles.spectrum(chaos3.sharp_batch(t, xh[0]))
+    ref, recentred = oracles.spectrum(chaos3.sharp_batch(t, xh[:1])[0])
     assert np.allclose(eigs, ref, atol=1e-12)
     assert not recentred
 
@@ -264,7 +275,7 @@ def test_spectrum_trace_identities(unit_tensor_factory):
         t = unit_tensor_factory(rng)
         xh = rng.standard_normal((1, t.n))
         (eigs,) = chaos3.spectra_batch(t, xh)
-        m = chaos3.sharp_batch(t, xh[0])
+        (m,) = chaos3.sharp_batch(t, xh[:1])
         assert abs(eigs.sum()) <= 1e-10 * max(1.0, np.abs(eigs).max())
         assert float(np.sum(eigs ** 2)) == pytest.approx(
             float(np.sum(m ** 2)), rel=1e-10)
@@ -677,8 +688,8 @@ def test_spectra_batch_matches_single_spectra_across_steps():
     xh = np.random.default_rng(12).standard_normal((1500, 20))
     lams = chaos3.spectra_batch(t, xh)
     assert xh.shape[0] > 2 * (chaos3.STEP_ELEMENTS // 400)
-    single = np.array([oracles.spectrum(chaos3.sharp_batch(t, row))[0]
-                       for row in xh])
+    single = np.array([oracles.spectrum(m)[0]
+                       for m in chaos3.sharp_batch(t, xh)])
     assert np.allclose(np.sort(lams, axis=1), np.sort(single, axis=1),
                        rtol=0.0, atol=1e-12)
     assert np.all(np.diff(np.abs(lams), axis=1) <= 0.0)
@@ -757,8 +768,8 @@ def test_sharp_power_sums_match_eigenvalue_oracle(make):
     t = make()
     xh = np.random.default_rng(15).standard_normal((40, t.n))
     got = chaos3.sharp_power_sums(t, xh, t.n)
-    lams = np.array([oracles.spectrum(chaos3.sharp_batch(t, row))[0]
-                     for row in xh])
+    lams = np.array([oracles.spectrum(m)[0]
+                     for m in chaos3.sharp_batch(t, xh)])
     ref = oracles.spectrum_power_sums(lams, t.n)
     assert got.shape == (t.n, 40)
     scale = ref[0] ** np.arange(1, t.n + 1)[:, None]     # S_1^q

@@ -161,7 +161,12 @@ def test_run_gamma_spec(tmp_path):
     assert len(man["assertions"]) == 2
 
 
-def test_run_multivariate_bounds(tmp_path):
+def test_run_multivariate_bounds(tmp_path, monkeypatch):
+    calls = []
+    for name in ("sphere_kappa4_max", "sphere_grid"):
+        fn = getattr(chaos2, name)
+        monkeypatch.setattr(chaos2, name, lambda arg, name=name, fn=fn:
+                            calls.append(name) or fn(arg))
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "multivariate-bounds",
                      ["kind = matrices",
@@ -171,6 +176,8 @@ def test_run_multivariate_bounds(tmp_path):
     man = read_manifest(out)
     assert man["assertions"][0]["name"] == "control1multi"
     assert (out / "sphere_kappa4.csv").exists()
+    # the bound and the kappa4 CSV share one search over one grid
+    assert calls == ["sphere_kappa4_max", "sphere_grid"]
 
 
 def test_run_density(tmp_path):
@@ -203,7 +210,8 @@ def test_cli_import_loads_no_heavy_scipy_module():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, wienerchaos.cli; print(sorted(m for m in "
-            "('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+            "('scipy.signal', 'scipy.integrate', 'scipy.fft', "
+            "'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -274,6 +282,20 @@ def test_run_spectral_radius_and_negmoment2(tmp_path):
                       ["kind = diagonal", "alphas = 0.5, 0.5"],
                       ["q = 0.25"], samples=50_000, out=out2)
     assert cli.main(["run", str(p2)]) == 0
+
+
+def test_run_negmoment2_quadrature_failure_exits_2(tmp_path, capsys):
+    # q just below m/2 = 1/2: the trapezoid sums never settle; this once
+    # ended in a traceback, after drawing every sample
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "negmoment2",
+                     ["kind = diagonal", "alphas = 0.70710678118654752"],
+                     ["q = 0.4999"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: no agreement in")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,key,csv", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wienerchaos import wick
 from wienerchaos.wick import (
     DegreeCapError,
     GaussianPolynomial,
@@ -40,11 +41,12 @@ def test_odd_moments_vanish_exactly():
         assert isserlis_expectation(p) == 0.0
 
 
-def test_degree_cap():
+def test_degree_cap(monkeypatch):
     p = GaussianPolynomial(1, {(18,): 1.0})
     with pytest.raises(DegreeCapError):
         isserlis_expectation(p)
-    assert isserlis_expectation(p, degree_cap=18) == pytest.approx(
+    monkeypatch.setattr(wick, "DEGREE_CAP", 18)
+    assert isserlis_expectation(p) == pytest.approx(
         float(np.prod(np.arange(17, 0, -2))))
 
 
