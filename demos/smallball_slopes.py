@@ -11,7 +11,8 @@ from wienerchaos.cli import family_generators
 def slope_line(label, t, n_samples, seed):
     eps = np.geomspace(0.01, 0.3, 8)
     res = chaos3.smallball_gamma3(t, eps, n_samples, seed)
-    flag = " (grid widened: low-hit points dropped)" if res.widened else ""
+    flag = (f" (grid widened: points with fewer than {chaos3.MIN_HITS} hits"
+            " or misses left the fit)") if res.widened else ""
     print(f"\n{label}: slope = {res.slope:.4f} +- {res.slope_se:.4f}{flag}")
     print("  eps      P(Gamma < eps)   hits")
     for e, p, h, u in zip(res.eps, res.phat, res.hits, res.used):

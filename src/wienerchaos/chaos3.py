@@ -30,7 +30,7 @@ from .wick import GaussianPolynomial, isserlis_expectation
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries (2 MB); the pair slab takes 4x
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
-MIN_HITS = 50          # small-ball points with fewer hits leave the slope fit
+MIN_HITS = 50          # fewer hits or misses: the point leaves the slope fit
 SP_ALPHA_GRID = np.geomspace(1e-3, 1.0, 7)   # S_hat_p small-ball grid
 SP_ALPHA_GRID.flags.writeable = False
 
@@ -367,8 +367,14 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _grid(values, cast=float) -> list:
-    """A grid of scalars as a list; a single scalar is a one-point grid."""
-    grid = [cast(v) for v in np.ravel(values)]
+    """A grid of scalars as a list; a single scalar is a one-point grid.
+    An integer grid rejects a value that is not an integer, by name."""
+    values = np.ravel(values)
+    if cast is int:
+        for v in values:
+            if not float(v).is_integer():
+                raise ValueError(f"the grid must hold integers, got {v}")
+    grid = [cast(v) for v in values]
     if not grid:
         raise ValueError("the grid is empty")
     return grid
@@ -422,12 +428,11 @@ def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
         z = np.stack([np.exp(log_char_product(x * lams)) for x in xis], axis=1)
         return np.concatenate([z.real, z.imag], axis=1)
 
-    spec_l, spec_r = mc.RngSpec(seed, 0), mc.RngSpec(seed, 1)
-    (lhs,) = mc.reduce(fn_lhs, n_samples, spec_l, mc.Moments())
-    (rhs,) = mc.reduce(fn_rhs, n_samples, spec_r, mc.Moments())
-    parts = rhs.results(spec_r)     # real parts, then imaginary parts
+    (lhs,) = mc.reduce(fn_lhs, n_samples, mc.RngSpec(seed, 0), mc.Moments())
+    (rhs,) = mc.reduce(fn_rhs, n_samples, mc.RngSpec(seed, 1), mc.Moments())
+    parts = rhs.results()     # real parts, then imaginary parts
     return [GammaSpecCheck(xi, left, re, im) for xi, left, re, im
-            in zip(xis, lhs.results(spec_l), parts, parts[len(xis):])]
+            in zip(xis, lhs.results(), parts, parts[len(xis):])]
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +555,15 @@ def spectral_radius_moments(t: SymThreeTensor, p_grid, n_samples: int,
         lam1 = np.abs(lams[:, 0])
         return np.stack([lam1 ** (2 * p) for p in ps], axis=1)
 
-    spec = mc.RngSpec(seed, 0)
-    (moments,) = mc.reduce(fn, n_samples, spec, mc.Moments())
+    (moments,) = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), mc.Moments())
     out = []
-    for p, raw in zip(ps, moments.results(spec)):
+    for p, raw in zip(ps, moments.results()):
         if raw.mean <= 0.0:
-            out.append(mc.EstimatorResult(0.0, 0.0, raw.n, spec))
+            out.append(mc.EstimatorResult(0.0, 0.0, raw.n))
             continue
         est = raw.mean ** (1.0 / (2 * p))
         se = est * raw.stderr / (2 * p * raw.mean)
-        out.append(mc.EstimatorResult(float(est), float(se), raw.n, spec))
+        out.append(mc.EstimatorResult(float(est), float(se), raw.n))
     return out
 
 
@@ -569,45 +573,44 @@ class SmallBallResult:
     phat: np.ndarray
     se: np.ndarray
     hits: np.ndarray
-    used: np.ndarray          # points with enough hits for the fit
+    used: np.ndarray          # points with enough hits and misses for the fit
     slope: float
     slope_se: float
-    widened: bool             # True when low-hit points were dropped
+    widened: bool             # True when some point left the fit
     n: int
-    spec: mc.RngSpec
 
 
 def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int,
                      seed: int) -> SmallBallResult:
     """Empirical P(Gamma < eps) over a grid plus a log-log slope fit.
 
-    Grid points whose hit count falls below MIN_HITS are excluded from
-    the fit and flagged (widened grid) rather than failing the run; fewer
-    than 3 points left for the fit is a ValueError.
+    The fit weighs each point by its binomial standard error, a normal
+    approximation that needs many hits and many misses: a grid point with
+    fewer than MIN_HITS of either leaves the fit and is flagged (widened
+    grid) rather than failing the run; fewer than 3 points left for the
+    fit is a ValueError.
     """
     eps = np.asarray(eps_grid, dtype=float)
     if eps.ndim != 1 or eps.size < 3:
         raise ValueError("eps_grid must hold at least 3 values")
     if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
         raise ValueError("eps_grid must be positive and increasing")
-    spec = mc.RngSpec(seed, 0)
     (hits,) = mc.reduce(
         lambda rng, cnt: gamma_batch(t, rng.standard_normal((cnt, t.n))),
-        n_samples, spec, mc.Hits(eps))
+        n_samples, mc.RngSpec(seed, 0), mc.Hits(eps))
     (phat,), (se,) = hits.fractions()
     n, counts = hits.n, hits.counts[0]
-    used = counts >= MIN_HITS
+    used = (counts >= MIN_HITS) & (n - counts >= MIN_HITS)
     if used.sum() < 3:
         raise ValueError(
             f"only {int(used.sum())} of {eps.size} eps grid points reach "
             f"min_hits={MIN_HITS} (largest hit count {int(counts.max())} "
-            f"of {n} samples); at least 3 are needed for the slope fit: "
-            "raise the eps grid or the sample count")
-    widened = bool(np.any(~used))
-    slope, slope_se = mc.loglog_slope(
-        list(zip(eps[used], phat[used], se[used])))
+            f"and smallest miss count {int(n - counts.min())} of {n} "
+            "samples); at least 3 are needed for the slope fit: move the "
+            "eps grid or raise the sample count")
+    slope, slope_se = mc.loglog_slope(eps[used], phat[used], se[used])
     return SmallBallResult(eps, phat, se, counts, used, slope, slope_se,
-                           widened, n, spec)
+                           bool(np.any(~used)), n)
 
 
 @dataclass(frozen=True)
@@ -630,11 +633,10 @@ def negative_moment_gamma3(t: SymThreeTensor, theta_grid, n_samples: int,
         g = gamma_batch(t, rng.standard_normal((cnt, t.n)))
         return np.stack([g ** (-theta) for theta in thetas], axis=1)
 
-    spec = mc.RngSpec(seed, 0)
-    moments, top = mc.reduce(fn, n_samples, spec, mc.Moments(),
+    moments, top = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), mc.Moments(),
                              mc.TopShare(max(1, n_samples // 1000)))
     return [NegativeMomentResult(est, theta, float(share), bool(share > 0.5))
-            for est, theta, share in zip(moments.results(spec), thetas,
+            for est, theta, share in zip(moments.results(), thetas,
                                          top.share)]
 
 
@@ -672,11 +674,10 @@ def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int,
         newton = sharp_power_sums(t, rng.standard_normal((cnt, t.n)), max(ps))
         return newton_to_elementary(newton)[cols].T
 
-    spec = mc.RngSpec(seed, 0)
-    moments, hits = mc.reduce(fn, n_samples, spec, mc.Moments(),
+    moments, hits = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), mc.Moments(),
                               mc.Hits(SP_ALPHA_GRID))
     out = []
-    for p, est, phat, se in zip(ps, moments.results(spec), *hits.fractions()):
+    for p, est, phat, se in zip(ps, moments.results(), *hits.fractions()):
         lb = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))
         out.append(SpBatchResult(p, est, float(lb), bool(est.mean >= lb),
                                  SP_ALPHA_GRID, phat, se))

@@ -277,15 +277,15 @@ def _exp_negmoment2(cfg, model, rec):
     qs = _parse_floats(cfg.grids.get("q", "0.25"))
     # before the draws, so a rejected q costs no sampling
     vals = [chaos2.negative_moment(f, q) for q in qs]
-    spec = mc.RngSpec(cfg.seed)
 
     def fn(rng, cnt):
         g = f.sample_gamma(rng, cnt)
         return np.stack([g ** (-q) for q in qs], axis=1)
 
-    (moments,) = mc.reduce(fn, cfg.samples, spec, mc.Moments())
+    (moments,) = mc.reduce(fn, cfg.samples, mc.RngSpec(cfg.seed),
+                           mc.Moments())
     rows = []
-    for q, val, est in zip(qs, vals, moments.results(spec)):
+    for q, val, est in zip(qs, vals, moments.results()):
         ok = est.within(val, 3.0)
         rec.check(f"negmoment_q{q:g}", ok,
                   f"mellin={val:.8g} mc={est.mean:.8g} se={est.stderr:.3g}")

@@ -30,7 +30,6 @@ it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,12 +71,11 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Monte Carlo mean with standard error and seed provenance."""
+    """Monte Carlo mean with standard error and sample count."""
 
     mean: float
     stderr: float
     n: int
-    spec: RngSpec
 
     def within(self, value: float, k: float = 3.0) -> bool:
         """|mean - value| <= k standard errors (stderr 0 demands equality)."""
@@ -159,10 +157,10 @@ class Moments:
         self.m2 = self.m2 + cm2 + delta * delta * self.n * cnt / tot
         self.n = tot
 
-    def results(self, spec: RngSpec) -> list[EstimatorResult]:
+    def results(self) -> list[EstimatorResult]:
         """One EstimatorResult per column."""
         stderr = np.sqrt(self.m2 / (self.n - 1) / self.n)
-        return [EstimatorResult(float(m), float(s), self.n, spec)
+        return [EstimatorResult(float(m), float(s), self.n)
                 for m, s in zip(self.mean, stderr)]
 
 
@@ -207,52 +205,27 @@ def estimate(fn: Callable[[np.random.Generator, int], np.ndarray],
              n: int, spec: RngSpec) -> EstimatorResult:
     """Monte Carlo mean of fn, which returns shape (count,) per chunk."""
     (moments,) = reduce(fn, n, spec, Moments())
-    return moments.results(spec)[0]
+    return moments.results()[0]
 
 
-def loglog_slope(points) -> tuple[float, float]:
-    """Weighted least-squares slope of log(phat) against log(eps).
+def loglog_slope(eps, phat, se) -> tuple[float, float]:
+    """Weighted least-squares slope of log(phat) against log(eps), and its
+    standard error.
 
-    points: iterable of (eps, phat, se) triples.  Points with phat == 0 are
-    dropped with a warning; fewer than 3 surviving points is an error.
-    Weights follow from the propagated errors se/phat; when every se is 0
-    the fit is unweighted and the slope error comes from residuals.
+    eps, phat, se: arrays of at least 3 points, each with eps, phat and se
+    > 0, else a ValueError.  Each point weighs by the inverse square of its
+    propagated error se/phat.
     """
-    # unpacking rejects anything but triples; reshape keeps an empty list
-    # (0, 3) so it reaches the point-count error below
-    pts = np.asarray([(float(e), float(p), float(s)) for e, p, s in points],
-                     dtype=float).reshape(-1, 3)
-    zero = pts[:, 1] == 0.0
-    if np.any(zero):
-        warnings.warn(f"dropping {int(zero.sum())} point(s) with phat == 0",
-                      stacklevel=2)
-        pts = pts[~zero]
-    if pts.shape[0] < 3:
-        raise ValueError("need at least 3 points with phat > 0")
-    eps, phat, se = pts.T
-    if np.any(eps <= 0):
-        raise ValueError("eps values must be positive")
+    eps, phat, se = (np.asarray(v, dtype=float) for v in (eps, phat, se))
+    if not (eps.size == phat.size == se.size >= 3
+            and np.all(eps > 0) and np.all(phat > 0) and np.all(se > 0)):
+        raise ValueError("need at least 3 points, each with eps, phat and "
+                         "se > 0")
     x = np.log(eps)
     y = np.log(phat)
-    sigma = np.where(phat > 0, se / phat, np.inf)
-    if np.all(sigma == 0.0):
-        # exact points: unweighted fit, residual-based error
-        w = np.ones_like(x)
-        residual_se = True
-    else:
-        if np.any(sigma == 0.0):
-            sigma = np.where(sigma == 0.0, sigma[sigma > 0].min(), sigma)
-        w = 1.0 / sigma ** 2
-        residual_se = False
+    w = 1.0 / (se / phat) ** 2
     xb = np.average(x, weights=w)
     yb = np.average(y, weights=w)
     sxx = float(np.sum(w * (x - xb) ** 2))
     slope = float(np.sum(w * (x - xb) * (y - yb)) / sxx)
-    if residual_se:
-        k = len(x)
-        resid = y - (yb + slope * (x - xb))
-        s2 = float(np.sum(resid ** 2)) / (k - 2)
-        slope_se = float(np.sqrt(s2 / np.sum((x - xb) ** 2)))
-    else:
-        slope_se = float(np.sqrt(1.0 / sxx))
-    return slope, slope_se
+    return slope, float(np.sqrt(1.0 / sxx))

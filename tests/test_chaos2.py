@@ -526,6 +526,22 @@ def test_sphere_kappa4_d1_consistency():
     assert res.value == pytest.approx(tab.cumulants[1])
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e-3, 1e5])
+def test_sphere_kappa4_scale_covariant(scale):
+    # kappa4 has degree 4 in the matrices, and the search's steps g/|g| do
+    # not see their scale: the value scales exactly, the direction stays
+    rng = np.random.default_rng(7)
+    mats = []
+    for _ in range(2):
+        a = rng.standard_normal((6, 6))
+        mats.append(0.5 * (a + a.T))
+    ref = chaos2.sphere_kappa4_max(MultivariateSecondChaos(mats))
+    res = chaos2.sphere_kappa4_max(
+        MultivariateSecondChaos([scale * a for a in mats]))
+    assert res.value / scale ** 4 == pytest.approx(ref.value, rel=1e-12)
+    assert np.allclose(res.direction, ref.direction, rtol=0, atol=1e-6)
+
+
 def test_sphere_kappa4_axis_max():
     a1 = np.diag([0.5, -0.5])
     m = MultivariateSecondChaos([a1, np.zeros((2, 2))])

@@ -547,6 +547,26 @@ def test_smallball_widened_grid_flag():
     assert math.isfinite(res.slope)
 
 
+def test_smallball_saturated_points_leave_the_fit():
+    # eps = 200 and 400 lie far above Gamma's bulk: 199990 and 200000 of
+    # 200000 hits.  Their binomial se (1.6e-5 relative, and 0) would
+    # outweigh the other points about 1e6 to 1 and flatten the slope to
+    # 0.0016; so they leave the fit, which then equals the fit of the grid
+    # without them (one stream, one count per eps), 1.017 +- 0.005
+    t = family_generators("complete-3-tensor", 6)
+    eps = [0.05, 0.1, 0.2, 0.4]
+    res = chaos3.smallball_gamma3(t, eps + [200, 400], 200_000, 3)
+    assert res.hits[-1] == res.n and res.n - res.hits[-2] < chaos3.MIN_HITS
+    assert res.used.tolist() == [True] * 4 + [False] * 2
+    assert res.widened
+    ref = chaos3.smallball_gamma3(t, eps, 200_000, 3)
+    assert not ref.widened
+    assert (res.slope, res.slope_se) == (ref.slope, ref.slope_se)
+    # the slope lies between the steepest and flattest two-point slopes
+    two_point = np.diff(np.log(ref.phat)) / np.diff(np.log(eps))
+    assert two_point.min() < res.slope < two_point.max()
+
+
 def test_smallball_too_few_fit_points():
     # block n = 60: Gamma averages 20 independent blocks, so no point of
     # this grid gets min_hits hits and the slope fit has nothing to use
@@ -659,7 +679,7 @@ def test_stepped_estimators_match_whole_chunks_bitwise():
 
     got = chaos3.negative_moment_gamma3(t, thetas, n, SEED)
     moments = _whole_chunks(powers, n, spec, mc.Moments())
-    for r, ref in zip(got, moments.results(spec)):
+    for r, ref in zip(got, moments.results()):
         assert (r.estimate.mean, r.estimate.stderr) == (ref.mean, ref.stderr)
 
 
@@ -738,6 +758,15 @@ def test_sp_batch_triple_product_mean():
 def test_sp_domain_error():
     with pytest.raises(ValueError, match=r"p must lie in 1\.\.3"):
         chaos3.sp_batch_estimate(triple_product(), [4], 1000, SEED)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: chaos3.spectral_radius_moments(t, [1, 1.5], 1000, SEED),
+    lambda t: chaos3.sp_batch_estimate(t, [1.5], 1000, SEED),
+], ids=["spectral_radius_moments", "sp_batch_estimate"])
+def test_integer_grids_reject_other_values_by_name(call):
+    with pytest.raises(ValueError, match="must hold integers, got 1.5"):
+        call(triple_product())
 
 
 def test_sp_batch_estimate_never_eigensolves(monkeypatch):
