@@ -21,6 +21,7 @@ MELLIN_REL_TOL = 1e-13   # negative_moment: agreement of two step levels
 MAX_GRID_NODES = 1 << 21   # largest uniform grid of either transform
 DENSITY_TAIL_EPS = 1e-8   # density_by_inversion: |phi| at the xi cutoff
 SPHERE_RESOLUTION = 64   # points of sphere_grid, before the two +-e_1
+MAX_SERIES_TERMS = 1 << 15   # smallball_cdf: terms of Ruben's series
 
 
 class PreconditionError(ValueError):
@@ -41,6 +42,10 @@ class NonIntegrableError(ValueError):
 
 class NodeCapError(ValueError):
     """The density inversion would need more than MAX_GRID_NODES xi nodes."""
+
+
+class SeriesCapError(ValueError):
+    """The small-ball series would need more than MAX_SERIES_TERMS terms."""
 
 
 class DiagonalSecondChaos:
@@ -218,6 +223,99 @@ def smallball_bound(p: int, eps: float) -> float:
     return math.sqrt(2.0 * math.factorial(p)) / 2.0 ** p * eps ** (p / 2.0)
 
 
+def smallball_cdf(f: DiagonalSecondChaos, eps) -> np.ndarray:
+    """P(Gamma[F,F] < eps) for each eps > 0, by Ruben's (1962) series.
+
+    Gamma = sum_k w_k G_k^2 with w_k = 4 alpha_k^2 over the m nonzero
+    coefficients.  With beta = min w, y = eps / (2 beta) and P(a, y) the
+    regularised lower incomplete gamma function,
+    P(Gamma < eps) = sum_j c_j P(m/2 + j, y), where c_0 = prod
+    (beta/w_k)^(1/2), c_j = (1/2j) sum_{r<j} g_{j-r} c_r and g_j =
+    sum_k (1 - beta/w_k)^j; the c_j are positive and sum to 1.  The
+    lower series of P(a, y) turns this into one positive sum
+    sum_n t_n C_n, t_n = y^(m/2+n) e^-y / Gamma(m/2+n+1), C_n = c_0 + ...
+    + c_n.  C_n is taken as C_J past the J of _mixing_terms, where
+    1 - C_J <= 2^-52.  The sum stops at the first N = 64 * 2^k whose tail
+    bound t_N / (1 - y/(m/2+N+1)), from C_n <= 1, is at most 2^-52 of
+    it; SeriesCapError if that needs more than MAX_SERIES_TERMS terms,
+    which happens as w_max/w_min or eps/E Gamma grows.
+    """
+    eps = np.asarray(eps, dtype=float).ravel()
+    if not np.all((eps > 0) & np.isfinite(eps)):
+        raise ValueError("eps must be finite and > 0")
+    a = np.abs(f.alphas[f.alphas != 0.0])
+    half_m, lo = a.size / 2.0, float(a.min())
+    q = lo / a                                   # (beta / w_k)^(1/2)
+    q2, log_c0 = q * q, float(np.sum(np.log(q)))
+    with np.errstate(over="ignore", under="ignore"):
+        y = eps / (8.0 * lo) / lo    # beta = 4 lo^2, never squared
+    cap = SeriesCapError(f"P(Gamma < {eps.max():g}) needs more than "
+                         f"{MAX_SERIES_TERMS} terms of Ruben's series")
+    if y.max() >= half_m + MAX_SERIES_TERMS:
+        raise cap
+    tiny = y < np.finfo(float).tiny
+    log_y = np.log(np.where(tiny, 1.0, y))
+    log_y[tiny] = np.log(eps[tiny]) - math.log(8.0 * lo) - math.log(lo)
+    mixing_terms = _mixing_terms(q2, log_c0) + 1
+    n_terms = 64
+    while n_terms <= MAX_SERIES_TERMS:
+        log_cum = _log_mixing_cdf(q2, log_c0, min(n_terms, mixing_terms))
+        nu = half_m + np.arange(n_terms + 1)
+        log_t = (nu * log_y[:, None] - y[:, None]
+                 - np.array([math.lgamma(v + 1.0) for v in nu]))
+        terms = log_t[:, :-1] + log_cum[np.minimum(np.arange(n_terms),
+                                                   log_cum.size - 1)]
+        top = terms.max(axis=1)
+        log_sum = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        ratio = y / (nu[-1] + 1.0)        # bounds t_(n+1) / t_n for n >= N
+        with np.errstate(divide="ignore"):
+            log_tail = log_t[:, -1] - np.log1p(-np.minimum(ratio, 1.0))
+        if np.all(log_tail <= log_sum + math.log(2.0 ** -52)):
+            return np.exp(log_sum)
+        n_terms *= 2
+    raise cap
+
+
+def _mixing_terms(q2: np.ndarray, log_c0: float) -> int:
+    """A J with 1 - C_J <= 2^-52, by Chernoff's bound, or
+    MAX_SERIES_TERMS if the bound finds none.  Ruben's c_j are the law of
+    K, a sum of independent negative binomials (1/2, 1 - q2_k), so
+    1 - C_J = P(K > J) <= E[rho^K] / rho^(J+1) with E[rho^K] = c_0 prod
+    (rho q2_k - (rho - 1))^(-1/2) for 1 < rho < 1 / (1 - min q2); the
+    smallest J over a grid of log rho is returned."""
+    if q2.min() == 1.0:
+        return 0
+    log_rho = -math.log1p(-float(q2.min())) * np.linspace(0, 1, 258)[1:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mgf = log_c0 - 0.5 * np.log(
+            np.exp(log_rho)[:, None] * q2 - np.expm1(log_rho)[:, None]
+        ).sum(axis=1)
+        j = np.min((log_mgf + 52.0 * math.log(2.0)) / log_rho)
+    return int(math.ceil(min(j, MAX_SERIES_TERMS)))
+
+
+def _log_mixing_cdf(q2: np.ndarray, log_c0: float, n: int) -> np.ndarray:
+    """log C_j = log(c_0 + ... + c_j) of Ruben's weights for j < n, one
+    dot per step, with g_j = sum_k (1 - q2_k)^j.  The c_j are kept as
+    ratios to a running power-of-two scale, so c_0 may lie far below the
+    smallest double."""
+    d, g = np.empty(n), np.empty(n)
+    d[0], total, log_scale = 1.0, 1.0, log_c0
+    gam, power = 1.0 - q2, np.ones_like(q2)
+    out = [log_c0]
+    for j in range(1, n):
+        power *= gam
+        g[j] = power.sum()
+        d[j] = g[j:0:-1] @ d[:j] / (2.0 * j)
+        total += d[j]
+        if total > 2.0 ** 512:
+            d[:j + 1] *= 2.0 ** -512
+            total *= 2.0 ** -512
+            log_scale += 512.0 * math.log(2.0)
+        out.append(log_scale + math.log(total))
+    return np.array(out)
+
+
 def negative_moment(f: DiagonalSecondChaos, q: float) -> float:
     """E Gamma[F,F]^(-q) = (1/Gamma(q)) int_R e^(qt) L(e^t) dt, L the
     Laplace transform, by one trapezoid sum in t = log lam; q < m/2.
@@ -332,9 +430,11 @@ class MultivariateSecondChaos:
         if not ms:
             raise ValueError("need at least one matrix")
         n = ms[0].shape[0]
-        for m in ms:
+        for i, m in enumerate(ms, start=1):
             if m.ndim != 2 or m.shape != (n, n):
                 raise ValueError("matrices must be square and same dimension")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"matrix {i} has a non-finite entry")
             if not np.allclose(m, m.T, rtol=0.0,
                                atol=1e-12 * max(1.0, float(np.abs(m).max()))):
                 raise ValueError("matrices must be symmetric")

@@ -10,8 +10,9 @@ and the power sums of a squared spectrum from its eigenvalues.  The
 symmetric functions of those sums reuse the library's Newton-Girard
 recursion, which test_sp_grid_shares_one_table checks against
 brute-force sums.  The second-chaos transforms have slow references
-here too: the Mellin integral by adaptive quadrature and the density by
-a direct cos/sin sum over every (x, xi) pair.
+here too: the Mellin integral by adaptive quadrature, the density by
+a direct cos/sin sum over every (x, xi) pair, and the small-ball CDF by
+Imhof's inversion integral.
 """
 
 import math
@@ -248,3 +249,32 @@ def density_outer_product(f, x_min=-6.0, x_max=6.0, dx=0.01,
         dens += (np.cos(arg) @ (w * phi.real)[s:s + blk]
                  + np.sin(arg) @ (w * phi.imag)[s:s + blk])
     return xs, dens / math.pi
+
+
+def imhof_cdf(weights, x):
+    """P(sum_k w_k G_k^2 < x) for weights w_k > 0 by Imhof's (1961)
+    inversion integral, 1/2 - (1/pi) int_0^inf sin(theta(u)) / (u rho(u))
+    du with theta(u) = (1/2) sum arctan(w_k u) - x u / 2 and rho(u) =
+    prod (1 + w_k^2 u^2)^(1/4).
+
+    Adaptive quadrature up to the U where the remainder bound
+    (2/m) U^(-m/2) prod w^(-1/2) falls to 1e-13; needs m >= 3 weights.
+    The error is absolute, about 1e-12, so only probabilities in the bulk
+    check to a relative tolerance.
+    """
+    w = np.asarray(weights, dtype=float)
+    m = w.size
+
+    def integrand(u):
+        theta = 0.5 * float(np.sum(np.arctan(w * u))) - 0.5 * x * u
+        return math.sin(theta) / (
+            u * math.exp(0.25 * float(np.sum(np.log1p((w * u) ** 2)))))
+
+    log_k = -0.5 * float(np.sum(np.log(w)))
+    u_max = math.exp((log_k + math.log(2.0 / m) - math.log(1e-13))
+                     / (m / 2.0))
+    val, err = integrate.quad(integrand, 0.0, u_max, epsabs=1e-12,
+                              epsrel=0.0, limit=5000)
+    if err > 1e-11:
+        raise AssertionError(f"quadrature error {err:.3g}")
+    return 0.5 - val / math.pi

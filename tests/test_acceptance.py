@@ -88,9 +88,10 @@ def test_c03_sp_inequality_and_partition_formula():
 def test_c04_smallball_certified_family():
     # Gamma = chi2_192 / 96 here, so P(Gamma < eps) = gammainc(96, 48 eps)
     # exactly.  At the claim's eps that is below 1e-60: the draws cannot
-    # fail the bound there, so the exact CDF is checked against the bound
-    # and the same draws must reproduce the CDF at eps 1.4-1.6, where
-    # about 550, 4 000 and 19 000 hits are expected.
+    # fail the bound there, so the exact CDF is checked against the bound,
+    # chaos2.smallball_cdf against that CDF, and the same draws must
+    # reproduce the CDF at eps 1.4-1.6, where about 550, 4 000 and 19 000
+    # hits are expected.
     from scipy.special import gammainc
     start = time.perf_counter()
     n = 192
@@ -106,15 +107,19 @@ def test_c04_smallball_certified_family():
     phat, se = phat_all[:3], se_all[:3]
     bounds = np.array([chaos2.smallball_bound(3, e) for e in eps])
     within = np.all(phat <= bounds + 3 * se)
-    exact_ok = np.all(gammainc(n / 2, n / 4 * eps) <= bounds)
+    exact = gammainc(n / 2, n / 4 * eps)
+    exact_ok = np.all(exact <= bounds)
+    series_rel = float(np.max(np.abs(chaos2.smallball_cdf(f, eps) / exact
+                                     - 1.0)))
     z = (phat_all[3:] - gammainc(n / 2, n / 4 * eps_bulk)) / se_all[3:]
     elapsed = time.perf_counter() - start
     ok = (cert.certified and kappa4 == pytest.approx(1 / 16, rel=1e-12)
-          and within and exact_ok and np.all(np.abs(z) <= 3.0)
-          and elapsed < 60.0)
+          and within and exact_ok and series_rel <= 1e-12
+          and np.all(np.abs(z) <= 3.0) and elapsed < 60.0)
     assert report(4, ok, f"kappa4={kappa4:.6g} < {cert.threshold:.6g}; "
                          f"phat={phat} <= bound+3se={bounds + 3 * se}; "
-                         f"exact cdf <= bound: {exact_ok}; bulk z={z}; "
+                         f"exact cdf <= bound: {exact_ok}; series vs "
+                         f"gammainc rel {series_rel:.1e}; bulk z={z}; "
                          f"{elapsed:.1f}s")
 
 

@@ -260,6 +260,116 @@ def test_smallball_empirical_never_beats_bound():
 
 
 # ---------------------------------------------------------------------------
+# small-ball CDF by Ruben's series
+# ---------------------------------------------------------------------------
+
+def uniform_family(m=8, seed=3):
+    """Unit-variance coefficients drawn from U(0.2, 1): w_max / w_min
+    near 25, so Ruben's series takes hundreds of terms."""
+    a = np.random.default_rng(seed).uniform(0.2, 1.0, m)
+    return DiagonalSecondChaos(a, normalize=True)
+
+
+@pytest.mark.parametrize("m,rtol", [(1, 1e-13), (2, 1e-13), (3, 1e-13),
+                                    (12, 1e-13), (64, 1e-13), (192, 2e-13)])
+def test_smallball_cdf_chi2_average_is_gammainc(m, rtol):
+    # Gamma = (2/m) chi2_m: every weight equals beta, the series has one
+    # term and is the lower series of P(m/2, m eps / 4).  At m = 192,
+    # gammainc itself is up to 9e-14 off a 40-digit evaluation here.
+    from scipy.special import gammainc
+    eps = np.array([0.05, 0.1, 0.2, 0.5, 1.0, 1.5, 2.0])
+    assert np.allclose(chaos2.smallball_cdf(chi2_average(m), eps),
+                       gammainc(m / 2, m / 4 * eps), rtol=rtol, atol=0)
+
+
+def test_smallball_cdf_matches_imhof():
+    # from the lower bulk to the upper tail (P = 0.038 ... 0.988)
+    f = uniform_family()
+    eps = np.array([0.5, 1.0, 2.0, 6.0])
+    ref = [oracles.imhof_cdf(4.0 * f.alphas ** 2, e) for e in eps]
+    assert np.allclose(chaos2.smallball_cdf(f, eps), ref, rtol=1e-8, atol=0)
+
+
+def test_smallball_cdf_drops_zero_coefficients_and_signs():
+    eps = [0.01, 0.3, 2.0]
+    ref = chaos2.smallball_cdf(DiagonalSecondChaos([0.5, 0.3]), eps)
+    for alphas in ([0.5, 0.0, 0.3], [0.0, -0.5, 0.3]):
+        assert np.array_equal(
+            chaos2.smallball_cdf(DiagonalSecondChaos(alphas), eps), ref)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+def test_smallball_cdf_scale_covariant(scale):
+    # P_{c alpha}(eps) = P_alpha(eps / c^2); the series sees only the
+    # ratios alpha_min / alpha_k and eps / alpha_min^2
+    f = uniform_family()
+    eps = np.array([0.01, 0.1, 0.5, 2.0])
+    ref = chaos2.smallball_cdf(f, eps)
+    scaled = chaos2.smallball_cdf(DiagonalSecondChaos(scale * f.alphas),
+                                  scale * scale * eps)
+    assert np.allclose(scaled, ref, rtol=1e-12, atol=0)
+
+
+def test_smallball_cdf_many_spread_weights():
+    # m = 400 with c_0 = prod (alpha_min / alpha_k) below the smallest
+    # double: the mixing weights must be carried on a scale
+    rng = np.random.default_rng(400)
+    a = np.concatenate([[0.1], rng.uniform(0.5, 1.0, 399)])
+    assert np.sum(np.log(a.min() / a)) < math.log(5e-324)
+    w = 4.0 * a * a
+    eps = w.sum() * np.array([0.5, 0.8, 1.0, 1.2])
+    cdf = chaos2.smallball_cdf(DiagonalSecondChaos(a), eps)
+    assert np.all(np.isfinite(cdf)) and 0 < cdf[0] < 1e-12
+    assert np.all(np.diff(cdf) > 0)
+    ref = [oracles.imhof_cdf(w, e) for e in eps[1:]]
+    assert np.allclose(cdf[1:], ref, rtol=1e-8, atol=0)
+
+
+def test_smallball_cdf_below_smallest_normal_y():
+    # y = eps / (2 beta) underflows; one coefficient: P(4 G^2 < eps) =
+    # erf(sqrt(eps / 8))
+    eps = np.array([1e-300, 1e-310, 1e-320])
+    ref = [math.erf(math.sqrt(e / 8.0)) for e in eps]
+    cdf = chaos2.smallball_cdf(DiagonalSecondChaos([1.0]), eps)
+    assert np.allclose(cdf, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alphas,eps", [
+    ([1.0, 1e-4], [0.05, 0.1, 0.2]),           # w_max / w_min = 1e8
+    ([1.0, 1.0], [256_000.0]),   # y = 32 000: its Poisson tail needs more
+])
+def test_smallball_cdf_raises_past_term_cap(alphas, eps):
+    with pytest.raises(chaos2.SeriesCapError,
+                       match=f"more than {chaos2.MAX_SERIES_TERMS} terms"):
+        chaos2.smallball_cdf(DiagonalSecondChaos(alphas), eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
+def test_smallball_cdf_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        chaos2.smallball_cdf(uniform_family(), [0.1, eps])
+
+
+def test_smallball_cdf_matches_draws():
+    # at eps where exact x samples gives thousands of hits; the second
+    # column scales every draw by 1.01, a bias the test must see
+    f = uniform_family()
+    eps = np.array([0.2, 0.5, 1.0, 2.0])
+    exact = chaos2.smallball_cdf(f, eps)
+    assert np.all(exact * 1_000_000 > 1000)
+
+    def fn(rng, cnt):
+        g = f.sample_gamma(rng, cnt)
+        return np.column_stack([g, 1.01 * g])
+
+    (hits,) = mc.reduce(fn, 1_000_000, mc.RngSpec(31), mc.Hits(eps))
+    phat, se = hits.fractions()
+    z = (phat - exact) / se
+    assert np.all(np.abs(z[0]) <= 4.0), z[0]
+    assert np.max(np.abs(z[1])) > 4.0, z[1]
+
+
+# ---------------------------------------------------------------------------
 # negative moments
 # ---------------------------------------------------------------------------
 
@@ -450,6 +560,14 @@ def test_multivariate_identity_cov():
 def test_multivariate_rejects_asymmetric():
     with pytest.raises(ValueError):
         MultivariateSecondChaos([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_multivariate_rejects_non_finite(bad):
+    # an infinite entry used to pass the symmetry check (its tolerance is
+    # then inf) and fail later inside sphere_kappa4_max
+    with pytest.raises(ValueError, match="matrix 1 has a non-finite entry"):
+        MultivariateSecondChaos([[[bad, 0.0], [0.0, 1.0]], np.eye(2)])
 
 
 def test_cross_gamma_worked_pair():

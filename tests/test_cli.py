@@ -350,6 +350,8 @@ def test_rerun_reproduces_csv_bitwise(tmp_path):
 
 
 def test_run_smallball2(tmp_path):
+    # Gamma = chi2_192 / 96: the exact CDF is gammainc(96, 48 eps)
+    from scipy.special import gammainc
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "smallball2",
                      ["kind = chi2-average", "size = 192"],
@@ -357,7 +359,35 @@ def test_run_smallball2(tmp_path):
                      samples=50_000, out=out)
     assert cli.main(["run", str(p)]) == 0
     rows = (out / "smallball2.csv").read_text().strip().split("\n")
-    assert rows[0] == "eps,phat,se,bound,pass"
+    assert rows[0] == "eps,cdf,bound,pass"
+    eps, cdf = np.array([[float(v) for v in r.split(",")[:2]]
+                         for r in rows[1:]]).T
+    assert np.allclose(cdf, gammainc(96, 48 * eps), rtol=1e-12, atol=0)
+    assert np.allclose(cdf, [2.968e-115, 2.189e-87, 1.505e-60], rtol=1e-3)
+
+
+def test_smallball2_draws_nothing(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("smallball2 drew samples")
+
+    monkeypatch.setattr(chaos2.DiagonalSecondChaos, "sample_gamma", refuse)
+    monkeypatch.setattr(cli.mc, "reduce", refuse)
+    p = write_config(tmp_path / "c.ini", "smallball2",
+                     ["kind = chi2-average", "size = 192"],
+                     samples=50_000, out=tmp_path / "run")
+    assert cli.main(["run", str(p)]) == 0
+
+
+def test_smallball2_past_series_cap_exits_2(tmp_path, capsys):
+    # w_max / w_min = 1e8: y = eps / (2 beta) is 6e5 at eps = 0.05
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "smallball2",
+                     ["kind = diagonal", "alphas = 1, 0.0001"],
+                     out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"more than {chaos2.MAX_SERIES_TERMS} terms" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,model,key,value", [
