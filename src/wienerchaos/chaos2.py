@@ -185,15 +185,14 @@ def check_sp_deviation(f: DiagonalSecondChaos, p: int) -> SpDeviation:
 def laplace_gamma(f: DiagonalSecondChaos, lam):
     """E exp(-lam * Gamma[F,F]) = prod_k (1 + 8 lam alpha_k^2)^(-1/2).
 
-    The product runs over the nonzero coefficients.  Accepts a scalar or
-    an array of lam values.
+    The product runs over the nonzero coefficients.  Takes lam of any
+    shape and returns that shape (0-d for a scalar).
     """
     lam_arr = np.asarray(lam, dtype=float)
     if (lam_arr < 0).any():
         raise ValueError("lam must be >= 0")
     a2 = f.alphas[f.alphas != 0.0] ** 2
-    out = np.exp(-0.5 * np.log1p(8.0 * np.multiply.outer(lam_arr, a2)).sum(-1))
-    return float(out) if lam_arr.ndim == 0 else out
+    return np.exp(-0.5 * np.log1p(8.0 * np.multiply.outer(lam_arr, a2)).sum(-1))
 
 
 @dataclass(frozen=True)
@@ -371,10 +370,9 @@ def log_char_product(z):
 
 def char_function(f: DiagonalSecondChaos, xi):
     """E exp(i xi F) = prod_k exp(-i alpha_k xi) (1 - 2 i alpha_k xi)^(-1/2)
-    at a scalar or an array of xi values."""
+    for xi of any shape, returned in that shape (0-d for a scalar)."""
     ax = np.multiply.outer(np.asarray(xi, dtype=float), f.alphas)
-    out = np.exp(log_char_product(ax) - 1j * np.sum(ax, axis=-1))
-    return complex(out) if out.ndim == 0 else out
+    return np.exp(log_char_product(ax) - 1j * np.sum(ax, axis=-1))
 
 
 def density_by_inversion(f: DiagonalSecondChaos, x_min: float = -6.0,
@@ -429,38 +427,41 @@ class MultivariateSecondChaos:
         ms = [np.asarray(m, dtype=float) for m in mats]
         if not ms:
             raise ValueError("need at least one matrix")
-        n = ms[0].shape[0]
-        for i, m in enumerate(ms, start=1):
-            if m.ndim != 2 or m.shape != (n, n):
-                raise ValueError("matrices must be square and same dimension")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"matrix {i} has a non-finite entry")
-            if not np.allclose(m, m.T, rtol=0.0,
-                               atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-                raise ValueError("matrices must be symmetric")
-        self.mats = [m.copy() for m in ms]
-        for m in self.mats:
-            m.flags.writeable = False
+        shape = ms[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(
+                m.shape != shape for m in ms):
+            raise ValueError("matrices must be square and same dimension")
+        a = np.array(ms)
+        bad = ~np.isfinite(a).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(
+                f"matrix {int(bad.argmax()) + 1} has a non-finite entry")
+        atol = 1e-12 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        if (np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > atol).any():
+            raise ValueError("matrices must be symmetric")
+        a.flags.writeable = False
+        self.mats = a    # (d, n, n), read-only
 
     @property
     def d(self) -> int:
-        return len(self.mats)
+        return self.mats.shape[0]
+
+    def products(self) -> np.ndarray:
+        """A_i A_j for every pair, shape (d, d, n, n)."""
+        return self.mats[:, None] @ self.mats[None, :]
 
     def covariance(self) -> np.ndarray:
-        d = self.d
-        c = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                c[i, j] = 2.0 * np.trace(self.mats[i] @ self.mats[j])
-        return c
+        return 2.0 * np.trace(self.products(), axis1=2, axis2=3)
 
     def has_identity_cov(self) -> bool:
         return bool(np.max(np.abs(self.covariance() - np.eye(self.d)))
                     <= UNIT_VAR_TOL)
 
     def combined(self, t) -> np.ndarray:
+        """A_t = sum_i t_i A_i, summed in order of i, for one direction
+        (d,) or a batch (k, d); shape (n, n) or (k, n, n)."""
         t = np.asarray(t, dtype=float)
-        return np.einsum('i,ijk->jk', t, np.array(self.mats))
+        return (t[..., None, None] * self.mats).sum(axis=-3)
 
 
 def sphere_grid(d: int) -> np.ndarray:
@@ -500,9 +501,8 @@ class CrossGammaStats:
     var_diag: np.ndarray        # Var(Gamma[F_i, F_i])
     cross_l2: np.ndarray        # ||Gamma[F_i, F_j]||_2, d x d
     bound_rhs: float            # max var + d^2 max off-diagonal L2 norm
-    kappa4_max: Kappa4Max       # the one sphere search
-    worst_lhs: float            # Var(Gamma[F_t, F_t]) at its direction
-    worst_direction: np.ndarray
+    kappa4_max: Kappa4Max       # the one sphere search; the worst direction
+    worst_lhs: float            # Var(Gamma[F_t, F_t]) at that direction
     holds: bool
 
 
@@ -522,23 +522,17 @@ def cross_gamma_stats(m: MultivariateSecondChaos) -> CrossGammaStats:
                             + d^2 max_{i != j} ||Gamma[F_i, F_j]||_2.
     """
     d = m.d
-    var_diag = np.empty(d)
-    cross = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            prod = m.mats[i] @ m.mats[j]
-            gmat = 2.0 * (prod + prod.T)  # symmetrized 4 X'A_iA_jX
-            tr_g2 = float(np.sum(gmat * gmat))   # Tr(G^2), G symmetric
-            if i == j:
-                var_diag[i] = 2.0 * tr_g2
-            cross[i, j] = math.sqrt(float(np.trace(gmat)) ** 2 + 2.0 * tr_g2)
-    off = [cross[i, j] for i in range(d) for j in range(d) if i != j]
-    rhs = float(var_diag.max() + (d ** 2) * (max(off) if off else 0.0))
+    prod = m.products()
+    gmat = 2.0 * (prod + prod.swapaxes(2, 3))  # symmetrized 4 X'A_iA_jX
+    tr_g2 = np.sum(gmat * gmat, axis=(2, 3))   # Tr(G^2), G symmetric
+    var_diag = 2.0 * np.diagonal(tr_g2)
+    cross = np.sqrt(np.trace(gmat, axis1=2, axis2=3) ** 2 + 2.0 * tr_g2)
+    off = cross[~np.eye(d, dtype=bool)]
+    rhs = float(var_diag.max() + (d ** 2) * off.max(initial=0.0))
     k4 = sphere_kappa4_max(m)
     worst = 2.0 / 3.0 * k4.value
     holds = bool(worst <= rhs + 1e-12 * max(1.0, abs(rhs)))
-    return CrossGammaStats(var_diag, cross, rhs, k4, worst, k4.direction,
-                           holds)
+    return CrossGammaStats(var_diag, cross, rhs, k4, worst, holds)
 
 
 @dataclass(frozen=True)
@@ -547,10 +541,11 @@ class Kappa4Max:
     direction: np.ndarray
 
 
-def kappa4_of_direction(m: MultivariateSecondChaos, t) -> float:
-    at = m.combined(t)
+def kappa4_of_directions(m: MultivariateSecondChaos, ts) -> np.ndarray:
+    """kappa_4(F_t) = 48 Tr(A_t^4) for each row t of ts, shape (k, d)."""
+    at = m.combined(ts)
     a2 = at @ at
-    return float(48.0 * np.trace(a2 @ a2))
+    return 48.0 * np.trace(a2 @ a2, axis1=1, axis2=2)
 
 
 def sphere_kappa4_max(m: MultivariateSecondChaos) -> Kappa4Max:
@@ -565,25 +560,22 @@ def sphere_kappa4_max(m: MultivariateSecondChaos) -> Kappa4Max:
     reported value is a lower bound of the true maximum (a local maximum
     reached from the grid's best point).
     """
-    best_v, best_t = -np.inf, None
-    for t in sphere_grid(m.d):
-        v = kappa4_of_direction(m, t)
-        if v > best_v:
-            best_v, best_t = v, t
-    t = np.asarray(best_t, dtype=float)
+    grid = sphere_grid(m.d)
+    values = kappa4_of_directions(m, grid)
+    best = int(np.argmax(values))     # the first of equal maxima
+    best_v, t = float(values[best]), grid[best]
     while True:
         at = m.combined(t)
-        a3 = at @ at @ at
-        g = np.array([np.sum(a3 * ai) for ai in m.mats])  # Tr(A_t^3 A_i)
+        g = np.tensordot(m.mats, at @ at @ at, axes=2)   # Tr(A_t^3 A_i)
         norm = np.linalg.norm(g)
         if norm == 0.0:
             break
         cand = g / norm
-        v = kappa4_of_direction(m, cand)
+        v = float(kappa4_of_directions(m, cand[None])[0])
         if not v > best_v + 1e-15 * best_v:    # a NaN stops the search too
             break
         best_v, t = v, cand
-    return Kappa4Max(float(best_v), t)
+    return Kappa4Max(best_v, t)
 
 
 def laplace_vs_mc(f: DiagonalSecondChaos, lam_grid, n: int,
@@ -591,11 +583,11 @@ def laplace_vs_mc(f: DiagonalSecondChaos, lam_grid, n: int,
     """Closed-form Laplace transform next to its Monte Carlo estimate, one
     pair per lambda of the grid, all columns of one pass over spec."""
     lams = [float(v) for v in np.ravel(lam_grid)]
+    closed = laplace_gamma(f, lams)    # a rejected grid costs no draws
 
     def fn(rng, cnt):
         g = f.sample_gamma(rng, cnt)
         return np.stack([np.exp(-lam * g) for lam in lams], axis=1)
 
     (moments,) = mc.reduce(fn, n, spec, mc.Moments())
-    return [(laplace_gamma(f, lam), est)
-            for lam, est in zip(lams, moments.results())]
+    return list(zip(closed, moments.results()))

@@ -20,7 +20,6 @@ from functools import cached_property
 from itertools import permutations
 
 import numpy as np
-from scipy import sparse
 
 from . import mc
 from .chaos2 import (UNIT_VAR_TOL, DiagonalSecondChaos, PreconditionError,
@@ -92,6 +91,8 @@ class SymThreeTensor:
         Slots are ordered by their target row.  The sparse twin of
         _pair_weights: it gathers only the pairs that some triple uses.
         """
+        from scipy import sparse   # loads only on first sparse use
+
         i, j, k, vals = self._gradient_triples()
         target = np.concatenate([i, j, k])
         order = np.argsort(target, kind="stable")

@@ -354,9 +354,10 @@ def _exp_spectral_radius(cfg, model, rec):
 def _exp_trace_concentration(cfg, model, rec):
     sizes = _int_grid(cfg.grids, "sizes", "6, 12, 24")
     kind = cfg.model.get("kind", "complete-3-tensor")
+    # every model before the first draw: a rejected size costs no sampling
+    models = [family_generators(kind, size) for size in sizes]
     rows = []
-    for i, size in enumerate(sizes):
-        t = family_generators(kind, size)
+    for i, (size, t) in enumerate(zip(sizes, models)):
         tf = chaos3.trace_form(t)
         kappa4 = chaos3.kappa4_contraction(t)
         est = mc.estimate(
@@ -434,6 +435,9 @@ def _exp_sp_lower_bound(cfg, model, rec):
     rows = []
     for res in results:
         p = res.p
+        rec.check(f"sp_lower_bound_p{p}", res.bound_holds,
+                  f"mean={res.estimate.mean:.6g} se={res.estimate.stderr:.3g} "
+                  f"lower_bound={res.lower_bound:.6g}")
         rows.append((p, res.estimate.mean, res.estimate.stderr,
                      res.lower_bound, res.bound_holds))
         rec.csv(f"sp_smallball_p{p}.csv", ["alpha", "phat", "se"],

@@ -215,6 +215,25 @@ def test_laplace_domain():
         chaos2.laplace_gamma(DiagonalSecondChaos([SQ2]), -0.1)
 
 
+def test_laplace_transforms_return_arrays():
+    f = DiagonalSecondChaos([0.5, 0.5])
+    for fn in (chaos2.laplace_gamma, chaos2.char_function):
+        at_one = fn(f, 1.0)
+        assert isinstance(at_one, np.generic) and at_one.ndim == 0
+        assert np.shape(fn(f, [[0.5, 1.0, 2.0]])) == (1, 3)
+
+
+def test_laplace_vs_mc_rejected_grid_draws_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("laplace_vs_mc drew samples")
+
+    monkeypatch.setattr(DiagonalSecondChaos, "sample_gamma", refuse)
+    monkeypatch.setattr(chaos2.mc, "reduce", refuse)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        chaos2.laplace_vs_mc(DiagonalSecondChaos([0.5, 0.5]), [1.0, -0.5],
+                             200_000, mc.RngSpec(17))
+
+
 @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
 def test_laplace_matches_mc(lam):
     f = DiagonalSecondChaos([0.5, 0.5])
@@ -245,18 +264,16 @@ def test_smallball_bound_values():
     assert np.all(np.diff(vals) > 0)
 
 
-def test_smallball_empirical_never_beats_bound():
-    # certified family: kappa4 = 12/16 < 1 = threshold at p = 2
+def test_smallball_cdf_never_beats_bound():
+    # certified family: kappa4 = 12/16 < 1 = threshold at p = 2; the exact
+    # CDF (1.1e-8, 3.7e-5, 3.3e-3) against the bound (0.05, 0.15, 0.3)
     n = 16
     f = DiagonalSecondChaos(np.full(n, 1.0 / math.sqrt(2 * n)))
     assert chaos2.thm1_certificate(
         chaos2.newton_cumulants(f, 2).cumulants[1], 2).certified
-    nsamp = 100_000
-    g = f.sample_gamma(mc.RngSpec(23).generator(), nsamp)
-    for eps in (0.1, 0.3, 0.6):
-        phat = float((g < eps).mean())
-        se = math.sqrt(phat * (1 - phat) / nsamp)
-        assert phat <= chaos2.smallball_bound(2, eps) + 3 * se
+    eps = (0.1, 0.3, 0.6)
+    for e, cdf in zip(eps, chaos2.smallball_cdf(f, eps)):
+        assert cdf <= chaos2.smallball_bound(2, e)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +621,10 @@ def test_cross_gamma_matches_isserlis_oracle():
             assert np.allclose(stats.var_diag, var_diag, rtol=1e-10, atol=0)
             assert np.allclose(stats.cross_l2, cross, rtol=1e-10, atol=0)
             assert stats.bound_rhs == pytest.approx(rhs, rel=1e-10)
-            assert np.linalg.norm(stats.worst_direction) == pytest.approx(
-                1.0, abs=1e-12)
-            assert stats.worst_lhs == pytest.approx(
-                var_along(stats.worst_direction), rel=1e-10)
+            worst = stats.kappa4_max.direction
+            assert np.linalg.norm(worst) == pytest.approx(1.0, abs=1e-12)
+            assert stats.worst_lhs == pytest.approx(var_along(worst),
+                                                    rel=1e-10)
             grid_max = max(var_along(t) for t in chaos2.sphere_grid(d))
             assert stats.worst_lhs >= grid_max * (1.0 - 1e-12)
 
@@ -632,8 +649,9 @@ def test_sphere_kappa4_worked_pair():
     m = worked_pair()
     res = chaos2.sphere_kappa4_max(m)
     assert res.value == pytest.approx(6.0, abs=1e-12)
-    for t in chaos2.sphere_grid(2):
-        assert chaos2.kappa4_of_direction(m, t) == pytest.approx(6.0, abs=1e-12)
+    k4 = chaos2.kappa4_of_directions(m, chaos2.sphere_grid(2))
+    assert k4.shape == (66,)
+    assert np.all(np.abs(k4 - 6.0) <= 1e-12)
 
 
 def test_sphere_kappa4_d1_consistency():

@@ -211,7 +211,7 @@ def test_cli_import_loads_no_heavy_scipy_module():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, wienerchaos.cli; print(sorted(m for m in "
             "('scipy.signal', 'scipy.integrate', 'scipy.fft', "
-            "'scipy.special') if m in sys.modules))")
+            "'scipy.special', 'scipy.sparse') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -228,6 +228,21 @@ def test_run_trace_concentration(tmp_path):
     k4 = [float(r.split(",")[1]) for r in rows[1:]]
     vt = [float(r.split(",")[2]) for r in rows[1:]]
     assert k4[1] < k4[0] and vt[1] < vt[0]
+
+
+def test_trace_concentration_rejected_size_draws_nothing(tmp_path,
+                                                        monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trace-concentration drew samples")
+
+    monkeypatch.setattr(cli.mc, "estimate", refuse)
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "trace-concentration",
+                     ["kind = block-3-tensor"], ["sizes = 6, 13"],
+                     samples=200_000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert "divisible by 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_smallball3_and_negmoment3(tmp_path):
@@ -269,6 +284,8 @@ def test_run_sp_lower_bound(tmp_path):
     assert checks["newton_sums_match_spectrum"]["passed"]
     assert checks["newton_sums_match_spectrum"]["detail"].startswith(
         "q_max=2 ")
+    for p in (1, 2):
+        assert checks[f"sp_lower_bound_p{p}"]["passed"]
 
 
 def test_run_spectral_radius_and_negmoment2(tmp_path):
