@@ -124,9 +124,6 @@ class GaussianPolynomial:
             out[tuple(d)] = out.get(tuple(d), 0.0) + c * e[i]
         return GaussianPolynomial(self.nvars, out)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __call__(self, x) -> float:
         acc = 0.0
         for e, c in self.terms.items():

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from wienerchaos import mc
+from wienerchaos import chaos2, chaos3, mc
 from wienerchaos.chaos2 import newton_to_elementary
 from wienerchaos.wick import (
     GaussianPolynomial,
@@ -30,6 +30,31 @@ from wienerchaos.wick import (
 )
 
 ISSERLIS_MAX_N = 6   # cost cap of the degree-12 expansions
+
+
+def make_unit_alphas(rng, m=None):
+    """A random unit-variance DiagonalSecondChaos with m (default 1 to 6)
+    coefficients."""
+    m = int(m if m is not None else rng.integers(1, 7))
+    a = rng.standard_normal(m)
+    while np.all(a == 0.0):
+        a = rng.standard_normal(m)
+    return chaos2.DiagonalSecondChaos(a, normalize=True)
+
+
+def make_unit_tensor(rng, n=None):
+    """A random unit-variance SymThreeTensor on n (default 3 to 6)
+    variables, each triple present with probability 0.7."""
+    n = int(n if n is not None else rng.integers(3, 7))
+    entries = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                if rng.random() < 0.7:
+                    entries[(i, j, k)] = float(rng.standard_normal())
+    if not entries:
+        entries[(1, 2, 3)] = 1.0
+    return chaos3.SymThreeTensor(n, entries, normalize=True)
 
 
 def diagonal_polynomial(f):

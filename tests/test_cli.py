@@ -281,11 +281,17 @@ def test_run_sp_lower_bound(tmp_path):
     assert rows[0] == "p,mean_sp,se,lower_bound,bound_holds"
     checks = {a["name"]: a for a in read_manifest(out)["assertions"]}
     assert checks["s1_equals_trace"]["passed"]
-    assert checks["newton_sums_match_spectrum"]["passed"]
-    assert checks["newton_sums_match_spectrum"]["detail"].startswith(
-        "q_max=2 ")
-    for p in (1, 2):
-        assert checks[f"sp_lower_bound_p{p}"]["passed"]
+    newton = checks["newton_sums_match_spectrum"]
+    assert newton["passed"] and newton["tolerance"] == 1e-12
+    assert 0.0 <= newton["statistic"] <= newton["tolerance"]
+    assert newton["stderr"] is None and newton["z"] is None
+    for row in rows[1:]:
+        p, mean, se, bound, holds = row.split(",")
+        a = checks[f"sp_lower_bound_p{p}"]
+        assert a["passed"] and holds == "1"
+        assert (a["statistic"], a["stderr"], a["reference"]) == (
+            float(mean), float(se), float(bound))
+        assert a["z"] == (float(mean) - float(bound)) / float(se) > 0.0
 
 
 def test_run_spectral_radius_and_negmoment2(tmp_path):
@@ -399,7 +405,8 @@ def test_smallball2_past_series_cap_exits_2(tmp_path, capsys):
     # w_max / w_min = 1e8: y = eps / (2 beta) is 6e5 at eps = 0.05
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "smallball2",
-                     ["kind = diagonal", "alphas = 1, 0.0001"],
+                     ["kind = diagonal", "alphas = 1, 0.0001",
+                      "normalize = true"],
                      out=out)
     assert cli.main(["run", str(p)]) == 2
     err = capsys.readouterr().err
@@ -444,3 +451,149 @@ def test_smallball2_takes_one_p(tmp_path, capsys):
                      samples=2000, out=tmp_path / "run")
     assert cli.main(["run", str(p)]) == 2
     assert "smallball2 takes one p, got '2, 3'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# assertion records
+# ---------------------------------------------------------------------------
+
+MATRICES = ["kind = matrices", "mat.1 = 0.5 0 ; 0 -0.5",
+            "mat.2 = 0 0.5 ; 0.5 0"]
+
+# a small config of every experiment: model lines, grid lines, samples
+RECORD_CONFIGS = {
+    "thm1-certificate": (["kind = chi2-average", "size = 192"], ["p = 3"],
+                         2000),
+    "laplace-check": (["kind = diagonal", "alphas = 0.5, 0.5"],
+                      ["lambda = 1"], 2000),
+    "smallball2": (["kind = chi2-average", "size = 192"], [], 2000),
+    "negmoment2": (["kind = chi2-average", "size = 12"], ["q = 0.25"], 2000),
+    "density": (["kind = chi2-average", "size = 16"], ["x = -6, 6, 0.02"],
+                2000),
+    "multivariate-bounds": (MATRICES, [], 2000),
+    # xi = 0 makes both sides exact: stderr 0, so z is 0/0
+    "gamma-spec": (["kind = complete-3-tensor", "size = 4"],
+                   ["xi = 0, 0.5"], 2000),
+    "spectral-radius": (["kind = complete-3-tensor", "size = 6"], ["p = 1"],
+                        2000),
+    "trace-concentration": (["kind = block-3-tensor"], ["sizes = 6"], 2000),
+    "smallball3": (["kind = complete-3-tensor", "size = 6"],
+                   ["eps = 0.05, 0.1, 0.2, 0.4"], 20_000),
+    "negmoment3": (["kind = complete-3-tensor", "size = 4"],
+                   ["theta = 0.25"], 2000),
+    "sp-lower-bound": (["kind = block-3-tensor", "size = 12"], ["p = 1, 2"],
+                       2000),
+}
+
+RECORD_KEYS = {"name", "passed", "statistic", "reference", "stderr", "z",
+               "tolerance", "detail"}
+
+
+def strict_manifest(outdir):
+    def refuse(name):
+        raise ValueError(f"manifest.json holds {name}")
+
+    text = (outdir / "manifest.json").read_text(encoding="utf-8")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+def test_every_assertion_is_a_record_of_numbers(tmp_path, name):
+    model, grids, samples = RECORD_CONFIGS[name]
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, grids, samples=samples,
+                     out=out)
+    assert cli.main(["run", str(p)]) in (0, 1)
+    assertions = strict_manifest(out)["assertions"]
+    assert assertions
+    for a in assertions:
+        assert set(a) == RECORD_KEYS
+        assert isinstance(a["passed"], bool)
+        for key in ("statistic", "reference", "stderr", "z", "tolerance"):
+            assert a[key] is None or isinstance(a[key], float)
+        assert a["detail"].startswith("statistic=")
+        if a["z"] is not None:
+            assert a["z"] == (a["statistic"] - a["reference"]) / a["stderr"]
+        if a["stderr"] is None:
+            assert a["z"] is None
+
+
+def gate_abs_z(experiment, outdir):
+    """|z| of each Monte Carlo z-test from the run's CSV columns, by the
+    rule of the benchmark gate (benchmarks/gate.py, z_scores)."""
+    def rows(name):
+        lines = (outdir / name).read_text().strip().split("\n")
+        header = lines[0].split(",")
+        return [dict(zip(header, map(float, r.split(","))))
+                for r in lines[1:]]
+
+    if experiment == "gamma-spec":
+        return {f"gamma_spec_xi{r['xi']:g}": max(
+            abs(r["lhs"] - r["rhs_re"]) / math.hypot(r["lhs_se"],
+                                                     r["rhs_re_se"]),
+            abs(r["rhs_im"]) / r["rhs_im_se"])
+            for r in rows("gamma_spec.csv")}
+    if experiment == "negmoment2":
+        return {f"negmoment_q{r['q']:g}": abs(r["mc_mean"] - r["mellin"])
+                / r["mc_se"] for r in rows("negmoment2.csv")}
+    return {f"trace_mean_n{int(r['n'])}": abs(r["mc_trace_mean"] - 1.5)
+            / r["mc_trace_se"] for r in rows("trace_concentration.csv")}
+
+
+@pytest.mark.parametrize("name,model,grid", [
+    ("gamma-spec", ["kind = complete-3-tensor", "size = 4"],
+     "xi = 0.5, 1, 2"),
+    ("negmoment2", ["kind = chi2-average", "size = 12"], "q = 0.25, 1, 2"),
+    ("trace-concentration", ["kind = complete-3-tensor"], "sizes = 6, 12"),
+])
+def test_manifest_z_matches_the_gate_rule(tmp_path, name, model, grid):
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, [grid], samples=5000,
+                     out=out)
+    assert cli.main(["run", str(p)]) in (0, 1)
+    expected = gate_abs_z(name, out)
+    zs = {a["name"]: a["z"] for a in read_manifest(out)["assertions"]
+          if a["name"] in expected}
+    assert zs.keys() == expected.keys()
+    for key, z in zs.items():
+        assert abs(z) == pytest.approx(expected[key], rel=1e-12)
+
+
+def write_variance_81_tensor(path):
+    # 36 * 1.5^2 = 81
+    path.write_text("6\n1 2 3 1.5\n")
+    return path
+
+
+@pytest.mark.parametrize("name,grids,variance", [
+    ("thm1-certificate", [], "0.002"),
+    ("density", [], "0.002"),
+    ("smallball2", [], "0.002"),
+    ("sp-lower-bound", ["p = 1, 2"], "81"),
+])
+def test_unit_variance_experiments_reject_other_variances(
+        tmp_path, capsys, name, grids, variance):
+    if name == "sp-lower-bound":
+        path = write_variance_81_tensor(tmp_path / "t.txt")
+        model = ["kind = tensor-file", f"path = {path}"]
+    else:
+        model = ["kind = diagonal", "alphas = " + ", ".join(["0.01"] * 10)]
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, grids, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"needs a unit-variance model, got variance {variance}:" in err
+    assert "normalize = true" in err
+    assert not out.exists()
+
+
+def test_misspelled_grid_key_exits_2(tmp_path, capsys):
+    # the model lacks its alphas: the grid key is rejected before the build
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "laplace-check", ["kind = diagonal"],
+                     ["lamda = 9"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "experiment 'laplace-check' reads no grid 'lamda'; " \
+           "it reads ['lambda']" in err
+    assert not out.exists()
