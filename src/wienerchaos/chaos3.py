@@ -168,12 +168,12 @@ def _checked_entry(trip, val, n: int) -> tuple[tuple, float]:
     return (i, j, k), val
 
 
-def read_tensor_file(path) -> SymThreeTensor:
+def read_tensor_file(path, normalize: bool = False) -> SymThreeTensor:
     """Read the plain-text tensor format.
 
     Lines starting with '#' are comments.  The first data line is the
     dimension N; every following line is 'i j k value' with 1 <= i<j<k <= N,
-    and no triple may appear twice.
+    and no triple may appear twice.  normalize rescales to variance 1.
     """
     n = None
     entries: dict[tuple, float] = {}
@@ -204,7 +204,7 @@ def read_tensor_file(path) -> SymThreeTensor:
             entries[trip] = val
     if n is None:
         raise ValueError(f"{path}: missing dimension header")
-    return SymThreeTensor(n, entries)
+    return SymThreeTensor(n, entries, normalize=normalize)
 
 
 def write_tensor_file(t: SymThreeTensor, path) -> None:

@@ -7,9 +7,9 @@ run manifest; README.md ("Experiment runner") shows one in full.
 [experiment] holds name (a key of EXPERIMENTS), seed (u64), samples and
 out; [model] a kind, a family of family_generators or one of build_model's
 explicit kinds, with its parameters; the optional [grids] only the keys
-that GRID_DEFAULTS lists for the experiment.  Assertion failures never
-abort a run: each is recorded in the manifest with its numbers, and they
-surface through the exit status.
+that INPUTS lists for the experiment.  run() checks every input before
+any work.  Assertion failures never abort a run: each is recorded in the
+manifest with its numbers, and they surface through the exit status.
 """
 
 from __future__ import annotations
@@ -82,18 +82,8 @@ class ExperimentConfig:
     raw: dict
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
-
-
-def _int_grid(grids: dict, key: str) -> list[int]:
-    """The integers of grid `key`; a ValueError names the key and value."""
-    text = grids[key]
-    try:
-        return [int(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"grid {key!r} must hold integers, "
-                         f"got {text!r}") from None
+def _values(text: str, cast=float) -> list:
+    return [cast(v) for v in text.replace(",", " ").split()]
 
 
 def parse_config(path, seed=None, samples=None, out=None) -> ExperimentConfig:
@@ -101,9 +91,17 @@ def parse_config(path, seed=None, samples=None, out=None) -> ExperimentConfig:
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    unknown = sorted(set(cp.sections()) - {"experiment", "model", "grids"})
+    if unknown:
+        raise ValueError(f"config has no section [{unknown[0]}]; it reads "
+                         "[experiment], [model] and [grids]")
     if "experiment" not in cp:
         raise ValueError("config needs an [experiment] section")
     exp = cp["experiment"]
+    unknown = sorted(exp.keys() - {"name", "seed", "samples", "out"})
+    if unknown:
+        raise ValueError(f"[experiment] reads no key {unknown[0]!r}; it "
+                         "reads name, seed, samples and out")
     name = exp.get("name")
     if not name:
         raise ValueError("experiment name is required")
@@ -122,17 +120,21 @@ def build_model(model: dict):
     kind = model.get("kind", "")
     if not kind:
         raise ValueError("[model] needs a 'kind'")
+    flag = model.get("normalize", "false")
+    normalize = configparser.ConfigParser.BOOLEAN_STATES.get(flag.lower())
+    if normalize is None:
+        raise ValueError(f"[model] normalize must be true or false, "
+                         f"got {flag!r}")
     if kind == "diagonal":
-        alphas = _parse_floats(model.get("alphas", ""))
+        alphas = _values(model.get("alphas", ""))
         if not alphas:
             raise ValueError("diagonal model needs 'alphas'")
-        normalize = model.get("normalize", "false").lower() in ("1", "true", "yes")
         return chaos2.DiagonalSecondChaos(alphas, normalize=normalize)
     if kind == "matrices":
         mats = []
         for key in sorted(k for k in model if k.startswith("mat.")):
             rows = [r for r in model[key].split(";") if r.strip()]
-            mats.append(np.array([_parse_floats(r) for r in rows]))
+            mats.append(np.array([_values(r) for r in rows]))
         if not mats:
             raise ValueError("matrices model needs mat.1, mat.2, ...")
         return chaos2.MultivariateSecondChaos(mats)
@@ -140,7 +142,7 @@ def build_model(model: dict):
         path = model.get("path")
         if not path:
             raise ValueError("tensor-file model needs 'path'")
-        return chaos3.read_tensor_file(path)
+        return chaos3.read_tensor_file(path, normalize=normalize)
     size = model.get("size")
     if size is None:
         raise ValueError(f"family kind {kind!r} needs 'size'")
@@ -198,28 +200,14 @@ class RunRecorder:
         self.files.append(name)
 
 
-def _require(model, cls, experiment):
-    if not isinstance(model, cls):
-        raise ValueError(
-            f"experiment {experiment!r} needs a {cls.__name__} model")
-    if experiment in UNIT_VARIANCE_EXPERIMENTS and not model.unit_variance:
-        raise chaos2.PreconditionError(
-            f"experiment {experiment!r} needs a unit-variance model, got "
-            f"variance {model.variance:.6g}: set normalize = true (diagonal "
-            "model) or rescale the tensor file")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_thm1_certificate(cfg, model, rec):
-    f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
-    ps = _int_grid(cfg.grids, "p")
+def _exp_thm1_certificate(cfg, f, rec):
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
     rows = []
-    for p in ps:
+    for p in cfg.grids["p"]:
         cert = chaos2.thm1_certificate(kappa4, p)
         rows.append((p, kappa4, cert.threshold, cert.certified, cert.q_sup))
         rec.check(f"certified_p{p}", cert.certified, kappa4, cert.threshold)
@@ -227,9 +215,8 @@ def _exp_thm1_certificate(cfg, model, rec):
             ["p", "kappa4", "threshold", "certified", "q_sup"], rows)
 
 
-def _exp_laplace_check(cfg, model, rec):
-    f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
-    lams = _parse_floats(cfg.grids["lambda"])
+def _exp_laplace_check(cfg, f, rec):
+    lams = cfg.grids["lambda"]
     rows = []
     checks = chaos2.laplace_vs_mc(f, lams, cfg.samples, mc.RngSpec(cfg.seed))
     for lam, (closed, est) in zip(lams, checks):
@@ -241,13 +228,8 @@ def _exp_laplace_check(cfg, model, rec):
             ["lambda", "closed_form", "mc_mean", "mc_se", "pass"], rows)
 
 
-def _exp_smallball2(cfg, model, rec):
-    f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
-    ps = _int_grid(cfg.grids, "p")
-    if len(ps) != 1:
-        raise ValueError(f"smallball2 takes one p, got {cfg.grids['p']!r}")
-    (p,) = ps
-    eps = _parse_floats(cfg.grids["eps"])
+def _exp_smallball2(cfg, f, rec):
+    (p,), eps = cfg.grids["p"], cfg.grids["eps"]
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
     cert = chaos2.thm1_certificate(kappa4, p)
     rec.check("certificate", cert.certified, kappa4, cert.threshold)
@@ -260,9 +242,8 @@ def _exp_smallball2(cfg, model, rec):
     rec.csv("smallball2.csv", ["eps", "cdf", "bound", "pass"], rows)
 
 
-def _exp_negmoment2(cfg, model, rec):
-    f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
-    qs = _parse_floats(cfg.grids["q"])
+def _exp_negmoment2(cfg, f, rec):
+    qs = cfg.grids["q"]
     # before the draws, so a rejected q costs no sampling
     vals = [chaos2.negative_moment(f, q) for q in qs]
 
@@ -281,10 +262,8 @@ def _exp_negmoment2(cfg, model, rec):
             ["q", "mellin", "mc_mean", "mc_se", "pass"], rows)
 
 
-def _exp_density(cfg, model, rec):
-    f = _require(model, chaos2.DiagonalSecondChaos, cfg.name)
-    x = _parse_floats(cfg.grids["x"])
-    xs, dens = chaos2.density_by_inversion(f, x[0], x[1], x[2])
+def _exp_density(cfg, f, rec):
+    xs, dens = chaos2.density_by_inversion(f, *cfg.grids["x"])
     mass = float(np.trapezoid(dens, xs))
     rec.check("mass_unit", abs(mass - 1.0) <= 1e-3, mass, 1.0,
               tolerance=1e-3)
@@ -299,8 +278,7 @@ def _exp_density(cfg, model, rec):
             list(zip(xs, dens, gauss)))
 
 
-def _exp_multivariate_bounds(cfg, model, rec):
-    m = _require(model, chaos2.MultivariateSecondChaos, cfg.name)
+def _exp_multivariate_bounds(cfg, m, rec):
     stats = chaos2.cross_gamma_stats(m)
     k4 = stats.kappa4_max
     rec.check("control1multi", stats.holds, stats.worst_lhs, stats.bound_rhs)
@@ -313,11 +291,10 @@ def _exp_multivariate_bounds(cfg, model, rec):
             [(k4.value, " ".join(f"{v:.12g}" for v in k4.direction))])
 
 
-def _exp_gamma_spec(cfg, model, rec):
-    t = _require(model, chaos3.SymThreeTensor, cfg.name)
-    xis = _parse_floats(cfg.grids["xi"])
+def _exp_gamma_spec(cfg, t, rec):
     rows = []
-    for chk in chaos3.verify_gamma_spec(t, xis, cfg.samples, cfg.seed):
+    for chk in chaos3.verify_gamma_spec(t, cfg.grids["xi"], cfg.samples,
+                                        cfg.seed):
         lhs, rhs, im = chk.lhs, chk.rhs_re, chk.rhs_im
         gap = mc.EstimatorResult(lhs.mean - rhs.mean,
                                  math.hypot(lhs.stderr, rhs.stderr), lhs.n)
@@ -334,9 +311,8 @@ def _exp_gamma_spec(cfg, model, rec):
              "rhs_im_se", "real_pass", "imag_pass"], rows)
 
 
-def _exp_spectral_radius(cfg, model, rec):
-    t = _require(model, chaos3.SymThreeTensor, cfg.name)
-    ps = _int_grid(cfg.grids, "p")
+def _exp_spectral_radius(cfg, t, rec):
+    ps = cfg.grids["p"]
     rows = []
     ests = chaos3.spectral_radius_moments(t, ps, cfg.samples, cfg.seed)
     for p, est in zip(ps, ests):
@@ -345,13 +321,9 @@ def _exp_spectral_radius(cfg, model, rec):
     rec.csv("spectral_radius.csv", ["p", "norm_2p", "se", "n"], rows)
 
 
-def _exp_trace_concentration(cfg, model, rec):
-    sizes = _int_grid(cfg.grids, "sizes")
-    kind = cfg.model.get("kind", "complete-3-tensor")
-    # every model before the first draw: a rejected size costs no sampling
-    models = [family_generators(kind, size) for size in sizes]
+def _exp_trace_concentration(cfg, models, rec):
     rows = []
-    for i, (size, t) in enumerate(zip(sizes, models)):
+    for i, (size, t) in enumerate(zip(cfg.grids["sizes"], models)):
         tf = chaos3.trace_form(t)
         kappa4 = chaos3.kappa4_contraction(t)
         est = mc.estimate(
@@ -370,10 +342,9 @@ def _exp_trace_concentration(cfg, model, rec):
              "mc_trace_se"], rows)
 
 
-def _exp_smallball3(cfg, model, rec):
-    t = _require(model, chaos3.SymThreeTensor, cfg.name)
-    eps = np.asarray(_parse_floats(cfg.grids["eps"]))
-    res = chaos3.smallball_gamma3(t, eps, cfg.samples, cfg.seed)
+def _exp_smallball3(cfg, t, rec):
+    res = chaos3.smallball_gamma3(t, np.asarray(cfg.grids["eps"]),
+                                  cfg.samples, cfg.seed)
     exceed = res.slope - 0.25 >= 2.0 * res.slope_se
     rec.check("cw_exceedance", exceed, res.slope, 0.25, res.slope_se, 2.0)
     rec.csv("smallball3.csv",
@@ -385,12 +356,10 @@ def _exp_smallball3(cfg, model, rec):
             [(res.slope, res.slope_se, 0.25, 0.75, res.widened)])
 
 
-def _exp_negmoment3(cfg, model, rec):
-    t = _require(model, chaos3.SymThreeTensor, cfg.name)
-    thetas = _parse_floats(cfg.grids["theta"])
+def _exp_negmoment3(cfg, t, rec):
     rows = []
-    for res in chaos3.negative_moment_gamma3(t, thetas, cfg.samples,
-                                             cfg.seed):
+    for res in chaos3.negative_moment_gamma3(t, cfg.grids["theta"],
+                                             cfg.samples, cfg.seed):
         rec.check(f"finite_theta{res.theta:g}",
                   math.isfinite(res.estimate.mean), res.estimate.mean)
         rows.append((res.theta, res.estimate.mean, res.estimate.stderr,
@@ -399,21 +368,16 @@ def _exp_negmoment3(cfg, model, rec):
             ["theta", "mean", "se", "top_share", "unstable"], rows)
 
 
-def _exp_sp_lower_bound(cfg, model, rec):
-    t = _require(model, chaos3.SymThreeTensor, cfg.name)
-    ps = _int_grid(cfg.grids, "p")
+def _exp_sp_lower_bound(cfg, t, rec):
+    ps = cfg.grids["p"]
     results = chaos3.sp_batch_estimate(t, ps, cfg.samples, cfg.seed)
-    # identity self-check on a small batch: S_hat_1 == Tr(A_hat^2)
+    # self-check of the product route of S_hat_p on a small batch:
+    # Tr((A_hat^2)^q) == sum lam^(2q) within 1e-12 (Tr A_hat^2)^q
     rng = mc.RngSpec(cfg.seed, 999).generator()
     xh = rng.standard_normal((256, t.n))
     lam2 = chaos3.spectra_batch(t, xh) ** 2
     newton = chaos3.sharp_power_sums(t, xh, max(ps))
     tr2 = newton[0]    # Tr(A_hat^2), the trace_square_batch values
-    s1_gap = float(np.max(np.abs(np.sum(lam2, axis=1) - tr2)))
-    tol = 1e-10 * max(1.0, tr2.max())
-    rec.check("s1_equals_trace", s1_gap <= tol, s1_gap, 0.0, tolerance=tol)
-    # the product route of S_hat_p against the eigenvalues:
-    # Tr((A_hat^2)^q) == sum lam^(2q) within 1e-12 (Tr A_hat^2)^q
     rel = max(float(np.max(np.abs(n_q - np.sum(lam2 ** q, axis=1))
                            / np.maximum(tr2 ** q, np.finfo(float).tiny)))
               for q, n_q in enumerate(newton, start=1))
@@ -435,26 +399,47 @@ def _exp_sp_lower_bound(cfg, model, rec):
 # experiments that sweep family sizes themselves; [model] only names the kind
 SIZE_SWEEP_EXPERIMENTS = {"trace-concentration"}
 
-# experiments whose references assume a variance-one F
-UNIT_VARIANCE_EXPERIMENTS = {"thm1-certificate", "smallball2", "density",
-                             "sp-lower-bound"}
+_DIAGONAL, _TENSOR = chaos2.DiagonalSecondChaos, chaos3.SymThreeTensor
 
-# the [grids] keys each experiment reads, with their defaults
-GRID_DEFAULTS = {
-    "thm1-certificate": {"p": "1 2 3"},
-    "laplace-check": {"lambda": "0.25, 1, 4"},
-    "smallball2": {"p": "3", "eps": "0.05, 0.1, 0.2"},
-    "negmoment2": {"q": "0.25"},
-    "density": {"x": "-6, 6, 0.01"},
-    "multivariate-bounds": {},
-    "gamma-spec": {"xi": "0.5, 1, 2"},
-    "spectral-radius": {"p": "1 2"},
-    "trace-concentration": {"sizes": "6, 12, 24"},
-    "smallball3": {"eps": "0.01, 0.0163, 0.0265, 0.0431, 0.0702, 0.114, "
-                          "0.186, 0.3"},
-    "negmoment3": {"theta": "0.25"},
-    "sp-lower-bound": {"p": "1 2"},
+# What each experiment reads: the model class it needs, whether its
+# references assume a variance-one F, and its [grids] keys with typed
+# defaults.  A grid is cast like its default, finite and not empty; a
+# tuple default also fixes the grid's length.
+INPUTS = {
+    "thm1-certificate": (_DIAGONAL, True, {"p": [1, 2, 3]}),
+    "laplace-check": (_DIAGONAL, False, {"lambda": [0.25, 1.0, 4.0]}),
+    "smallball2": (_DIAGONAL, True, {"p": (3,), "eps": [0.05, 0.1, 0.2]}),
+    "negmoment2": (_DIAGONAL, False, {"q": [0.25]}),
+    "density": (_DIAGONAL, True, {"x": (-6.0, 6.0, 0.01)}),  # start stop step
+    "multivariate-bounds": (chaos2.MultivariateSecondChaos, False, {}),
+    "gamma-spec": (_TENSOR, False, {"xi": [0.5, 1.0, 2.0]}),
+    "spectral-radius": (_TENSOR, False, {"p": [1, 2]}),
+    "trace-concentration": (_TENSOR, False, {"sizes": [6, 12, 24]}),
+    "smallball3": (_TENSOR, False, {"eps": [0.01, 0.0163, 0.0265, 0.0431,
+                                            0.0702, 0.114, 0.186, 0.3]}),
+    "negmoment3": (_TENSOR, False, {"theta": [0.25]}),
+    "sp-lower-bound": (_TENSOR, True, {"p": [1, 2]}),
 }
+
+
+def _grid(key: str, text: str, default) -> list:
+    """Grid `key` cast like its default; a ValueError names key and text."""
+    cast = type(default[0])
+    try:
+        values = _values(text, cast)
+        if not all(map(math.isfinite, values)):    # nan and inf parse
+            raise ValueError
+    except ValueError:
+        what = "integers" if cast is int else "finite numbers"
+        raise ValueError(f"grid {key!r} must hold {what}, "
+                         f"got {text!r}") from None
+    fixed = isinstance(default, tuple)
+    if not values or fixed and len(values) != len(default):
+        count = f"exactly {len(default)}" if fixed else "at least 1"
+        raise ValueError(f"grid {key!r} must hold {count} value(s), "
+                         f"got {text!r}")
+    return values
+
 
 EXPERIMENTS = {
     "thm1-certificate": _exp_thm1_certificate,
@@ -478,16 +463,28 @@ def run(cfg: ExperimentConfig) -> int:
         raise ValueError(
             f"unknown experiment {cfg.name!r}; choose one of "
             f"{', '.join(sorted(EXPERIMENTS))}")
-    defaults = GRID_DEFAULTS[cfg.name]
+    cls, unit_variance, defaults = INPUTS[cfg.name]
     unknown = sorted(cfg.grids.keys() - defaults.keys())
     if unknown:
         raise ValueError(f"experiment {cfg.name!r} reads no grid "
                          f"{unknown[0]!r}; it reads {sorted(defaults)}")
-    cfg = replace(cfg, grids={**defaults, **cfg.grids})
-    if cfg.name in SIZE_SWEEP_EXPERIMENTS or not cfg.model:
-        model = None
+    grids = {key: _grid(key, cfg.grids[key], default) if key in cfg.grids
+             else list(default) for key, default in defaults.items()}
+    cfg = replace(cfg, grids=grids)
+    if cfg.name in SIZE_SWEEP_EXPERIMENTS:
+        kind = cfg.model.get("kind", "complete-3-tensor")
+        models = [family_generators(kind, size) for size in grids["sizes"]]
     else:
-        model = build_model(cfg.model)
+        models = [build_model(cfg.model)]
+    for m in models:
+        if not isinstance(m, cls):
+            raise ValueError(f"experiment {cfg.name!r} needs a "
+                             f"{cls.__name__} model, got {type(m).__name__}")
+        if unit_variance and not m.unit_variance:
+            raise chaos2.PreconditionError(
+                f"experiment {cfg.name!r} needs a unit-variance model, got "
+                f"variance {m.variance:.6g}: set normalize = true")
+    model = models if cfg.name in SIZE_SWEEP_EXPERIMENTS else models[0]
     rec = RunRecorder(cfg.out)
     start = time.perf_counter()
     EXPERIMENTS[cfg.name](cfg, model, rec)

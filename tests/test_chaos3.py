@@ -964,6 +964,15 @@ def test_tensor_file_roundtrip(tmp_path, unit_tensor_factory):
     assert np.allclose(back.a, t.a, atol=1e-15)
 
 
+def test_tensor_file_normalize(tmp_path):
+    path = tmp_path / "tensor.txt"
+    path.write_text("6\n1 2 3 1.5\n4 5 6 -3\n")
+    assert chaos3.read_tensor_file(path).variance == pytest.approx(405.0)
+    t = chaos3.read_tensor_file(path, normalize=True)
+    assert t.unit_variance
+    assert t.entries[(4, 5, 6)] == pytest.approx(-2.0 * t.entries[(1, 2, 3)])
+
+
 def test_tensor_file_parse_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("# only a comment\n")

@@ -280,7 +280,8 @@ def test_run_sp_lower_bound(tmp_path):
     rows = (out / "sp_lower_bound.csv").read_text().strip().split("\n")
     assert rows[0] == "p,mean_sp,se,lower_bound,bound_holds"
     checks = {a["name"]: a for a in read_manifest(out)["assertions"]}
-    assert checks["s1_equals_trace"]["passed"]
+    assert set(checks) == {"newton_sums_match_spectrum", "sp_lower_bound_p1",
+                           "sp_lower_bound_p2"}
     newton = checks["newton_sums_match_spectrum"]
     assert newton["passed"] and newton["tolerance"] == 1e-12
     assert 0.0 <= newton["statistic"] <= newton["tolerance"]
@@ -446,11 +447,14 @@ def test_rejected_config_leaves_no_output_directory(tmp_path, capsys):
 
 
 def test_smallball2_takes_one_p(tmp_path, capsys):
+    out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "smallball2",
                      ["kind = chi2-average", "size = 192"], ["p = 2, 3"],
-                     samples=2000, out=tmp_path / "run")
+                     samples=2000, out=out)
     assert cli.main(["run", str(p)]) == 2
-    assert "smallball2 takes one p, got '2, 3'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "grid 'p' must hold exactly 1 value(s), got '2, 3'" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +601,143 @@ def test_misspelled_grid_key_exits_2(tmp_path, capsys):
     assert "experiment 'laplace-check' reads no grid 'lamda'; " \
            "it reads ['lambda']" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# inputs checked before any work
+# ---------------------------------------------------------------------------
+
+GRID_KEYS = [(name, key) for name, (_, _, grids) in sorted(cli.INPUTS.items())
+             for key in grids]
+
+
+def test_every_experiment_has_an_input_entry():
+    assert cli.INPUTS.keys() == cli.EXPERIMENTS.keys() == RECORD_CONFIGS.keys()
+
+
+@pytest.mark.parametrize("name,key", GRID_KEYS,
+                         ids=[f"{n}-{k}" for n, k in GRID_KEYS])
+def test_empty_grid_exits_2_by_name(tmp_path, capsys, name, key):
+    # an empty p or sizes once recorded no assertion and exited 0; an
+    # empty lambda, q or eps died inside numpy
+    model, _, _ = RECORD_CONFIGS[name]
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, [f"{key} ="],
+                     samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: grid {key!r} must hold ")
+    assert err.endswith(" value(s), got ''")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-6, 6", "-6, 6, 0.01, 99"])
+def test_density_takes_three_x_values(tmp_path, capsys, value):
+    # two values once raised IndexError; a fourth was dropped without a word
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "density",
+                     ["kind = chi2-average", "size = 16"], [f"x = {value}"],
+                     out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid 'x' must hold exactly 3 value(s), got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,model,key,value", [
+    ("gamma-spec", ["kind = complete-3-tensor", "size = 4"], "xi",
+     "0.5, one"),
+    ("gamma-spec", ["kind = complete-3-tensor", "size = 4"], "xi", "nan"),
+    ("laplace-check", ["kind = chi2-average", "size = 4"], "lambda",
+     "1, inf"),
+    ("smallball3", ["kind = complete-3-tensor", "size = 4"], "eps",
+     "nan, 0.1, 0.2, 0.4"),
+])
+def test_float_grids_reject_other_values_by_name(tmp_path, capsys, name,
+                                                 model, key, value):
+    # a nan xi or lambda once ended in a PoisonedSampleError traceback, and
+    # smallball3 ran a nan eps to exit 0
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, [f"{key} = {value}"],
+                     samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid {key!r} must hold finite numbers, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_trace_concentration_checks_the_model_class(tmp_path, capsys):
+    # the size sweep once skipped the class check and died on t.n
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "trace-concentration",
+                     ["kind = chi2-average"], ["sizes = 6, 12"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert ("experiment 'trace-concentration' needs a SymThreeTensor model, "
+            "got DiagonalSecondChaos") in err
+    assert not out.exists()
+
+
+def test_tensor_file_can_be_normalised(tmp_path):
+    path = write_variance_81_tensor(tmp_path / "t.txt")
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "sp-lower-bound",
+                     ["kind = tensor-file", f"path = {path}",
+                      "normalize = true"], ["p = 1, 2"], samples=5000,
+                     out=out)
+    assert cli.main(["run", str(p)]) == 0
+    assert read_manifest(out)["n_failed"] == 0
+
+
+@pytest.mark.parametrize("name,kind", [("gamma-spec", "tensor-file"),
+                                       ("negmoment2", "diagonal")])
+def test_misspelled_normalize_exits_2(tmp_path, capsys, name, kind):
+    # "ture" used to be read as false without a word
+    path = write_variance_81_tensor(tmp_path / "t.txt")
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name,
+                     [f"kind = {kind}", f"path = {path}", "alphas = 0.5",
+                      "normalize = ture"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert ("[model] normalize must be true or false, got 'ture'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_normalize_reads_configparser_booleans():
+    model = {"kind": "diagonal", "alphas": "3, 4"}
+    for flag, unit in (("on", True), ("Yes", True), ("1", True),
+                       ("off", False), ("no", False), ("0", False)):
+        f = cli.build_model(model | {"normalize": flag})
+        assert f.unit_variance is unit
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["sample = 500"], "[experiment] reads no key 'sample'; it reads name, "
+                       "seed, samples and out"),
+    (["[grid]", "lambda = 1"], "config has no section [grid]; it reads "
+                               "[experiment], [model] and [grids]"),
+])
+def test_unknown_key_or_section_exits_2(tmp_path, capsys, extra, message):
+    # a misspelled samples key once ran 100 000 samples; [grid] was ignored
+    out = tmp_path / "run"
+    p = tmp_path / "c.ini"
+    p.write_text("\n".join(["[experiment]", "name = laplace-check",
+                            f"out = {out}"] + extra
+                           + ["[model]", "kind = diagonal",
+                              "alphas = 0.5, 0.5"]) + "\n")
+    assert cli.main(["run", str(p)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_runs_as_written(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.ini"
+    p.write_text(block, encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["run", str(p), "--samples", "2000", "--out",
+                     str(out)]) == 0
+    assert read_manifest(out)["config"]["experiment"]["seed"] == "42"
