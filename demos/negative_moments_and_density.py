@@ -23,8 +23,8 @@ def main():
 
     f2 = DiagonalSecondChaos([0.5, 0.5])
     val2 = chaos2.negative_moment(f2, 0.5)
-    est = mc.estimate(lambda rng, cnt: f2.sample_gamma(rng, cnt) ** -0.5,
-                      400_000, mc.RngSpec(3))
+    est = mc.estimate(lambda x: f2.sample_gamma(x) ** -0.5, 400_000,
+                      mc.RngSpec(3), f2.m)
     print(f"\nE Gamma^(-1/2) for Gamma = chi^2_2:")
     print(f"  mellin quadrature: {val2:.10f}  (exact sqrt(pi/2) = "
           f"{math.sqrt(math.pi / 2):.10f})")

@@ -68,9 +68,10 @@ def main():
 
     print("\nsmall-ball bound for a certified family (p = 3):")
     g = DiagonalSecondChaos(np.full(192, 1.0 / np.sqrt(384)))
-    samples = g.sample_gamma(mc.RngSpec(2).generator(), 200_000)
-    for eps in (0.05, 0.1, 0.2):
-        phat = float((samples < eps).mean())
+    eps_grid = (0.05, 0.1, 0.2)
+    (hits,) = mc.reduce(g.sample_gamma, 200_000, mc.RngSpec(2), g.m,
+                        mc.Hits(eps_grid))
+    for eps, phat in zip(eps_grid, hits.fractions()[0][0]):
         print(f"  eps={eps:<5g} empirical P(Gamma < eps) = {phat:.2e} "
               f"<= bound {chaos2.smallball_bound(3, eps):.4g}")
 

@@ -60,6 +60,9 @@ class SymThreeTensor:
         if not math.isfinite(self.variance):    # the squares overflow
             raise ValueError(f"variance {self.variance} is not finite: "
                              "pass normalize=True or rescale the entries")
+        if self.variance < np.finfo(float).tiny and any(canon.values()):
+            raise ValueError(f"variance {self.variance} underflows: pass "
+                             "normalize=True or rescale the entries")
         if self.n <= EXACT_MODE_MAX_N:
             # cheap self-check of the variance convention vs the oracle
             p = self.to_polynomial()
@@ -407,17 +410,19 @@ def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
     if n_samples < 1000:
         raise ValueError("need at least 1e3 samples")
 
-    def fn_lhs(rng, cnt):
-        g = gamma_batch(t, rng.standard_normal((cnt, t.n)))
+    def fn_lhs(x):
+        g = gamma_batch(t, x)
         return np.stack([np.exp(-0.5 * xi * xi * g) for xi in xis], axis=1)
 
-    def fn_rhs(rng, cnt):
-        lams = spectra_batch(t, rng.standard_normal((cnt, t.n)))
+    def fn_rhs(xh):
+        lams = spectra_batch(t, xh)
         z = np.stack([np.exp(log_char_product(x * lams)) for x in xis], axis=1)
         return np.concatenate([z.real, z.imag], axis=1)
 
-    (lhs,) = mc.reduce(fn_lhs, n_samples, mc.RngSpec(seed, 0), mc.Moments())
-    (rhs,) = mc.reduce(fn_rhs, n_samples, mc.RngSpec(seed, 1), mc.Moments())
+    (lhs,) = mc.reduce(fn_lhs, n_samples, mc.RngSpec(seed, 0), t.n,
+                       mc.Moments())
+    (rhs,) = mc.reduce(fn_rhs, n_samples, mc.RngSpec(seed, 1), t.n,
+                       mc.Moments())
     parts = rhs.results()     # real parts, then imaginary parts
     return [GammaSpecCheck(xi, left, re, im) for xi, left, re, im
             in zip(xis, lhs.results(), parts, parts[len(xis):])]
@@ -481,7 +486,6 @@ def trace_form(t: SymThreeTensor) -> TraceFormSpectrum:
 class K4VarGamma:
     kappa4: float
     var_gamma: float
-    bound_holds: bool    # sqrt(Var Gamma) <= 3 sqrt(kappa4)
 
 
 def _contractions(t: SymThreeTensor) -> tuple[float, float]:
@@ -521,13 +525,12 @@ def kappa4_and_var_gamma(t: SymThreeTensor) -> K4VarGamma:
         v1, v2 = _contractions(t)
     kappa4 = 1944.0 * v1 + 1296.0 * v2
     var_gamma = kappa4 + 1296.0 * v1
-    if not math.isfinite(var_gamma):    # never finite when kappa4 is not
+    # 0 <= kappa4 <= Var Gamma: one bound on each covers both
+    if not (np.finfo(float).tiny <= kappa4 and var_gamma < math.inf):
         raise PreconditionError(f"kappa4 = {kappa4} and Var Gamma = "
-                                f"{var_gamma} overflow: normalize the tensor")
-    holds = bool(math.sqrt(max(var_gamma, 0.0))
-                 <= 3.0 * math.sqrt(max(kappa4, 0.0))
-                 + 1e-9 * max(1.0, abs(kappa4)))
-    return K4VarGamma(kappa4, var_gamma, holds)
+                                f"{var_gamma} overflow or underflow: "
+                                "normalize the tensor")
+    return K4VarGamma(kappa4, var_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +545,12 @@ def spectral_radius_moments(t: SymThreeTensor, p_grid, n_samples: int,
     if min(ps) < 1:
         raise ValueError("p must be >= 1")
 
-    def fn(rng, cnt):
-        lams = spectra_batch(t, rng.standard_normal((cnt, t.n)))
-        lam1 = np.abs(lams[:, 0])
+    def fn(xh):
+        lam1 = np.abs(spectra_batch(t, xh)[:, 0])
         return np.stack([lam1 ** (2 * p) for p in ps], axis=1)
 
-    (moments,) = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), mc.Moments())
+    (moments,) = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), t.n,
+                           mc.Moments())
     out = []
     for p, raw in zip(ps, moments.results()):
         if raw.mean <= 0.0:
@@ -587,9 +590,8 @@ def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int,
         raise ValueError("eps_grid must hold at least 3 values")
     if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
         raise ValueError("eps_grid must be positive and increasing")
-    (hits,) = mc.reduce(
-        lambda rng, cnt: gamma_batch(t, rng.standard_normal((cnt, t.n))),
-        n_samples, mc.RngSpec(seed, 0), mc.Hits(eps))
+    (hits,) = mc.reduce(lambda x: gamma_batch(t, x), n_samples,
+                        mc.RngSpec(seed, 0), t.n, mc.Hits(eps))
     (phat,), (se,) = hits.fractions()
     n, counts = hits.n, hits.counts[0]
     used = (counts >= MIN_HITS) & (n - counts >= MIN_HITS)
@@ -621,11 +623,12 @@ def negative_moment_gamma3(t: SymThreeTensor, theta_grid, n_samples: int,
     if not all(0.0 < theta < 1.0 for theta in thetas):
         raise ValueError("theta must lie in (0, 1)")
 
-    def fn(rng, cnt):
-        g = gamma_batch(t, rng.standard_normal((cnt, t.n)))
+    def fn(x):
+        g = gamma_batch(t, x)
         return np.stack([g ** (-theta) for theta in thetas], axis=1)
 
-    moments, top = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), mc.Moments(),
+    moments, top = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), t.n,
+                             mc.Moments(),
                              mc.TopShare(max(1, n_samples // 1000)))
     return [NegativeMomentResult(est, theta, float(share), bool(share > 0.5))
             for est, theta, share in zip(moments.results(), thetas,
@@ -661,12 +664,11 @@ def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int,
         raise ValueError(f"p must lie in 1..{t.n}")
     cols = np.array(ps) - 1
 
-    def fn(rng, cnt):
-        newton = sharp_power_sums(t, rng.standard_normal((cnt, t.n)), max(ps))
-        return newton_to_elementary(newton)[cols].T
+    def fn(xh):
+        return newton_to_elementary(sharp_power_sums(t, xh, max(ps)))[cols].T
 
-    moments, hits = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), mc.Moments(),
-                              mc.Hits(SP_ALPHA_GRID))
+    moments, hits = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), t.n,
+                              mc.Moments(), mc.Hits(SP_ALPHA_GRID))
     out = []
     for p, est, phat, se in zip(ps, moments.results(), *hits.fractions()):
         lb = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))

@@ -247,11 +247,11 @@ def _exp_negmoment2(cfg, f, rec):
     # before the draws, so a rejected q costs no sampling
     vals = [chaos2.negative_moment(f, q) for q in qs]
 
-    def fn(rng, cnt):
-        g = f.sample_gamma(rng, cnt)
+    def fn(x):
+        g = f.sample_gamma(x)
         return np.stack([g ** (-q) for q in qs], axis=1)
 
-    (moments,) = mc.reduce(fn, cfg.samples, mc.RngSpec(cfg.seed),
+    (moments,) = mc.reduce(fn, cfg.samples, mc.RngSpec(cfg.seed), f.m,
                            mc.Moments())
     rows = []
     for q, val, est in zip(qs, vals, moments.results()):
@@ -281,7 +281,9 @@ def _exp_density(cfg, f, rec):
 def _exp_multivariate_bounds(cfg, m, rec):
     stats = chaos2.cross_gamma_stats(m)
     k4 = stats.kappa4_max
-    rec.check("control1multi", stats.holds, stats.worst_lhs, stats.bound_rhs)
+    tol = 1e-12 * max(1.0, abs(stats.bound_rhs))
+    rec.check("control1multi", stats.worst_lhs <= stats.bound_rhs + tol,
+              stats.worst_lhs, stats.bound_rhs, tolerance=tol)
     rows = [(i, stats.var_diag[i]) for i in range(m.d)]
     rec.csv("var_gamma_diag.csv", ["i", "var_gamma_ii"], rows)
     rows = [(i, j, stats.cross_l2[i, j])
@@ -326,10 +328,8 @@ def _exp_trace_concentration(cfg, models, rec):
     for i, (size, t) in enumerate(zip(cfg.grids["sizes"], models)):
         tf = chaos3.trace_form(t)
         kappa4 = chaos3.kappa4_contraction(t)
-        est = mc.estimate(
-            lambda rng, cnt, t=t: chaos3.trace_square_batch(
-                t, rng.standard_normal((cnt, t.n))),
-            cfg.samples, mc.RngSpec(cfg.seed, i))
+        est = mc.estimate(lambda xh: chaos3.trace_square_batch(t, xh),
+                          cfg.samples, mc.RngSpec(cfg.seed, i), t.n)
         ok = est.within(1.5, 3.0)
         # the numbers are the Monte Carlo half's; sum_beta is in the CSV
         rec.check(f"trace_mean_n{size}",

@@ -6,19 +6,16 @@ each chunk occupies its own counter block, so the sample values depend
 only on (seed, stream, sample index) -- never on how chunks are
 distributed over workers.
 
-One reduction serves every estimator: reduce(fn, n, spec, *accumulators)
-walks the chunks and hands the one array fn returns, one row per sample
-and one column per quantity (say, the points of a grid on the same
-draws), to every accumulator.  Within a chunk, fn(rng, count) is called
-on consecutive steps of at most STEP_SAMPLES rows, all with the chunk's
-generator, and the steps' outputs are written into one array per chunk:
-the accumulators see one array per chunk, but the largest array fn
-draws is one step.  Successive draws on a generator continue its stream.
-So when fn draws its rows in order, one row per sample, and computes
-each row on its own, its values depend only on (seed, stream, sample
-index) and equal those of one whole-chunk call, bit for bit.  A fn that
-draws twice per call (two arrays of count rows) still gets a fixed,
-reproducible stream, but not the one a whole-chunk call would see.
+One reduction serves every estimator and does all the drawing:
+reduce(fn, n, spec, dim, *accumulators) draws each sample's standard
+Gaussian point of dim coordinates and hands fn's values at the points,
+one row per sample and one column per quantity (say, the points of a
+grid), to every accumulator.  fn maps points; it never sees a generator.
+Within a chunk the points are drawn in sample order, in steps of at most
+STEP_SAMPLES rows, from the chunk's generator: a sample's point, and the
+value of any fn that maps each row on its own, depend only on (seed,
+stream, sample index) and equal, bit for bit, those of one whole-chunk
+draw.
 
 Moments gives each column's mean and standard error (pairwise sums
 within a chunk, the Chan-Golub-LeVeque merge across chunks in block
@@ -37,15 +34,15 @@ import numpy as np
 
 # Samples per counter block.  Fixed: changing it changes the sample stream.
 CHUNK_SAMPLES = 1 << 16
-# Rows per fn call within a block: bounds the arrays fn draws, not the
+# Rows drawn per fn call within a block: bounds the arrays drawn, not the
 # stream (6.3 MB of normals at dimension 192).
 STEP_SAMPLES = 1 << 12
 
 _U64 = 1 << 64
 
 
-class PoisonedSampleError(RuntimeError):
-    """A sampling function produced a non-finite value."""
+class PoisonedSampleError(ValueError):
+    """fn returned a non-finite value (a ValueError: the CLI exits 2)."""
 
 
 @dataclass(frozen=True)
@@ -94,20 +91,19 @@ def chunks(spec: RngSpec, n: int):
         yield j, cnt, spec.generator(block=j)
 
 
-def reduce(fn: Callable[[np.random.Generator, int], np.ndarray], n: int,
-           spec: RngSpec, *accumulators):
-    """Feed n samples of fn from the stream spec to the accumulators.
+def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
+           dim: int, *accumulators):
+    """Feed fn's values at n Gaussian points of dimension dim, drawn from
+    the stream spec, to the accumulators.
 
-    fn(rng, count) returns one float array of shape (count,) or
-    (count, m).  It is called on consecutive steps of at most
-    STEP_SAMPLES rows of each chunk, all with the chunk's generator; see
-    the module docstring for when that gives the bits of one whole-chunk
-    call.  The steps' transposes fill one sample-minor array per chunk,
-    shape (m, count), rows contiguous, and every accumulator gets that
-    same array.  A step whose column count differs from the chunk's
-    first step is a ValueError.  A non-finite value raises
-    PoisonedSampleError naming the chunk, the column and the sample
-    index.  Returns the accumulators.
+    fn(x) maps the points x of one step (module docstring), an array of
+    shape (count, dim) that fn may overwrite, to a float array of shape
+    (count,) or (count, m).  The steps' transposes fill one sample-minor
+    array per chunk, shape (m, count), rows contiguous, and every
+    accumulator gets that same array.  A step whose column count differs
+    from the chunk's first step is a ValueError.  A non-finite value
+    raises PoisonedSampleError naming the chunk, the column and the
+    sample index.  Returns the accumulators.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
@@ -115,7 +111,7 @@ def reduce(fn: Callable[[np.random.Generator, int], np.ndarray], n: int,
         xt = None
         for s in range(0, cnt, STEP_SAMPLES):
             k = min(STEP_SAMPLES, cnt - s)
-            x = np.asarray(fn(rng, k), dtype=float)
+            x = np.asarray(fn(rng.standard_normal((k, dim))), dtype=float)
             if x.ndim not in (1, 2) or x.shape[0] != k:
                 raise ValueError(f"fn returned shape {x.shape}, "
                                  f"expected ({k},) or ({k}, m)")
@@ -201,10 +197,10 @@ class TopShare:
                                                np.inf)
 
 
-def estimate(fn: Callable[[np.random.Generator, int], np.ndarray],
-             n: int, spec: RngSpec) -> EstimatorResult:
-    """Monte Carlo mean of fn, which returns shape (count,) per chunk."""
-    (moments,) = reduce(fn, n, spec, Moments())
+def estimate(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
+             dim: int) -> EstimatorResult:
+    """Monte Carlo mean of fn, a map of (count, dim) points to (count,)."""
+    (moments,) = reduce(fn, n, spec, dim, Moments())
     return moments.results()[0]
 
 

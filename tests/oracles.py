@@ -124,23 +124,21 @@ def mc_k4_var_gamma(t, n_samples, seed):
     """Monte Carlo (kappa_4, se, Var Gamma, se): E F^2, E F^4, E Gamma and
     E Gamma^2 each on its own stream, errors by the delta method."""
 
-    def fn_f2(rng, cnt):
-        x = rng.standard_normal((cnt, t.n))
+    def fn_f2(x):
         t1 = np.tensordot(x, t.a, axes=([1], [2]))
         fv = np.einsum('bij,bi,bj->b', t1, x, x)
         return fv * fv
 
-    def fn_gamma(rng, cnt):
-        x = rng.standard_normal((cnt, t.n))
+    def fn_gamma(x):
         g = 3.0 * np.einsum('ijk,bj,bk->bi', t.a, x, x)
         return np.einsum('bi,bi->b', g, g)
 
-    e_f2 = mc.estimate(fn_f2, n_samples, mc.RngSpec(seed, 0))
-    e_f4 = mc.estimate(lambda rng, cnt: fn_f2(rng, cnt) ** 2,
-                       n_samples, mc.RngSpec(seed, 1))
-    e_g = mc.estimate(fn_gamma, n_samples, mc.RngSpec(seed, 2))
-    e_g2 = mc.estimate(lambda rng, cnt: fn_gamma(rng, cnt) ** 2,
-                       n_samples, mc.RngSpec(seed, 3))
+    e_f2 = mc.estimate(fn_f2, n_samples, mc.RngSpec(seed, 0), t.n)
+    e_f4 = mc.estimate(lambda x: fn_f2(x) ** 2, n_samples,
+                       mc.RngSpec(seed, 1), t.n)
+    e_g = mc.estimate(fn_gamma, n_samples, mc.RngSpec(seed, 2), t.n)
+    e_g2 = mc.estimate(lambda x: fn_gamma(x) ** 2, n_samples,
+                       mc.RngSpec(seed, 3), t.n)
     kappa4 = e_f4.mean - 3.0 * e_f2.mean ** 2
     kappa4_se = math.hypot(e_f4.stderr, 6.0 * e_f2.mean * e_f2.stderr)
     var_gamma = e_g2.mean - e_g.mean ** 2

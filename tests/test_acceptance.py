@@ -101,7 +101,7 @@ def test_c04_smallball_certified_family():
     eps = np.array([0.05, 0.1, 0.2])
     eps_bulk = np.array([1.4, 1.5, 1.6])
     nsamp = 1_000_000
-    (hits,) = mc.reduce(f.sample_gamma, nsamp, mc.RngSpec(SEED, 0),
+    (hits,) = mc.reduce(f.sample_gamma, nsamp, mc.RngSpec(SEED, 0), f.m,
                         mc.Hits(np.concatenate([eps, eps_bulk])))
     (phat_all,), (se_all,) = hits.fractions()
     phat, se = phat_all[:3], se_all[:3]
@@ -130,8 +130,8 @@ def test_c05_negative_moment_quadrature():
     quad_ok = abs(val - closed) < 1e-6
     f2 = DiagonalSecondChaos([0.5, 0.5])
     val2 = chaos2.negative_moment(f2, 0.5)
-    est = mc.estimate(lambda rng, cnt: f2.sample_gamma(rng, cnt) ** -0.5,
-                      1_000_000, mc.RngSpec(SEED, 1))
+    est = mc.estimate(lambda x: f2.sample_gamma(x) ** -0.5, 1_000_000,
+                      mc.RngSpec(SEED, 1), f2.m)
     mc_ok = est.within(val2, 3.0)
     ok = quad_ok and mc_ok
     assert report(5, ok, f"mellin={val:.9f} vs closed={closed:.9f} "
@@ -173,10 +173,8 @@ def test_c07_trace_normalization():
     for i, t in enumerate(tensors):
         tf = chaos3.trace_form(t)
         worst_det = max(worst_det, abs(tf.expected_trace - 1.5))
-        est = mc.estimate(
-            lambda r, c, t=t: chaos3.trace_square_batch(
-                t, r.standard_normal((c, t.n))),
-            100_000, mc.RngSpec(SEED, 20 + i))
+        est = mc.estimate(lambda xh: chaos3.trace_square_batch(t, xh),
+                          100_000, mc.RngSpec(SEED, 20 + i), t.n)
         worst_z = max(worst_z, abs(est.mean - 1.5) / est.stderr)
         (sharp,) = chaos3.sharp_batch(t, rng.standard_normal((1, t.n)))
         zero_trace &= float(np.trace(sharp)) == 0.0
@@ -195,7 +193,8 @@ def test_c08_variance_kappa4_bound():
     all_hold = True
     for _ in range(20):
         t = make_unit_tensor(rng, n=int(rng.integers(3, 6)))
-        all_hold &= chaos3.kappa4_and_var_gamma(t).bound_holds
+        res = chaos3.kappa4_and_var_gamma(t)
+        all_hold &= math.sqrt(res.var_gamma) <= 3.0 * math.sqrt(res.kappa4)
     ok = worked_ok and all_hold
     assert report(8, ok, f"worked (VarGamma, kappa4)=({worked.var_gamma:.6g}, "
                          f"{worked.kappa4:.6g}); sqrt(VarGamma) <= "
@@ -210,10 +209,11 @@ def test_c09_multivariate_worked_example():
     cross_ok = stats.cross_l2[0, 1] <= 1e-12
     k4_vals = chaos2.kappa4_of_directions(m, chaos2.sphere_grid(2))
     k4_ok = bool(np.all(np.abs(k4_vals - 6.0) <= 1e-12))
-    ok = cross_ok and k4_ok and stats.holds
+    holds = stats.worst_lhs <= stats.bound_rhs * (1.0 + 1e-12)
+    ok = cross_ok and k4_ok and holds
     assert report(9, ok, f"||Gamma_12||_2={stats.cross_l2[0, 1]:.2e}; "
                          f"kappa4 on all 64+2 directions = 6 +- 1e-12: "
-                         f"{k4_ok}; variance bound holds: {stats.holds}")
+                         f"{k4_ok}; variance bound holds: {holds}")
 
 
 def test_c10_smallball_exponent_third_chaos():

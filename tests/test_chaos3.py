@@ -70,12 +70,26 @@ def test_overflowing_tensor_raises_named_errors():
     # at 1e160 the squares overflow: once variance inf and kappa4 NaN
     with pytest.raises(ValueError, match="variance inf is not finite"):
         SymThreeTensor(6, {(1, 2, 3): 1e160, (4, 5, 6): 1e160})
-    # at 1e77 the variance is finite but kappa4 overflows: once inf, with
-    # bound_holds True
+    # at 1e77 the variance is finite but kappa4 overflows: once inf
     t = SymThreeTensor(6, {(1, 2, 3): 1e77, (4, 5, 6): 1e77})
     assert t.variance == pytest.approx(7.2e155)
     with pytest.raises(chaos2.PreconditionError, match="overflow"):
         chaos3.kappa4_and_var_gamma(t)
+    # the squares underflow: at 1e-170 the variance once read 0.0; at
+    # 1e-80 kappa4 / variance^2 once read 11.99987 instead of 12, and at
+    # 1e-100 kappa4 read 0.0
+    with pytest.raises(ValueError, match="variance 0.0 underflows"):
+        SymThreeTensor(6, {(1, 2, 3): 1e-170, (4, 5, 6): 1e-170})
+    for scale in (1e-80, 1e-100):
+        t = SymThreeTensor(6, {(1, 2, 3): scale, (4, 5, 6): scale})
+        with pytest.raises(chaos2.PreconditionError, match="underflow"):
+            chaos3.kappa4_and_var_gamma(t)
+    # normalising works at every scale: two disjoint triples, kappa4 = 12
+    for scale in (1e-170, 1e-100, 1e-80, 1e77, 1e160):
+        t = SymThreeTensor(6, {(1, 2, 3): scale, (4, 5, 6): scale},
+                           normalize=True)
+        assert t.variance == pytest.approx(1.0, rel=1e-12)
+        assert chaos3.kappa4_contraction(t) == pytest.approx(12.0, rel=1e-12)
 
 
 def test_variance_matches_oracle(unit_tensor_factory):
@@ -102,9 +116,8 @@ def test_gamma_point_values():
 
 def test_gamma_mean_is_three():
     t = triple_product()
-    est = mc.estimate(
-        lambda rng, cnt: chaos3.gamma_batch(t, rng.standard_normal((cnt, 3))),
-        100_000, mc.RngSpec(SEED, 0))
+    est = mc.estimate(lambda x: chaos3.gamma_batch(t, x), 100_000,
+                      mc.RngSpec(SEED, 0), 3)
     assert est.within(3.0, 3.0)
 
 
@@ -257,13 +270,12 @@ def test_sharp_second_moment_is_gamma():
     # E over both spaces of (sharp F)^2 = E Gamma = 3
     t = triple_product()
 
-    def fn(rng, cnt):
-        x = rng.standard_normal((cnt, 3))
-        xh = rng.standard_normal((cnt, 3))
+    def fn(pts):
+        x, xh = pts[:, :3], pts[:, 3:]    # X and X_hat side by side
         ms = chaos3.sharp_batch(t, xh)
         return np.einsum('bi,bij,bj->b', x, ms, x) ** 2
 
-    est = mc.estimate(fn, 200_000, mc.RngSpec(SEED, 1))
+    est = mc.estimate(fn, 200_000, mc.RngSpec(SEED, 1), 6)
     assert est.within(3.0, 3.0)
 
 
@@ -379,13 +391,11 @@ def test_trace_form_variance_matches_mc(unit_tensor_factory):
     t = unit_tensor_factory(rng, n=5)
     tf = chaos3.trace_form(t)
 
-    def fn(rng_, cnt):
-        return chaos3.trace_square_batch(t, rng_.standard_normal((cnt, t.n)))
-
-    est = mc.estimate(fn, 200_000, mc.RngSpec(SEED, 2))
+    fn = lambda xh: chaos3.trace_square_batch(t, xh)
+    est = mc.estimate(fn, 200_000, mc.RngSpec(SEED, 2), t.n)
     assert est.within(1.5, 3.0)
-    var_est = mc.estimate(lambda r, c: (fn(r, c) - 1.5) ** 2,
-                          200_000, mc.RngSpec(SEED, 3))
+    var_est = mc.estimate(lambda xh: (fn(xh) - 1.5) ** 2,
+                          200_000, mc.RngSpec(SEED, 3), t.n)
     assert var_est.within(tf.var_trace, 4.0)
 
 
@@ -408,13 +418,13 @@ def test_k4_var_gamma_triple_product():
     res = chaos3.kappa4_and_var_gamma(triple_product())
     assert res.kappa4 == pytest.approx(24.0, rel=1e-12)
     assert res.var_gamma == pytest.approx(36.0, rel=1e-12)
-    assert res.bound_holds  # 6 <= 3 sqrt(24)
+    assert math.sqrt(res.var_gamma) <= 3.0 * math.sqrt(res.kappa4)
 
 
 def test_k4_var_gamma_complete_n6():
     res = chaos3.kappa4_and_var_gamma(
         family_generators("complete-3-tensor", 6))
-    assert res.bound_holds
+    assert math.sqrt(res.var_gamma) <= 3.0 * math.sqrt(res.kappa4)
     assert res.kappa4 >= 0.0
 
 
@@ -425,7 +435,7 @@ def test_k4_exact_beyond_isserlis_range():
     res = chaos3.kappa4_and_var_gamma(t)
     assert res.kappa4 == chaos3.kappa4_contraction(t)
     assert res.var_gamma > res.kappa4 > 0.0
-    assert res.bound_holds
+    assert math.sqrt(res.var_gamma) <= 3.0 * math.sqrt(res.kappa4)
 
 
 def test_k4_nonnegative_and_bound(unit_tensor_factory):
@@ -434,7 +444,7 @@ def test_k4_nonnegative_and_bound(unit_tensor_factory):
         t = unit_tensor_factory(rng, n=int(rng.integers(3, 6)))
         res = chaos3.kappa4_and_var_gamma(t)
         assert res.kappa4 >= -1e-10
-        assert res.bound_holds
+        assert math.sqrt(res.var_gamma) <= 3.0 * math.sqrt(res.kappa4)
 
 
 def test_kappa4_contraction_matches_isserlis(unit_tensor_factory):
@@ -483,7 +493,7 @@ def test_k4_var_gamma_matches_mc_oracle():
     k4, k4_se, vg, vg_se = oracles.mc_k4_var_gamma(t, 400_000, SEED)
     assert abs(res.kappa4 - k4) <= 4.0 * k4_se
     assert abs(res.var_gamma - vg) <= 4.0 * vg_se
-    assert res.bound_holds
+    assert math.sqrt(res.var_gamma) <= 3.0 * math.sqrt(res.kappa4)
 
 
 def test_kappa4_block_family_exact():
@@ -665,10 +675,12 @@ def test_grid_columns_have_their_own_bits():
     assert checks[1] == single
 
 
-def _whole_chunks(fn, n, spec, acc):
-    # the reference reduction: fn(rng, cnt) once per counter block
+def _whole_chunks(fn, n, spec, dim, acc):
+    # the reference reduction: each counter block drawn whole and mapped
+    # by fn in one call
     for _, cnt, rng in mc.chunks(spec, n):
-        acc.add(np.ascontiguousarray(fn(rng, cnt).reshape(cnt, -1).T))
+        x = fn(rng.standard_normal((cnt, dim)))
+        acc.add(np.ascontiguousarray(x.reshape(cnt, -1).T))
     return acc
 
 
@@ -678,21 +690,20 @@ def test_stepped_estimators_match_whole_chunks_bitwise():
     t = family_generators("complete-3-tensor", 20)
     n = 2 * mc.CHUNK_SAMPLES + 777
     spec = mc.RngSpec(SEED, 0)
-    gamma = lambda rng, cnt: chaos3.gamma_batch(
-        t, rng.standard_normal((cnt, t.n)))
+    gamma = lambda x: chaos3.gamma_batch(t, x)
     eps = np.geomspace(0.01, 0.3, 8)
     res = chaos3.smallball_gamma3(t, eps, n, SEED)
-    hits = _whole_chunks(gamma, n, spec, mc.Hits(eps))
+    hits = _whole_chunks(gamma, n, spec, t.n, mc.Hits(eps))
     assert np.array_equal(res.hits, hits.counts[0])
 
     thetas = [0.25, 0.5]
 
-    def powers(rng, cnt):
-        g = gamma(rng, cnt)
+    def powers(x):
+        g = gamma(x)
         return np.stack([g ** -theta for theta in thetas], axis=1)
 
     got = chaos3.negative_moment_gamma3(t, thetas, n, SEED)
-    moments = _whole_chunks(powers, n, spec, mc.Moments())
+    moments = _whole_chunks(powers, n, spec, t.n, mc.Moments())
     for r, ref in zip(got, moments.results()):
         assert (r.estimate.mean, r.estimate.stderr) == (ref.mean, ref.stderr)
 

@@ -666,6 +666,38 @@ def test_float_grids_reject_other_values_by_name(tmp_path, capsys, name,
     assert not out.exists()
 
 
+def test_poisoned_sample_exits_2_by_name(tmp_path, capsys, monkeypatch):
+    # a non-finite sample once ended the run in a traceback with exit 1,
+    # which reads like a failed assertion
+    def poisoned(t, x):
+        g = np.ones(len(x))
+        g[-1] = np.nan
+        return g
+
+    monkeypatch.setattr(chaos3, "gamma_batch", poisoned)
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "negmoment3",
+                     ["kind = complete-3-tensor", "size = 4"],
+                     samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert ("error: non-finite sample value in chunk 0, column 0, "
+            "sample 1999 (seed=7, stream=0)") in err
+    assert not out.exists()
+
+
+def test_gamma_spec_at_huge_xi(tmp_path):
+    # log_char_product once squared 2 xi lam unscaled: an overflow warning,
+    # so a traceback under the suite's warnings-as-errors filter
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "gamma-spec",
+                     ["kind = complete-3-tensor", "size = 4"],
+                     ["xi = 1e200"], samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 0
+    (check,) = read_manifest(out)["assertions"]
+    assert check["passed"] and check["statistic"] == 0.0
+
+
 def test_trace_concentration_checks_the_model_class(tmp_path, capsys):
     # the size sweep once skipped the class check and died on t.n
     out = tmp_path / "run"

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,29 +33,28 @@ def test_distinct_streams_uncorrelated():
 
 
 def test_estimate_constant():
-    res = mc.estimate(lambda rng, cnt: np.ones(cnt), 1000, mc.RngSpec(0))
+    res = mc.estimate(lambda x: np.ones(len(x)), 1000, mc.RngSpec(0), 1)
     assert res.mean == 1.0
     assert res.stderr == 0.0
     assert res.n == 1000
 
 
 def test_estimate_chi_square():
-    res = mc.estimate(lambda rng, cnt: rng.standard_normal(cnt) ** 2,
-                      200_000, mc.RngSpec(5))
+    res = mc.estimate(lambda x: x[:, 0] ** 2, 200_000, mc.RngSpec(5), 1)
     assert res.within(1.0, 4.0)
 
 
 def test_estimate_matches_laplace_transform():
     f = chaos2.DiagonalSecondChaos([2 ** -0.5])
-    res = mc.estimate(lambda rng, cnt: np.exp(-f.sample_gamma(rng, cnt)),
-                      200_000, mc.RngSpec(6))
+    res = mc.estimate(lambda x: np.exp(-f.sample_gamma(x)), 200_000,
+                      mc.RngSpec(6), f.m)
     assert res.within(chaos2.laplace_gamma(f, 1.0), 4.0)
 
 
 def test_estimate_reproducible_bitwise():
-    fn = lambda rng, cnt: rng.standard_normal(cnt) ** 2
-    r1 = mc.estimate(fn, 150_000, mc.RngSpec(3, 2))
-    r2 = mc.estimate(fn, 150_000, mc.RngSpec(3, 2))
+    fn = lambda x: x[:, 0] ** 2
+    r1 = mc.estimate(fn, 150_000, mc.RngSpec(3, 2), 1)
+    r2 = mc.estimate(fn, 150_000, mc.RngSpec(3, 2), 1)
     assert r1.mean == r2.mean and r1.stderr == r2.stderr
 
 
@@ -61,7 +62,7 @@ def test_estimate_chunk_merge_matches_flat_mean():
     # samples are fixed per index; merging must agree with the flat mean
     n = 300_000
     spec = mc.RngSpec(12, 4)
-    res = mc.estimate(lambda rng, cnt: rng.standard_normal(cnt) ** 2, n, spec)
+    res = mc.estimate(lambda x: x[:, 0] ** 2, n, spec, 1)
     flat = np.concatenate([rng.standard_normal(cnt) ** 2
                            for _, cnt, rng in mc.chunks(spec, n)])
     assert res.mean == pytest.approx(float(flat.mean()), rel=1e-10)
@@ -71,26 +72,26 @@ def test_estimate_chunk_merge_matches_flat_mean():
 
 def test_estimate_rejects_small_n():
     with pytest.raises(ValueError):
-        mc.estimate(lambda rng, cnt: np.ones(cnt), 99, mc.RngSpec(0))
+        mc.estimate(lambda x: np.ones(len(x)), 99, mc.RngSpec(0), 1)
 
 
 def test_estimate_poisoned_sample_names_chunk():
-    def fn(rng, cnt):
-        out = np.ones(cnt)
+    def fn(x):
+        out = np.ones(len(x))
         out[0] = np.nan
         return out
 
     with pytest.raises(mc.PoisonedSampleError, match="chunk 0"):
-        mc.estimate(fn, 1000, mc.RngSpec(7, 3))
+        mc.estimate(fn, 1000, mc.RngSpec(7, 3), 1)
 
 
 def test_estimate_complex():
     # a complex sample reduces as two real Moments columns
-    def fn(rng, cnt):
-        z = np.exp(1j * rng.standard_normal(cnt))
+    def fn(x):
+        z = np.exp(1j * x[:, 0])
         return np.stack([z.real, z.imag], axis=1)
 
-    (m,) = mc.reduce(fn, 200_000, mc.RngSpec(8), mc.Moments())
+    (m,) = mc.reduce(fn, 200_000, mc.RngSpec(8), 1, mc.Moments())
     re, im = m.results()
     # E exp(iG) = exp(-1/2)
     assert re.within(np.exp(-0.5), 4.0)
@@ -101,16 +102,19 @@ def test_estimate_complex():
 # the reduction and its accumulators
 # ---------------------------------------------------------------------------
 
-def _flat(fn, n, spec):
-    return np.concatenate([np.asarray(fn(rng, cnt)).reshape(cnt, -1)
-                           for _, cnt, rng in mc.chunks(spec, n)])
+def _flat(fn, n, spec, dim):
+    # each chunk's points drawn whole, in one call
+    return np.concatenate([
+        np.asarray(fn(rng.standard_normal((cnt, dim)))).reshape(cnt, -1)
+        for _, cnt, rng in mc.chunks(spec, n)])
 
 
-def _chan_reference(fn, n, spec):
-    # 1-D chunk means and the Chan-Golub-LeVeque merge, in Python floats
+def _chan_reference(fn, n, spec, dim):
+    # 1-D chunk means and the Chan-Golub-LeVeque merge, in Python floats,
+    # on whole-chunk draws
     count, mean, m2 = 0, 0.0, 0.0
     for _, cnt, rng in mc.chunks(spec, n):
-        x = fn(rng, cnt)
+        x = fn(rng.standard_normal((cnt, dim)))
         cm = float(x.mean())
         cm2 = float(np.sum((x - cm) ** 2))
         tot = count + cnt
@@ -123,13 +127,13 @@ def _chan_reference(fn, n, spec):
 
 @pytest.mark.parametrize("n", [100, 12_345, 150_000])
 def test_reduce_columns_match_estimate_bitwise(n):
-    fn = lambda rng, cnt: rng.standard_normal(cnt) ** 2
+    fn = lambda x: x[:, 0] ** 2
     spec = mc.RngSpec(3, 2)
-    both = lambda rng, cnt: np.stack([fn(rng, cnt)] * 2, axis=1)
-    (m,) = mc.reduce(both, n, spec, mc.Moments())
-    ref = mc.estimate(fn, n, spec)
+    both = lambda x: np.stack([fn(x)] * 2, axis=1)
+    (m,) = mc.reduce(both, n, spec, 1, mc.Moments())
+    ref = mc.estimate(fn, n, spec, 1)
     assert m.results() == [ref, ref]
-    assert (ref.mean, ref.stderr) == _chan_reference(fn, n, spec)
+    assert (ref.mean, ref.stderr) == _chan_reference(fn, n, spec, 1)
 
 
 def test_reduce_hands_one_array_to_every_accumulator():
@@ -137,12 +141,12 @@ def test_reduce_hands_one_array_to_every_accumulator():
     # alone, across whole and ragged chunks
     n = 2 * mc.CHUNK_SAMPLES + 777
     spec = mc.RngSpec(2, 5)
-    fn = lambda rng, cnt: np.exp(rng.standard_normal((cnt, 3)) * [0.5, 1, 2])
-    m, hits, top = mc.reduce(fn, n, spec, mc.Moments(),
+    fn = lambda x: np.exp(x * [0.5, 1, 2])
+    m, hits, top = mc.reduce(fn, n, spec, 3, mc.Moments(),
                              mc.Hits([0.5, 1.0, 2.0]), mc.TopShare(n // 1000))
-    (m1,) = mc.reduce(fn, n, spec, mc.Moments())
-    (hits1,) = mc.reduce(fn, n, spec, mc.Hits([0.5, 1.0, 2.0]))
-    (top1,) = mc.reduce(fn, n, spec, mc.TopShare(n // 1000))
+    (m1,) = mc.reduce(fn, n, spec, 3, mc.Moments())
+    (hits1,) = mc.reduce(fn, n, spec, 3, mc.Hits([0.5, 1.0, 2.0]))
+    (top1,) = mc.reduce(fn, n, spec, 3, mc.TopShare(n // 1000))
     assert m.results() == m1.results()
     assert hits.n == hits1.n == n
     assert np.array_equal(hits.counts, hits1.counts)
@@ -154,9 +158,9 @@ def test_hits_across_chunks_match_flat_count():
     n = mc.CHUNK_SAMPLES + 5000
     spec = mc.RngSpec(4, 1)
     thresholds = [0.1, 0.5, 1.0, 2.0]
-    fn = lambda rng, cnt: rng.standard_normal((cnt, 2)) ** 2
-    (hits,) = mc.reduce(fn, n, spec, mc.Hits(thresholds))
-    flat = _flat(fn, n, spec)
+    fn = lambda x: x ** 2
+    (hits,) = mc.reduce(fn, n, spec, 2, mc.Hits(thresholds))
+    flat = _flat(fn, n, spec, 2)
     expected = np.array([[np.count_nonzero(col < t) for t in thresholds]
                          for col in flat.T])
     assert hits.counts.dtype == np.int64
@@ -169,9 +173,9 @@ def test_top_share_matches_brute_force():
     n = 2 * mc.CHUNK_SAMPLES + 777
     k = n // 1000
     spec = mc.RngSpec(5, 3)
-    fn = lambda rng, cnt: np.exp(rng.standard_normal((cnt, 2)) * [1.0, 3.0])
-    (top,) = mc.reduce(fn, n, spec, mc.TopShare(k))
-    flat = _flat(fn, n, spec)
+    fn = lambda x: np.exp(x * [1.0, 3.0])
+    (top,) = mc.reduce(fn, n, spec, 2, mc.TopShare(k))
+    flat = _flat(fn, n, spec, 2)
     expected = np.sort(flat, axis=0)[-k:].sum(axis=0) / flat.sum(axis=0)
     assert top.share == pytest.approx(expected, rel=1e-12)
     assert top.share[1] > top.share[0]
@@ -183,18 +187,18 @@ def test_reduce_poisoned_column_names_chunk():
     bad = mc.CHUNK_SAMPLES + mc.STEP_SAMPLES + 17
     calls = []
 
-    def fn(rng, cnt):
-        out = np.ones((cnt, 3))
+    def fn(x):
+        out = np.ones((len(x), 3))
         first = sum(calls)
-        if first <= bad < first + cnt:
+        if first <= bad < first + len(x):
             out[bad - first, 1] = np.nan
-        calls.append(cnt)
+        calls.append(len(x))
         return out
 
     with pytest.raises(mc.PoisonedSampleError,
                        match=rf"chunk 1, column 1, sample {bad} "
                              r"\(seed=7, stream=3\)"):
-        mc.reduce(fn, 2 * mc.CHUNK_SAMPLES + 10, mc.RngSpec(7, 3),
+        mc.reduce(fn, 2 * mc.CHUNK_SAMPLES + 10, mc.RngSpec(7, 3), 1,
                   mc.Moments())
     assert sum(calls) == 2 * mc.CHUNK_SAMPLES
 
@@ -205,7 +209,7 @@ def test_reduce_memory_is_one_step_not_one_chunk():
     f = family_generators("chi2-average", 192)
     tracemalloc.start()
     try:
-        (hits,) = mc.reduce(f.sample_gamma, 100_000, mc.RngSpec(11),
+        (hits,) = mc.reduce(f.sample_gamma, 100_000, mc.RngSpec(11), f.m,
                             mc.Hits([0.5, 1.0, 1.5]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -216,20 +220,37 @@ def test_reduce_memory_is_one_step_not_one_chunk():
 
 def test_reduce_rejects_bad_shapes_and_counts():
     with pytest.raises(ValueError, match="expected"):
-        mc.reduce(lambda rng, cnt: np.ones(cnt + 1), 1000, mc.RngSpec(0),
+        mc.reduce(lambda x: np.ones(len(x) + 1), 1000, mc.RngSpec(0), 1,
                   mc.Moments())
     # a step with other columns than the chunk's first step is named, not
     # left to numpy's broadcast error
     widths = iter([2, 3])
     with pytest.raises(ValueError, match="fn returned 3 columns, but 2 at "
                                          "the chunk's first step"):
-        mc.reduce(lambda rng, cnt: np.ones((cnt, next(widths))),
-                  mc.STEP_SAMPLES + 1, mc.RngSpec(0), mc.Moments())
+        mc.reduce(lambda x: np.ones((len(x), next(widths))),
+                  mc.STEP_SAMPLES + 1, mc.RngSpec(0), 1, mc.Moments())
     drawn = []
     with pytest.raises(ValueError, match="need at least 100 samples"):
-        mc.reduce(lambda rng, cnt: drawn.append(cnt), 99, mc.RngSpec(0),
-                  mc.Moments())
+        mc.reduce(drawn.append, 99, mc.RngSpec(0), 1, mc.Moments())
     assert not drawn
+
+
+# the only draws outside mc: sphere_grid's fixed-key directions and the
+# stream-999 probe of the sp-lower-bound run
+DRAW_PROBES = {("chaos2", "sphere_grid"), ("cli", "_exp_sp_lower_bound")}
+
+
+def test_only_mc_draws():
+    # every estimator is a map of the points mc.reduce draws
+    sites = set()
+    for path in Path(mc.__file__).parent.glob("*.py"):
+        # each top-level statement: a function, a class or a module line
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Attribute)
+                   and node.attr == "standard_normal"
+                   for node in ast.walk(top)):
+                sites.add((path.stem, getattr(top, "name", "<module>")))
+    assert sites - {("mc", "reduce")} == DRAW_PROBES
 
 
 def test_loglog_slope_noisy_power_law():
