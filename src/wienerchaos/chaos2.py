@@ -3,8 +3,9 @@
 Diagonal representation F = sum_k alpha_k (G_k^2 - 1) and the generic
 matrix representation F_i = X' A_i X - Tr A_i.  Everything here that has a
 closed form (cumulants, symmetric functions, Laplace transform,
-characteristic function) is computed exactly from the coefficients; the
-Monte Carlo substrate is used only for cross-checks driven by callers.
+characteristic function) is computed exactly from the coefficients.  The
+module returns numbers and draws nothing: the runner compares them with
+their thresholds, bounds and Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import mc
 
 UNIT_VAR_TOL = 1e-12
 MELLIN_REL_TOL = 1e-13   # negative_moment: agreement of two step levels
@@ -163,7 +162,6 @@ def newton_cumulants(f: DiagonalSecondChaos, p_max: int) -> SymmetricFunctionTab
 class SpDeviation:
     lhs: float   # |S_p - 1/(2^p p!)|
     rhs: float   # p * kappa_4 / 48
-    holds: bool
 
 
 def check_sp_deviation(f: DiagonalSecondChaos, p: int) -> SpDeviation:
@@ -176,7 +174,7 @@ def check_sp_deviation(f: DiagonalSecondChaos, p: int) -> SpDeviation:
     lhs = abs(table.elementary[p - 1] - 1.0 / (2.0 ** p * math.factorial(p)))
     kappa4 = table.cumulants[1]
     rhs = p * kappa4 / 48.0
-    return SpDeviation(float(lhs), float(rhs), bool(lhs <= rhs))
+    return SpDeviation(float(lhs), float(rhs))
 
 
 def laplace_gamma(f: DiagonalSecondChaos, lam):
@@ -192,22 +190,12 @@ def laplace_gamma(f: DiagonalSecondChaos, lam):
     return np.exp(-0.5 * np.log1p(8.0 * np.multiply.outer(lam_arr, a2)).sum(-1))
 
 
-@dataclass(frozen=True)
-class Thm1Certificate:
-    threshold: float
-    certified: bool
-    q_sup: float  # negative moments certified for all q < q_sup
-
-
-def thm1_certificate(kappa4: float, p: int) -> Thm1Certificate:
-    """Certificate kappa4 < 24 / (2^p (p+1)!) for 1/Gamma in L^q, q < p/2."""
-    if kappa4 < 0:
-        raise ValueError("kappa4 must be >= 0")
+def thm1_threshold(p: int) -> float:
+    """eta_p = 24 / (2^p (p+1)!): kappa_4 < eta_p puts 1/Gamma in L^q for
+    every q < p/2."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    threshold = 24.0 / (2.0 ** p * math.factorial(p + 1))
-    certified = bool(kappa4 < threshold)
-    return Thm1Certificate(threshold, certified, p / 2.0 if certified else 0.0)
+    return 24.0 / (2.0 ** p * math.factorial(p + 1))
 
 
 def smallball_bound(p: int, eps: float) -> float:
@@ -454,10 +442,6 @@ class MultivariateSecondChaos:
     def covariance(self) -> np.ndarray:
         return 2.0 * np.trace(self.products(), axis1=2, axis2=3)
 
-    def has_identity_cov(self) -> bool:
-        return bool(np.max(np.abs(self.covariance() - np.eye(self.d)))
-                    <= UNIT_VAR_TOL)
-
     def combined(self, t) -> np.ndarray:
         """A_t = sum_i t_i A_i, summed in order of i, for one direction
         (d,) or a batch (k, d); shape (n, n) or (k, n, n)."""
@@ -575,18 +559,3 @@ def sphere_kappa4_max(m: MultivariateSecondChaos) -> Kappa4Max:
             break
         best_v, t = v, cand
     return Kappa4Max(best_v, t)
-
-
-def laplace_vs_mc(f: DiagonalSecondChaos, lam_grid, n: int,
-                  spec: mc.RngSpec) -> list[tuple[float, mc.EstimatorResult]]:
-    """Closed-form Laplace transform next to its Monte Carlo estimate, one
-    pair per lambda of the grid, all columns of one pass over spec."""
-    lams = [float(v) for v in np.ravel(lam_grid)]
-    closed = laplace_gamma(f, lams)    # a rejected grid costs no draws
-
-    def fn(x):
-        g = f.sample_gamma(x)
-        return np.stack([np.exp(-lam * g) for lam in lams], axis=1)
-
-    (moments,) = mc.reduce(fn, n, spec, f.m, mc.Moments())
-    return list(zip(closed, moments.results()))

@@ -674,10 +674,3 @@ def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int,
         lb = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))
         out.append(SpBatchResult(p, est, float(lb), SP_ALPHA_GRID, phat, se))
     return out
-
-
-def dtv_bound(kappa4: float) -> float:
-    """Fourth-moment total-variation bound sqrt(kappa4 / 3), unclamped."""
-    if kappa4 < 0:
-        raise ValueError("kappa4 must be >= 0")
-    return math.sqrt(kappa4 / 3.0)

@@ -890,19 +890,6 @@ def test_sp_bound_block_vs_complete_n12():
 
 
 # ---------------------------------------------------------------------------
-# total variation bound
-# ---------------------------------------------------------------------------
-
-def test_dtv_bound_values():
-    assert chaos3.dtv_bound(0.03) == pytest.approx(0.1)
-    assert chaos3.dtv_bound(0.0) == 0.0
-    # unclamped: the density experiment clamps it at 1
-    assert chaos3.dtv_bound(24.0) == pytest.approx(math.sqrt(8.0))
-    with pytest.raises(ValueError):
-        chaos3.dtv_bound(-0.1)
-
-
-# ---------------------------------------------------------------------------
 # trace concentration across families (verified directions)
 # ---------------------------------------------------------------------------
 

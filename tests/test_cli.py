@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -70,7 +71,34 @@ def test_parse_config_and_overrides(tmp_path):
     assert cfg.seed == 3 and cfg.samples == 5000
     cfg2 = cli.parse_config(p, seed=99, samples=1234, out=tmp_path / "o2")
     assert cfg2.seed == 99 and cfg2.samples == 1234
-    assert cfg2.raw["experiment"]["seed"] == "3"  # echo keeps the file value
+    # the echo holds the values the run uses, not the file's
+    assert cfg2.raw["experiment"] == {
+        "name": "laplace-check", "seed": "99", "samples": "1234",
+        "out": str(tmp_path / "o2")}
+    assert cli.parse_config(p).raw["experiment"]["seed"] == "3"
+
+
+def test_rerun_from_manifest_echo_reproduces_overridden_run(tmp_path):
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "laplace-check",
+                     ["kind = diagonal", "alphas = 0.5, 0.5"],
+                     ["lambda = 0.25, 1"], seed=1, samples=1000)
+    assert cli.main(["run", str(p), "--seed", "7", "--samples", "2000",
+                     "--out", str(out)]) == 0
+    man = read_manifest(out)
+    assert man["config"]["experiment"]["seed"] == "7"
+    assert man["config"]["experiment"]["samples"] == "2000"
+    cp = configparser.ConfigParser()
+    cp.read_dict(man["config"])
+    cp["experiment"]["out"] = str(tmp_path / "rerun")
+    with open(tmp_path / "echo.ini", "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    assert cli.main(["run", str(tmp_path / "echo.ini")]) == 0
+    assert (read_manifest(tmp_path / "rerun")["config"]
+            == man["config"] | {"experiment": dict(cp["experiment"])})
+    for name in man["files"]:
+        assert ((tmp_path / "rerun" / name).read_bytes()
+                == (out / name).read_bytes())
 
 
 def test_build_model_kinds(tmp_path):
@@ -80,7 +108,7 @@ def test_build_model_kinds(tmp_path):
                          "mat.1": "0.5 0 ; 0 -0.5",
                          "mat.2": "0 0.5 ; 0.5 0"})
     assert isinstance(m, chaos2.MultivariateSecondChaos)
-    assert m.has_identity_cov()
+    assert np.max(np.abs(m.covariance() - np.eye(2))) <= chaos2.UNIT_VAR_TOL
     t = chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
     path = tmp_path / "t.txt"
     chaos3.write_tensor_file(t, path)
@@ -110,9 +138,10 @@ def test_run_thm1_certificate_pass(tmp_path):
     man = read_manifest(out)
     assert man["n_failed"] == 0
     assert man["assertions"][0]["name"] == "certified_p3"
+    assert man["assertions"][0]["tolerance"] == 0.0
     rows = (out / "thm1_certificate.csv").read_text().strip().split("\n")
     assert rows[0] == "p,kappa4,threshold,certified,q_sup"
-    assert rows[1].split(",")[3] == "1"
+    assert rows[1].split(",")[3:] == ["1", "1.5"]   # q_sup = p/2
 
 
 def test_run_assertion_failure_still_writes(tmp_path):
@@ -124,7 +153,8 @@ def test_run_assertion_failure_still_writes(tmp_path):
     assert cli.main(["run", str(p)]) == 1
     man = read_manifest(out)
     assert man["n_failed"] == 1
-    assert (out / "thm1_certificate.csv").exists()
+    rows = (out / "thm1_certificate.csv").read_text().strip().split("\n")
+    assert rows[1].split(",")[3:] == ["0", "0"]     # q_sup 0: not certified
 
 
 def test_run_unknown_experiment(tmp_path, capsys):
@@ -663,6 +693,22 @@ def test_float_grids_reject_other_values_by_name(tmp_path, capsys, name,
     assert cli.main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert f"grid {key!r} must hold finite numbers, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_laplace_check_negative_lambda_draws_nothing(tmp_path, capsys,
+                                                    monkeypatch):
+    # the closed form rejects the grid before mc.reduce draws a sample
+    def refuse(*args, **kwargs):
+        raise AssertionError("laplace-check drew samples")
+
+    monkeypatch.setattr(cli.mc, "reduce", refuse)
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "laplace-check",
+                     ["kind = diagonal", "alphas = 0.5, 0.5"],
+                     ["lambda = 1, -0.5"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert "error: lam must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -253,6 +253,19 @@ def test_only_mc_draws():
     assert sites - {("mc", "reduce")} == DRAW_PROBES
 
 
+def test_chaos2_does_not_import_mc():
+    # chaos2 computes closed forms; their Monte Carlo cross-checks are the
+    # runner's, so chaos2 imports no part of mc
+    path = Path(mc.__file__).parent / "chaos2.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    assert not [n for n in names if n.split(".")[-1] == "mc"], names
+
+
 def test_loglog_slope_noisy_power_law():
     rng = np.random.default_rng(0)
     n = 2_000_000
