@@ -84,10 +84,6 @@ class DiagonalSecondChaos:
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.alphas))
 
-    def sample_f(self, g: np.ndarray) -> np.ndarray:
-        """F at the Gaussian points g, shape (count, m)."""
-        return (np.square(g) - 1.0) @ self.alphas
-
     def sample_gamma(self, g: np.ndarray) -> np.ndarray:
         """The carre du champ 4 sum_k alpha_k^2 G_k^2 at the points g."""
         return np.square(g) @ (4.0 * self.alphas ** 2)

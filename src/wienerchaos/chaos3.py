@@ -210,15 +210,6 @@ def read_tensor_file(path, normalize: bool = False) -> SymThreeTensor:
     return SymThreeTensor(n, entries, normalize=normalize)
 
 
-def write_tensor_file(t: SymThreeTensor, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# symmetric 3-tensor: dimension, then 'i j k value' "
-                 "(1-based, i<j<k)\n")
-        fh.write(f"{t.n}\n")
-        for (i, j, k), v in sorted(t.entries.items()):
-            fh.write(f"{i} {j} {k} {v:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # carre du champ and the sharp matrix
 # ---------------------------------------------------------------------------
@@ -407,8 +398,6 @@ def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
     spectrum's law.
     """
     xis = _grid(xi_grid)
-    if n_samples < 1000:
-        raise ValueError("need at least 1e3 samples")
 
     def fn_lhs(x):
         g = gamma_batch(t, x)
@@ -470,10 +459,6 @@ def trace_form(t: SymThreeTensor) -> TraceFormSpectrum:
     if betas.min() < -1e-10:
         raise EigenSolverError("trace form produced a negative eigenvalue")
     betas = np.clip(betas, 0.0, None)[::-1].copy()
-    total = float(betas.sum())
-    if abs(total - 1.5) > 1e-12 * max(1.0, total):
-        raise AssertionError(
-            f"sum of betas {total!r} != 3/2 for a unit-variance tensor")
     var_trace = float(2.0 * np.sum(b * b))
     return TraceFormSpectrum(b, betas, var_trace)
 

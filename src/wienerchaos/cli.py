@@ -5,12 +5,13 @@ Usage:  wienerchaos run <config> [--seed S] [--samples N] [--out DIR]
 The config is flat key/value text (INI sections), echoed into the run
 manifest with the command-line overrides in place, so a rerun from the
 echo is the same run; README.md ("Experiment runner") shows one in full.
-[experiment] holds name (a key of EXPERIMENTS), seed (u64), samples and
-out; [model] a kind, a family of family_generators or one of build_model's
-explicit kinds, with its parameters; the optional [grids] only the keys
-that INPUTS lists for the experiment.  run() checks every input before
-any work.  Assertion failures never abort a run: each is recorded in the
-manifest with its numbers, and they surface through the exit status.
+[experiment] holds name (a key of INPUTS, the one table of experiments),
+seed (u64), samples and out; [model] a kind, a family of family_generators
+or one of build_model's explicit kinds, with its parameters; the optional
+[grids] only the keys that INPUTS lists for the experiment.  run() checks
+every input before any work.  Assertion failures never abort a run: each
+is recorded in the manifest with its numbers, and they surface through
+the exit status.
 """
 
 from __future__ import annotations
@@ -343,14 +344,13 @@ def _exp_trace_concentration(cfg, models, rec):
     rows = []
     for i, (size, t) in enumerate(zip(cfg.grids["sizes"], models)):
         tf = chaos3.trace_form(t)
+        rec.check(f"sum_beta_n{size}", abs(tf.expected_trace - 1.5) <= 1e-12,
+                  tf.expected_trace, 1.5, tolerance=1e-12)
         kappa4 = chaos3.kappa4_contraction(t)
         est = mc.estimate(lambda xh: chaos3.trace_square_batch(t, xh),
                           cfg.samples, mc.RngSpec(cfg.seed, i), t.n)
-        ok = est.within(1.5, 3.0)
-        # the numbers are the Monte Carlo half's; sum_beta is in the CSV
-        rec.check(f"trace_mean_n{size}",
-                  abs(tf.expected_trace - 1.5) <= 1e-12 and ok,
-                  est.mean, 1.5, est.stderr, 3.0)
+        rec.check(f"trace_mean_n{size}", est.within(1.5, 3.0), est.mean, 1.5,
+                  est.stderr, 3.0)
         rows.append((size, kappa4, tf.var_trace, tf.expected_trace,
                      est.mean, est.stderr))
     rec.csv("trace_concentration.csv",
@@ -412,30 +412,40 @@ def _exp_sp_lower_bound(cfg, t, rec):
             ["p", "mean_sp", "se", "lower_bound", "bound_holds"], rows)
 
 
-# experiments that sweep family sizes themselves; [model] only names the kind
-SIZE_SWEEP_EXPERIMENTS = {"trace-concentration"}
-
 _DIAGONAL, _TENSOR = chaos2.DiagonalSecondChaos, chaos3.SymThreeTensor
 
-# What each experiment reads: the model class it needs, whether its
-# references assume a variance-one F, and its [grids] keys with typed
+# The experiments: each one's function, the model class it needs, whether
+# its references assume a variance-one F, and its [grids] keys with typed
 # defaults.  A grid is cast like its default, finite and not empty; a
 # tuple default also fixes the grid's length.
 INPUTS = {
-    "thm1-certificate": (_DIAGONAL, True, {"p": [1, 2, 3]}),
-    "laplace-check": (_DIAGONAL, False, {"lambda": [0.25, 1.0, 4.0]}),
-    "smallball2": (_DIAGONAL, True, {"p": (3,), "eps": [0.05, 0.1, 0.2]}),
-    "negmoment2": (_DIAGONAL, False, {"q": [0.25]}),
-    "density": (_DIAGONAL, True, {"x": (-6.0, 6.0, 0.01)}),  # start stop step
-    "multivariate-bounds": (chaos2.MultivariateSecondChaos, False, {}),
-    "gamma-spec": (_TENSOR, False, {"xi": [0.5, 1.0, 2.0]}),
-    "spectral-radius": (_TENSOR, False, {"p": [1, 2]}),
-    "trace-concentration": (_TENSOR, False, {"sizes": [6, 12, 24]}),
-    "smallball3": (_TENSOR, False, {"eps": [0.01, 0.0163, 0.0265, 0.0431,
-                                            0.0702, 0.114, 0.186, 0.3]}),
-    "negmoment3": (_TENSOR, False, {"theta": [0.25]}),
-    "sp-lower-bound": (_TENSOR, True, {"p": [1, 2]}),
+    "thm1-certificate": (_exp_thm1_certificate, _DIAGONAL, True,
+                         {"p": [1, 2, 3]}),
+    "laplace-check": (_exp_laplace_check, _DIAGONAL, False,
+                      {"lambda": [0.25, 1.0, 4.0]}),
+    "smallball2": (_exp_smallball2, _DIAGONAL, True,
+                   {"p": (3,), "eps": [0.05, 0.1, 0.2]}),
+    "negmoment2": (_exp_negmoment2, _DIAGONAL, False, {"q": [0.25]}),
+    "density": (_exp_density, _DIAGONAL, True,
+                {"x": (-6.0, 6.0, 0.01)}),    # start stop step
+    "multivariate-bounds": (_exp_multivariate_bounds,
+                            chaos2.MultivariateSecondChaos, False, {}),
+    "gamma-spec": (_exp_gamma_spec, _TENSOR, False, {"xi": [0.5, 1.0, 2.0]}),
+    "spectral-radius": (_exp_spectral_radius, _TENSOR, False, {"p": [1, 2]}),
+    "trace-concentration": (_exp_trace_concentration, _TENSOR, True,
+                            {"sizes": [6, 12, 24]}),
+    "smallball3": (_exp_smallball3, _TENSOR, False,
+                   {"eps": [0.01, 0.0163, 0.0265, 0.0431, 0.0702, 0.114,
+                            0.186, 0.3]}),
+    "negmoment3": (_exp_negmoment3, _TENSOR, False, {"theta": [0.25]}),
+    "sp-lower-bound": (_exp_sp_lower_bound, _TENSOR, True, {"p": [1, 2]}),
 }
+
+EXPERIMENTS = {name: row[0] for name, row in INPUTS.items()}
+
+# experiments that sweep family sizes themselves; [model] only names the kind
+SIZE_SWEEP_EXPERIMENTS = {name for name, row in INPUTS.items()
+                          if "sizes" in row[3]}
 
 
 def _grid(key: str, text: str, default) -> list:
@@ -457,29 +467,13 @@ def _grid(key: str, text: str, default) -> list:
     return values
 
 
-EXPERIMENTS = {
-    "thm1-certificate": _exp_thm1_certificate,
-    "laplace-check": _exp_laplace_check,
-    "smallball2": _exp_smallball2,
-    "negmoment2": _exp_negmoment2,
-    "density": _exp_density,
-    "multivariate-bounds": _exp_multivariate_bounds,
-    "gamma-spec": _exp_gamma_spec,
-    "spectral-radius": _exp_spectral_radius,
-    "trace-concentration": _exp_trace_concentration,
-    "smallball3": _exp_smallball3,
-    "negmoment3": _exp_negmoment3,
-    "sp-lower-bound": _exp_sp_lower_bound,
-}
-
-
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns the exit status (0 = all passed)."""
-    if cfg.name not in EXPERIMENTS:
+    if cfg.name not in INPUTS:
         raise ValueError(
             f"unknown experiment {cfg.name!r}; choose one of "
-            f"{', '.join(sorted(EXPERIMENTS))}")
-    cls, unit_variance, defaults = INPUTS[cfg.name]
+            f"{', '.join(sorted(INPUTS))}")
+    _, cls, unit_variance, defaults = INPUTS[cfg.name]
     unknown = sorted(cfg.grids.keys() - defaults.keys())
     if unknown:
         raise ValueError(f"experiment {cfg.name!r} reads no grid "

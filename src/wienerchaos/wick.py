@@ -194,10 +194,3 @@ def cumulants_from_moment_sequence(moments) -> list[float]:
             acc -= math.comb(n - 1, j - 1) * ks[j - 1] * ms[n - j - 1]
         ks.append(acc)
     return ks
-
-
-def cumulants_from_moments(m1: float, m2: float, m3: float,
-                           m4: float) -> tuple[float, float, float, float]:
-    """(kappa_1, kappa_2, kappa_3, kappa_4) from the first four raw moments."""
-    k = cumulants_from_moment_sequence([m1, m2, m3, m4])
-    return k[0], k[1], k[2], k[3]

@@ -57,6 +57,16 @@ def make_unit_tensor(rng, n=None):
     return chaos3.SymThreeTensor(n, entries, normalize=True)
 
 
+def write_tensor_file(t, path):
+    """Write t in the plain-text format that chaos3.read_tensor_file reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# symmetric 3-tensor: dimension, then 'i j k value' "
+                 "(1-based, i<j<k)\n")
+        fh.write(f"{t.n}\n")
+        for (i, j, k), v in sorted(t.entries.items()):
+            fh.write(f"{i} {j} {k} {v:.17g}\n")
+
+
 def diagonal_polynomial(f):
     """F = sum_k alpha_k (G_k^2 - 1) of a DiagonalSecondChaos as a
     GaussianPolynomial."""

@@ -350,8 +350,8 @@ def test_gamma_spec_triple_product():
 
 
 def test_gamma_spec_sample_floor():
-    with pytest.raises(ValueError):
-        chaos3.verify_gamma_spec(triple_product(), [1.0], 500, SEED)
+    with pytest.raises(ValueError, match="need at least 100 samples"):
+        chaos3.verify_gamma_spec(triple_product(), [1.0], 99, SEED)
 
 
 def test_gamma_spec_small_xi_expansion():
@@ -956,7 +956,7 @@ def test_tensor_file_roundtrip(tmp_path, unit_tensor_factory):
     rng = np.random.default_rng(11)
     t = unit_tensor_factory(rng, n=5)
     path = tmp_path / "tensor.txt"
-    chaos3.write_tensor_file(t, path)
+    oracles.write_tensor_file(t, path)
     back = chaos3.read_tensor_file(path)
     assert back.n == t.n
     assert np.allclose(back.a, t.a, atol=1e-15)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from wienerchaos import chaos2, chaos3, cli
 
 
@@ -111,7 +112,7 @@ def test_build_model_kinds(tmp_path):
     assert np.max(np.abs(m.covariance() - np.eye(2))) <= chaos2.UNIT_VAR_TOL
     t = chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
     path = tmp_path / "t.txt"
-    chaos3.write_tensor_file(t, path)
+    oracles.write_tensor_file(t, path)
     back = cli.build_model({"kind": "tensor-file", "path": str(path)})
     assert isinstance(back, chaos3.SymThreeTensor)
     with pytest.raises(ValueError):
@@ -191,6 +192,21 @@ def test_run_gamma_spec(tmp_path):
     assert len(man["assertions"]) == 2
 
 
+def test_gamma_spec_runs_at_the_reduction_floor(tmp_path, capsys):
+    # verify_gamma_spec once asked for 1000 samples on top of mc.reduce's 100
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "gamma-spec",
+                     ["kind = complete-3-tensor", "size = 4"], ["xi = 1"],
+                     samples=100, out=out)
+    assert cli.main(["run", str(p)]) in (0, 1)
+    assert (out / "gamma_spec.csv").exists()
+    low = tmp_path / "low"
+    assert cli.main(["run", str(p), "--samples", "99", "--out",
+                     str(low)]) == 2
+    assert "need at least 100 samples" in capsys.readouterr().err
+    assert not low.exists()
+
+
 def test_run_multivariate_bounds(tmp_path, monkeypatch):
     calls = []
     for name in ("sphere_kappa4_max", "sphere_grid"):
@@ -258,6 +274,49 @@ def test_run_trace_concentration(tmp_path):
     k4 = [float(r.split(",")[1]) for r in rows[1:]]
     vt = [float(r.split(",")[2]) for r in rows[1:]]
     assert k4[1] < k4[0] and vt[1] < vt[0]
+    assert [a["name"] for a in read_manifest(out)["assertions"]] == [
+        "sum_beta_n6", "trace_mean_n6", "sum_beta_n12", "trace_mean_n12"]
+
+
+def test_sum_beta_is_checked_apart_from_the_monte_carlo_mean(tmp_path,
+                                                             monkeypatch):
+    # trace_mean_n* once also held |sum beta - 3/2| <= 1e-12, so this gap
+    # failed it whatever its z
+    trace_form = chaos3.trace_form
+
+    def off(t):
+        tf = trace_form(t)
+        betas = tf.betas.copy()
+        betas[0] += 1.5 + 1.2e-12 - tf.expected_trace
+        return chaos3.TraceFormSpectrum(tf.b_matrix, betas, tf.var_trace)
+
+    monkeypatch.setattr(chaos3, "trace_form", off)
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "trace-concentration",
+                     ["kind = block-3-tensor"], ["sizes = 6"], out=out)
+    assert cli.main(["run", str(p)]) == 1
+    checks = {a["name"]: a for a in read_manifest(out)["assertions"]}
+    assert checks.keys() == {"sum_beta_n6", "trace_mean_n6"}
+    assert not checks["sum_beta_n6"]["passed"]
+    assert checks["sum_beta_n6"]["statistic"] == pytest.approx(
+        1.5 + 1.2e-12, abs=1e-15)
+    assert checks["sum_beta_n6"]["tolerance"] == 1e-12
+    assert checks["trace_mean_n6"]["passed"]
+    assert abs(checks["trace_mean_n6"]["z"]) <= 3.0
+
+
+def test_trace_concentration_needs_unit_variance(tmp_path, monkeypatch,
+                                                 capsys):
+    # trace_form and the reference E Tr(A_hat^2) = 3/2 assume variance one
+    monkeypatch.setattr(cli, "family_generators", lambda kind, size:
+                        chaos3.SymThreeTensor(6, {(1, 2, 3): 1.5}))
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "trace-concentration",
+                     ["kind = block-3-tensor"], ["sizes = 6"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert ("experiment 'trace-concentration' needs a unit-variance model, "
+            "got variance 81") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_concentration_rejected_size_draws_nothing(tmp_path,
@@ -637,12 +696,13 @@ def test_misspelled_grid_key_exits_2(tmp_path, capsys):
 # inputs checked before any work
 # ---------------------------------------------------------------------------
 
-GRID_KEYS = [(name, key) for name, (_, _, grids) in sorted(cli.INPUTS.items())
+GRID_KEYS = [(name, key)
+             for name, (_, _, _, grids) in sorted(cli.INPUTS.items())
              for key in grids]
 
 
 def test_every_experiment_has_an_input_entry():
-    assert cli.INPUTS.keys() == cli.EXPERIMENTS.keys() == RECORD_CONFIGS.keys()
+    assert cli.INPUTS.keys() == RECORD_CONFIGS.keys()
 
 
 @pytest.mark.parametrize("name,key", GRID_KEYS,

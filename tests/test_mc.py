@@ -266,6 +266,36 @@ def test_chaos2_does_not_import_mc():
     assert not [n for n in names if n.split(".")[-1] == "mc"], names
 
 
+def test_every_public_name_has_a_caller_outside_tests():
+    # src/ holds what a run, a demo, the benchmark or another module
+    # calls; a helper that only tests call lives in tests/oracles.py
+    src = Path(mc.__file__).parent
+    root = src.parents[1]
+    named = set()
+    for top in ("src", "demos", "benchmarks"):
+        for path in (root / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.split(".")[-1])
+    defined = []
+    for module in ("chaos2", "chaos3", "mc", "cli"):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                defined += [(module, f"{top.name}.{node.name}", node.name)
+                            for node in top.body
+                            if isinstance(node, ast.FunctionDef)]
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, top.name, top.name))
+    unused = [f"{module}.{qualname}" for module, qualname, name in defined
+              if not name.startswith("_") and name not in named]
+    assert not unused
+
+
 def test_loglog_slope_noisy_power_law():
     rng = np.random.default_rng(0)
     n = 2_000_000

@@ -6,7 +6,6 @@ from wienerchaos.wick import (
     DegreeCapError,
     GaussianPolynomial,
     cumulants_from_moment_sequence,
-    cumulants_from_moments,
     gamma_of_polynomial,
     isserlis_expectation,
 )
@@ -66,14 +65,14 @@ def test_linearity():
 
 
 def test_cumulants_standard_normal():
-    assert cumulants_from_moments(0, 1, 0, 3) == (0.0, 1.0, 0.0, 0.0)
+    assert cumulants_from_moment_sequence([0, 1, 0, 3]) == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_cumulants_triple_product():
     f = x(0, 3) * x(1, 3) * x(2, 3)
     ms = [isserlis_expectation(f ** k) for k in (1, 2, 3, 4)]
     assert ms == [0.0, 1.0, 0.0, 27.0]
-    k = cumulants_from_moments(*ms)
+    k = cumulants_from_moment_sequence(ms)
     assert k[3] == pytest.approx(24.0)
 
 
@@ -82,7 +81,7 @@ def test_cumulants_centered_chi_square():
     g2 = GaussianPolynomial(1, {(2,): 2 ** -0.5, (0,): -(2 ** -0.5)})
     ms = [isserlis_expectation(g2 ** k) for k in (1, 2, 3, 4)]
     assert ms[3] == pytest.approx(15.0)
-    k = cumulants_from_moments(*ms)
+    k = cumulants_from_moment_sequence(ms)
     assert k[3] == pytest.approx(12.0)
 
 
