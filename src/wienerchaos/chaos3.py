@@ -384,6 +384,7 @@ class GammaSpecCheck:
     lhs: mc.EstimatorResult      # E exp(-Gamma xi^2 / 2)
     rhs_re: mc.EstimatorResult   # Re E_hat prod (1 - 2 i xi lam)^(-1/2)
     rhs_im: mc.EstimatorResult   # Im of the same, 0 by symmetry
+    gap: mc.EstimatorResult      # lhs - Re rhs, stderrs in quadrature
 
 
 def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
@@ -413,7 +414,10 @@ def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
     (rhs,) = mc.reduce(fn_rhs, n_samples, mc.RngSpec(seed, 1), t.n,
                        mc.Moments())
     parts = rhs.results()     # real parts, then imaginary parts
-    return [GammaSpecCheck(xi, left, re, im) for xi, left, re, im
+    return [GammaSpecCheck(xi, left, re, im, mc.EstimatorResult(
+                left.mean - re.mean, math.hypot(left.stderr, re.stderr),
+                left.n))
+            for xi, left, re, im
             in zip(xis, lhs.results(), parts, parts[len(xis):])]
 
 

@@ -7,11 +7,11 @@ manifest with the command-line overrides in place, so a rerun from the
 echo is the same run; README.md ("Experiment runner") shows one in full.
 [experiment] holds name (a key of INPUTS, the one table of experiments),
 seed (u64), samples and out; [model] a kind, a family of family_generators
-or one of build_model's explicit kinds, with its parameters; the optional
-[grids] only the keys that INPUTS lists for the experiment.  run() checks
-every input before any work.  Assertion failures never abort a run: each
-is recorded in the manifest with its numbers, and they surface through
-the exit status.
+or one of build_model's explicit kinds, with only that kind's parameters;
+the optional [grids] only the keys that INPUTS lists for the experiment.
+run() checks every input before any work.  RunRecorder.check decides each
+assertion by the one rule of `verdict` from the numbers it records in the
+manifest; failures never abort a run, they surface in the exit status.
 """
 
 from __future__ import annotations
@@ -120,6 +120,14 @@ def parse_config(path, seed=None, samples=None, out=None) -> ExperimentConfig:
                             model, grids, raw)
 
 
+def _model_keys(model: dict, known: list, reader: str) -> None:
+    """A [model] key outside `known` is a ValueError naming it."""
+    unknown = [key for key in model if key not in known]
+    if unknown:
+        raise ValueError(f"{reader} reads no [model] key {unknown[0]!r}; "
+                         f"it reads {', '.join(known)}")
+
+
 def build_model(model: dict):
     kind = model.get("kind", "")
     if not kind:
@@ -129,6 +137,12 @@ def build_model(model: dict):
     if normalize is None:
         raise ValueError(f"[model] normalize must be true or false, "
                          f"got {flag!r}")
+    # matrices reads exactly mat.1 .. mat.d, a family its size
+    _model_keys(model, ["kind"] + {
+        "diagonal": ["alphas", "normalize"],
+        "tensor-file": ["path", "normalize"],
+        "matrices": [f"mat.{i}" for i in range(1, len(model))],
+    }.get(kind, ["size"]), f"kind {kind!r}")
     if kind == "diagonal":
         alphas = _values(model.get("alphas", ""))
         if not alphas:
@@ -136,8 +150,8 @@ def build_model(model: dict):
         return chaos2.DiagonalSecondChaos(alphas, normalize=normalize)
     if kind == "matrices":
         mats = []
-        for key in sorted(k for k in model if k.startswith("mat.")):
-            rows = [r for r in model[key].split(";") if r.strip()]
+        for i in range(1, len(model)):
+            rows = [r for r in model[f"mat.{i}"].split(";") if r.strip()]
             mats.append(np.array([_values(r) for r in rows]))
         if not mats:
             raise ValueError("matrices model needs mat.1, mat.2, ...")
@@ -174,6 +188,18 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def verdict(statistic, relation, reference, tolerance, stderr=None) -> bool:
+    """The one rule of every verdict: gap = statistic - reference bears
+    `relation` ("==" means |gap| <=) to the bound tolerance * stderr, or
+    tolerance without a stderr.  No relation: the statistic is finite."""
+    if relation is None:
+        return math.isfinite(statistic)
+    gap = statistic - reference
+    bound = tolerance if stderr is None else tolerance * stderr
+    return bool({"==": abs(gap) <= bound, "<=": gap <= bound,
+                 ">=": gap >= bound, "<": gap < bound}[relation])
+
+
 class RunRecorder:
     """Collects assertions and CSV files for one experiment run."""
 
@@ -182,20 +208,23 @@ class RunRecorder:
         self.assertions: list[dict] = []
         self.files: list[str] = []
 
-    def check(self, name, passed, statistic, reference=None, stderr=None,
-              tolerance=None) -> None:
-        """Record a verdict with its numbers.  A Monte Carlo check passes
-        its stderr and gets z = (statistic - reference) / stderr; a
-        non-finite number is stored as None, so the JSON stays strict."""
+    def check(self, name, statistic, relation, reference, tolerance,
+              stderr=None) -> bool:
+        """Decide a verdict by `verdict`, record it with its numbers and
+        return it.  A Monte Carlo check passes its stderr and gets
+        z = (statistic - reference) / stderr; a non-finite number is
+        stored as None, so the JSON stays strict."""
+        passed = verdict(statistic, relation, reference, tolerance, stderr)
         z = (statistic - reference) / stderr if stderr else None
         nums = {"statistic": statistic, "reference": reference,
                 "stderr": stderr, "z": z, "tolerance": tolerance}
         detail = " ".join(f"{k}={float(v):.6g}" for k, v in nums.items()
                           if v is not None)
-        self.assertions.append({"name": name, "passed": bool(passed),
-                                "detail": detail} | {
+        self.assertions.append({"name": name, "passed": passed,
+                                "relation": relation, "detail": detail} | {
             k: float(v) if v is not None and math.isfinite(v) else None
             for k, v in nums.items()})
+        return passed
 
     def csv(self, name: str, header, rows) -> None:
         # the first artifact makes the directory: a rejected config leaves none
@@ -213,11 +242,10 @@ def _exp_thm1_certificate(cfg, f, rec):
     rows = []
     for p in cfg.grids["p"]:
         threshold = chaos2.thm1_threshold(p)
-        certified = kappa4 < threshold    # 1/Gamma in L^q for q < p/2
+        # 1/Gamma in L^q for q < p/2
+        certified = rec.check(f"certified_p{p}", kappa4, "<", threshold, 0.0)
         rows.append((p, kappa4, threshold, certified,
                      p / 2.0 if certified else 0.0))
-        rec.check(f"certified_p{p}", certified, kappa4, threshold,
-                  tolerance=0.0)
     rec.csv("thm1_certificate.csv",
             ["p", "kappa4", "threshold", "certified", "q_sup"], rows)
 
@@ -235,9 +263,8 @@ def _exp_laplace_check(cfg, f, rec):
                            mc.Moments())
     rows = []
     for lam, closed, est in zip(lams, closed_forms, moments.results()):
-        ok = est.within(closed, 4.0)
-        rec.check(f"laplace_lambda{lam:g}", ok, est.mean, closed, est.stderr,
-                  4.0)
+        ok = rec.check(f"laplace_lambda{lam:g}", est.mean, "==", closed, 4.0,
+                       est.stderr)
         rows.append((lam, closed, est.mean, est.stderr, ok))
     rec.csv("laplace_check.csv",
             ["lambda", "closed_form", "mc_mean", "mc_se", "pass"], rows)
@@ -247,14 +274,12 @@ def _exp_smallball2(cfg, f, rec):
     (p,), eps = cfg.grids["p"], cfg.grids["eps"]
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
     threshold = chaos2.thm1_threshold(p)
-    rec.check("certificate", kappa4 < threshold, kappa4, threshold,
-              tolerance=0.0)
+    rec.check("certificate", kappa4, "<", threshold, 0.0)
     rows = []
     for e, cdf in zip(eps, chaos2.smallball_cdf(f, eps)):
         bound = chaos2.smallball_bound(p, e)
-        ok = cdf <= bound
-        rec.check(f"smallball_eps{e:g}", ok, cdf, bound, tolerance=0.0)
-        rows.append((e, cdf, bound, ok))
+        rows.append((e, cdf, bound,
+                     rec.check(f"smallball_eps{e:g}", cdf, "<=", bound, 0.0)))
     rec.csv("smallball2.csv", ["eps", "cdf", "bound", "pass"], rows)
 
 
@@ -271,8 +296,8 @@ def _exp_negmoment2(cfg, f, rec):
                            mc.Moments())
     rows = []
     for q, val, est in zip(qs, vals, moments.results()):
-        ok = est.within(val, 3.0)
-        rec.check(f"negmoment_q{q:g}", ok, est.mean, val, est.stderr, 3.0)
+        ok = rec.check(f"negmoment_q{q:g}", est.mean, "==", val, 3.0,
+                       est.stderr)
         rows.append((q, val, est.mean, est.stderr, ok))
     rec.csv("negmoment2.csv",
             ["q", "mellin", "mc_mean", "mc_se", "pass"], rows)
@@ -281,16 +306,14 @@ def _exp_negmoment2(cfg, f, rec):
 def _exp_density(cfg, f, rec):
     xs, dens = chaos2.density_by_inversion(f, *cfg.grids["x"])
     mass = float(np.trapezoid(dens, xs))
-    rec.check("mass_unit", abs(mass - 1.0) <= 1e-3, mass, 1.0,
-              tolerance=1e-3)
-    low = float(dens.min())
-    rec.check("nonnegative", low >= -1e-3, low, 0.0, tolerance=1e-3)
+    rec.check("mass_unit", mass, "==", 1.0, 1e-3)
+    rec.check("nonnegative", float(dens.min()), ">=", 0.0, -1e-3)
     gauss = np.exp(-xs * xs / 2.0) / math.sqrt(2.0 * math.pi)
     tv = 0.5 * float(np.trapezoid(np.abs(dens - gauss), xs))
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
     # the fourth-moment bound sqrt(kappa4 / 3); a TV distance is <= 1
     bound = min(math.sqrt(kappa4 / 3.0), 1.0)
-    rec.check("tv_bound", tv <= bound, tv, bound, tolerance=0.0)
+    rec.check("tv_bound", tv, "<=", bound, 0.0)
     rec.csv("density.csv", ["x", "density", "gauss"],
             list(zip(xs, dens, gauss)))
 
@@ -298,9 +321,8 @@ def _exp_density(cfg, f, rec):
 def _exp_multivariate_bounds(cfg, m, rec):
     stats = chaos2.cross_gamma_stats(m)
     k4 = stats.kappa4_max
-    tol = 1e-12 * max(1.0, abs(stats.bound_rhs))
-    rec.check("control1multi", stats.worst_lhs <= stats.bound_rhs + tol,
-              stats.worst_lhs, stats.bound_rhs, tolerance=tol)
+    rec.check("control1multi", stats.worst_lhs, "<=", stats.bound_rhs,
+              1e-12 * max(1.0, abs(stats.bound_rhs)))
     rows = [(i, stats.var_diag[i]) for i in range(m.d)]
     rec.csv("var_gamma_diag.csv", ["i", "var_gamma_ii"], rows)
     rows = [(i, j, stats.cross_l2[i, j])
@@ -314,15 +336,14 @@ def _exp_gamma_spec(cfg, t, rec):
     rows = []
     for chk in chaos3.verify_gamma_spec(t, cfg.grids["xi"], cfg.samples,
                                         cfg.seed):
-        lhs, rhs, im = chk.lhs, chk.rhs_re, chk.rhs_im
-        gap = mc.EstimatorResult(lhs.mean - rhs.mean,
-                                 math.hypot(lhs.stderr, rhs.stderr), lhs.n)
-        real_ok, imag_ok = gap.within(0.0, 3.0), im.within(0.0, 3.0)
+        lhs, rhs, im, gap = chk.lhs, chk.rhs_re, chk.rhs_im, chk.gap
+        real_ok, imag_ok = (verdict(part.mean, "==", 0.0, 3.0, part.stderr)
+                            for part in (gap, im))
         # the part with the larger |z| carries the record's numbers
         worst = (gap if abs(gap.mean) * im.stderr >= abs(im.mean) * gap.stderr
                  else im)
-        rec.check(f"gamma_spec_xi{chk.xi:g}", real_ok and imag_ok,
-                  worst.mean, 0.0, worst.stderr, 3.0)
+        rec.check(f"gamma_spec_xi{chk.xi:g}", worst.mean, "==", 0.0, 3.0,
+                  worst.stderr)
         rows.append((chk.xi, lhs.mean, lhs.stderr, rhs.mean, rhs.stderr,
                      im.mean, im.stderr, real_ok, imag_ok))
     rec.csv("gamma_spec.csv",
@@ -335,7 +356,7 @@ def _exp_spectral_radius(cfg, t, rec):
     rows = []
     ests = chaos3.spectral_radius_moments(t, ps, cfg.samples, cfg.seed)
     for p, est in zip(ps, ests):
-        rec.check(f"finite_p{p}", math.isfinite(est.mean), est.mean)
+        rec.check(f"finite_p{p}", est.mean, None, None, None)
         rows.append((p, est.mean, est.stderr, est.n))
     rec.csv("spectral_radius.csv", ["p", "norm_2p", "se", "n"], rows)
 
@@ -344,13 +365,12 @@ def _exp_trace_concentration(cfg, models, rec):
     rows = []
     for i, (size, t) in enumerate(zip(cfg.grids["sizes"], models)):
         tf = chaos3.trace_form(t)
-        rec.check(f"sum_beta_n{size}", abs(tf.expected_trace - 1.5) <= 1e-12,
-                  tf.expected_trace, 1.5, tolerance=1e-12)
+        rec.check(f"sum_beta_n{size}", tf.expected_trace, "==", 1.5, 1e-12)
         kappa4 = chaos3.kappa4_contraction(t)
         est = mc.estimate(lambda xh: chaos3.trace_square_batch(t, xh),
                           cfg.samples, mc.RngSpec(cfg.seed, i), t.n)
-        rec.check(f"trace_mean_n{size}", est.within(1.5, 3.0), est.mean, 1.5,
-                  est.stderr, 3.0)
+        rec.check(f"trace_mean_n{size}", est.mean, "==", 1.5, 3.0,
+                  est.stderr)
         rows.append((size, kappa4, tf.var_trace, tf.expected_trace,
                      est.mean, est.stderr))
     rec.csv("trace_concentration.csv",
@@ -361,8 +381,7 @@ def _exp_trace_concentration(cfg, models, rec):
 def _exp_smallball3(cfg, t, rec):
     res = chaos3.smallball_gamma3(t, np.asarray(cfg.grids["eps"]),
                                   cfg.samples, cfg.seed)
-    exceed = res.slope - 0.25 >= 2.0 * res.slope_se
-    rec.check("cw_exceedance", exceed, res.slope, 0.25, res.slope_se, 2.0)
+    rec.check("cw_exceedance", res.slope, ">=", 0.25, 2.0, res.slope_se)
     rec.csv("smallball3.csv",
             ["eps", "phat", "se", "hits", "used_in_fit"],
             list(zip(res.eps, res.phat, res.se, res.hits, res.used)))
@@ -376,8 +395,8 @@ def _exp_negmoment3(cfg, t, rec):
     rows = []
     for res in chaos3.negative_moment_gamma3(t, cfg.grids["theta"],
                                              cfg.samples, cfg.seed):
-        rec.check(f"finite_theta{res.theta:g}",
-                  math.isfinite(res.estimate.mean), res.estimate.mean)
+        rec.check(f"finite_theta{res.theta:g}", res.estimate.mean, None,
+                  None, None)
         rows.append((res.theta, res.estimate.mean, res.estimate.stderr,
                      res.top_share, res.unstable))
     rec.csv("negmoment3.csv",
@@ -397,14 +416,12 @@ def _exp_sp_lower_bound(cfg, t, rec):
     rel = max(float(np.max(np.abs(n_q - np.sum(lam2 ** q, axis=1))
                            / np.maximum(tr2 ** q, np.finfo(float).tiny)))
               for q, n_q in enumerate(newton, start=1))
-    rec.check("newton_sums_match_spectrum", rel <= 1e-12, rel, 0.0,
-              tolerance=1e-12)
+    rec.check("newton_sums_match_spectrum", rel, "<=", 0.0, 1e-12)
     rows = []
     for res in results:
         p, est = res.p, res.estimate
-        holds = est.mean >= res.lower_bound
-        rec.check(f"sp_lower_bound_p{p}", holds, est.mean, res.lower_bound,
-                  est.stderr, 0.0)
+        holds = rec.check(f"sp_lower_bound_p{p}", est.mean, ">=",
+                          res.lower_bound, 0.0, est.stderr)
         rows.append((p, est.mean, est.stderr, res.lower_bound, holds))
         rec.csv(f"sp_smallball_p{p}.csv", ["alpha", "phat", "se"],
                 list(zip(res.alpha, res.phat, res.se)))
@@ -483,6 +500,7 @@ def run(cfg: ExperimentConfig) -> int:
     cfg = replace(cfg, grids=grids)
     if cfg.name in SIZE_SWEEP_EXPERIMENTS:
         kind = cfg.model.get("kind", "complete-3-tensor")
+        _model_keys(cfg.model, ["kind"], f"experiment {cfg.name!r}")
         models = [family_generators(kind, size) for size in grids["sizes"]]
     else:
         models = [build_model(cfg.model)]

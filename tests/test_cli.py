@@ -1,6 +1,8 @@
 import configparser
+import dataclasses
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -578,8 +580,12 @@ RECORD_CONFIGS = {
                        2000),
 }
 
-RECORD_KEYS = {"name", "passed", "statistic", "reference", "stderr", "z",
-               "tolerance", "detail"}
+RECORD_KEYS = {"name", "passed", "relation", "statistic", "reference",
+               "stderr", "z", "tolerance", "detail"}
+
+# how each relation compares gap = statistic - reference with its bound
+RELATIONS = {"==": lambda gap, bound: abs(gap) <= bound, "<=": operator.le,
+             ">=": operator.ge, "<": operator.lt}
 
 
 def strict_manifest(outdir):
@@ -609,6 +615,34 @@ def test_every_assertion_is_a_record_of_numbers(tmp_path, name):
             assert a["z"] == (a["statistic"] - a["reference"]) / a["stderr"]
         if a["stderr"] is None:
             assert a["z"] is None
+        # the verdict follows from the stored fields alone
+        if a["name"].startswith("finite_"):
+            assert a["relation"] is a["reference"] is a["tolerance"] is None
+            assert a["passed"] is (a["statistic"] is not None)
+            continue
+        gap = a["statistic"] - a["reference"]
+        bound = a["tolerance"] * (1.0 if a["stderr"] is None else a["stderr"])
+        assert a["passed"] is RELATIONS[a["relation"]](gap, bound)
+
+
+def test_cw_exceedance_is_one_sided(tmp_path, monkeypatch):
+    # slope = 0.25 + 1.5 se: inside a two-sided 2-sigma band, yet short of
+    # the one-sided margin of 2 se that the factor-three claim needs
+    smallball = chaos3.smallball_gamma3
+
+    def short(*args):
+        return dataclasses.replace(smallball(*args), slope=0.4375,
+                                   slope_se=0.125)
+
+    monkeypatch.setattr(chaos3, "smallball_gamma3", short)
+    model, grids, samples = RECORD_CONFIGS["smallball3"]
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "smallball3", model, grids,
+                     samples=samples, out=out)
+    assert cli.main(["run", str(p)]) == 1
+    (a,) = read_manifest(out)["assertions"]
+    assert a["name"] == "cw_exceedance" and not a["passed"]
+    assert (a["z"], a["relation"], a["tolerance"]) == (1.5, ">=", 2.0)
 
 
 def gate_abs_z(experiment, outdir):
@@ -839,6 +873,49 @@ def test_misspelled_normalize_exits_2(tmp_path, capsys, name, kind):
     assert cli.main(["run", str(p)]) == 2
     assert ("[model] normalize must be true or false, got 'ture'"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,model,key", [
+    ("laplace-check", ["kind = diagonal", "alphas = 0.5, 0.5",
+                       "normalise = true"], "normalise"),
+    ("multivariate-bounds", MATRICES + ["normalize = true"], "normalize"),
+    ("trace-concentration", ["kind = block-3-tensor", "size = 99"], "size"),
+    ("trace-concentration", ["kind = block-3-tensor", "normalize = false"],
+     "normalize"),
+    ("thm1-certificate", ["kind = chi2-average", "size = 192",
+                          "normalize = true"], "normalize"),
+    ("gamma-spec", ["kind = tensor-file", "path = {path}", "alphas = 1"],
+     "alphas"),
+])
+def test_unknown_model_key_exits_2(tmp_path, capsys, name, model, key):
+    # each of these once ran as if the key were absent and exited 0
+    path = write_variance_81_tensor(tmp_path / "t.txt")
+    model = [line.format(path=path) for line in model]
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert f"reads no [model] key {key!r}; it reads kind" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_matrices_are_built_in_numeric_order():
+    # sorted as strings, mat.10 once became the second matrix
+    m = cli.build_model({"kind": "matrices"} | {
+        f"mat.{i}": str(i) for i in range(11, 0, -1)})
+    assert m.mats[:, 0, 0].tolist() == list(range(1, 12))
+
+
+def test_matrices_need_mat_1_to_d(tmp_path, capsys):
+    # mat.1 with mat.7 once ran as d = 2
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "multivariate-bounds",
+                     ["kind = matrices", "mat.1 = 0.5 0 ; 0 -0.5",
+                      "mat.7 = 0 0.5 ; 0.5 0"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert ("kind 'matrices' reads no [model] key 'mat.7'; it reads kind, "
+            "mat.1, mat.2") in capsys.readouterr().err
     assert not out.exists()
 
 
