@@ -89,25 +89,30 @@ class SymThreeTensor:
 
     @cached_property
     def _scatter(self):
-        """The triple list as gathers plus a scatter matrix.
+        """The triple list as gathers plus run-ordered segment sizes.
 
-        Slot m of the 3 * nnz slots contributes w[t, m] * x[left[m]] *
-        x[right[m]] to partial_t F, so grad F(x) = w @ (x[left] * x[right])
-        with weight 6 a(i,j,k) on each of the three slots of a triple.
-        Slots are ordered by their target row.  The sparse twin of
-        _pair_weights: it gathers only the pairs that some triple uses.
+        Slot m of the 3 * nnz slots contributes w[m] * x[left[m]] *
+        x[right[m]] to partial_t F for its target t, with weight 6 a(i,j,k)
+        on each of the three slots of a triple.  Slots are ordered by
+        their place in their target's run (CSR order: i, j, then k), then
+        by target, longest runs first: the q-th slots of all targets form
+        block q of sizes[q] rows, whose targets are a prefix of block 0.
+        The sparse twin of _pair_weights: it gathers only the pairs that
+        some triple uses.
         """
-        from scipy import sparse   # loads only on first sparse use
-
         i, j, k, vals = self._gradient_triples()
         target = np.concatenate([i, j, k])
         order = np.argsort(target, kind="stable")
+        runs = np.bincount(target, minlength=self.n)
+        starts = np.cumsum(runs) - runs   # of each target's run
+        place = np.arange(target.size) - starts[target[order]]
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[np.argsort(-runs, kind="stable")] = np.arange(self.n)
+        order = order[np.lexsort((rank[target[order]], place))]
         left = np.concatenate([j, i, i])[order]
         right = np.concatenate([k, k, j])[order]
-        w = sparse.csr_matrix(
-            (np.tile(vals, 3)[order], (target[order], np.arange(target.size))),
-            shape=(self.n, target.size))
-        return left, right, w
+        w = np.tile(vals, 3)[order, None]
+        return left, right, w, tuple(np.bincount(place, minlength=1).tolist())
 
     @cached_property
     def _pair_weights(self) -> np.ndarray:
@@ -236,21 +241,31 @@ def _batch(t: SymThreeTensor, x) -> np.ndarray:
 
 
 def _triples_win(nnz: int, n: int) -> bool:
-    # measured crossover against the pair GEMM: nnz ~ n^2 / 4 at
+    # measured crossover against the pair GEMM: nnz ~ n^2 / 6 at
     # n = 20 .. 60, 65536 rows in 4096-row calls
-    return 4 * nnz < n * n
+    return 6 * nnz < n * n
 
 
 def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """Gamma by the triple scatter: O(nnz) per point, `a` never built."""
-    left, right, w = t._scatter
+    """Gamma by the triple scatter: O(nnz) per point, `a` never built.
+
+    Each gradient row sums its slots in CSR order, a segment sum of the
+    run-ordered slot blocks of SymThreeTensor._scatter.
+    """
+    left, right, w, sizes = t._scatter
     out = np.empty(x.shape[0])
     # two gathers and their product: 3 * left.size elements per row
     step = max(1, STEP_ELEMENTS // (3 * max(1, left.size)))
     for s in range(0, x.shape[0], step):
         # sample-minor layout: each gathered row is contiguous
         xt = np.ascontiguousarray(x[s:s + step].T)
-        g = w @ (xt[left] * xt[right])
+        p = xt[left]
+        p *= xt[right]
+        p *= w
+        g, off = p[:sizes[0]], sizes[0]
+        for size in sizes[1:]:
+            g[:size] += p[off:off + size]
+            off += size
         out[s:s + step] = np.einsum('ib,ib->b', g, g)
     return out
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, chaos2, chaos3, mc
 
@@ -35,6 +34,12 @@ from . import __version__, chaos2, chaos3, mc
 # ---------------------------------------------------------------------------
 # model families
 # ---------------------------------------------------------------------------
+
+FAMILIES = ("chi2-average", "complete-3-tensor", "spiked-3-tensor",
+            "block-3-tensor")
+# build_model's kinds: its explicit ones, then the families
+MODEL_KINDS = ("diagonal", "matrices", "tensor-file") + FAMILIES
+
 
 def family_generators(kind: str, size: int):
     """Named model families indexed by a single size parameter.
@@ -46,6 +51,9 @@ def family_generators(kind: str, size: int):
     block-3-tensor:    N/3 disjoint triples, unit variance
                        (kappa4 = 72/N exactly; the vanishing-kappa4 family)
     """
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}; choose one of "
+                         f"{', '.join(FAMILIES)}")
     size = int(size)
     if kind == "chi2-average":
         if size < 1:
@@ -66,7 +74,6 @@ def family_generators(kind: str, size: int):
         entries = {(3 * b + 1, 3 * b + 2, 3 * b + 3): 1.0
                    for b in range(size // 3)}
         return chaos3.SymThreeTensor(size, entries, normalize=True)
-    raise ValueError(f"unknown family kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +139,9 @@ def build_model(model: dict):
     kind = model.get("kind", "")
     if not kind:
         raise ValueError("[model] needs a 'kind'")
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; choose one of "
+                         f"{', '.join(MODEL_KINDS)}")
     flag = model.get("normalize", "false")
     normalize = configparser.ConfigParser.BOOLEAN_STATES.get(flag.lower())
     if normalize is None:
@@ -220,6 +230,7 @@ class RunRecorder:
                 "stderr": stderr, "z": z, "tolerance": tolerance}
         detail = " ".join(f"{k}={float(v):.6g}" for k, v in nums.items()
                           if v is not None)
+        detail += f" relation={relation or 'finite'}"   # the rule applied
         self.assertions.append({"name": name, "passed": passed,
                                 "relation": relation, "detail": detail} | {
             k: float(v) if v is not None and math.isfinite(v) else None
@@ -527,7 +538,6 @@ def run(cfg: ExperimentConfig) -> int:
             "wienerchaos": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
-            "scipy": scipy.__version__,
         },
         "wall_time_s": round(wall, 3),
         "files": rec.files,

@@ -168,7 +168,9 @@ class Hits:
         self.n, self.counts = 0, 0    # counts: int64 (columns, thresholds)
 
     def add(self, xt: np.ndarray) -> None:
-        self.counts = self.counts + (xt[:, :, None] < self.thresholds).sum(
+        # one threshold at a time: no (columns, count, thresholds) array
+        self.counts = self.counts + np.stack(
+            [np.count_nonzero(xt < t, axis=1) for t in self.thresholds],
             axis=1, dtype=np.int64)
         self.n += xt.shape[1]
 

@@ -145,12 +145,18 @@ GAMMA_KERNEL_CASES = {
     "block-60": lambda: family_generators("block-3-tensor", 60),
     "random-30": lambda: random_sparse_tensor(30, 0.06, 3),  # ~1 % of n^3
     "triple-product": triple_product,     # n = 3: all three pairs, one slab
-    # one each side of the triple kernel's crossover nnz ~ n^2 / 4
+    # one each side of the triple kernel's crossover nnz ~ n^2 / 6
     # (C(20,3) = 1140 and C(40,3) = 9880 triples)
     "random-20-sparse": lambda: random_sparse_tensor(20, 0.04, 17),
     "random-20-dense": lambda: random_sparse_tensor(20, 0.25, 18),
     "random-40-sparse": lambda: random_sparse_tensor(40, 0.02, 19),
     "random-40-dense": lambda: random_sparse_tensor(40, 0.08, 20),
+    # long runs: 352 triples, 10 to 28 slots per gradient row
+    "random-60-runs": lambda: random_sparse_tensor(60, 0.0105, 23),
+    # indices 5, 6 and 8 lie in no triple; runs of 4, 3, 2 and 1 slots
+    "unused-indices": lambda: SymThreeTensor(9, {
+        (1, 2, 4): 1.0, (2, 4, 7): -0.5, (1, 4, 9): 2.0, (2, 3, 4): 0.7},
+        normalize=True),
 }
 
 

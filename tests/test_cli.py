@@ -253,13 +253,17 @@ def test_run_density_beyond_node_cap_exits_2(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_heavy_scipy_module():
-    # every CLI run and benchmark pass pays the import time of these
+    # every CLI run and benchmark pass pays the import time of these; the
+    # sparse Gamma kernel, run on the block family, loads no scipy either
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, wienerchaos.cli; print(sorted(m for m in "
-            "('scipy.signal', 'scipy.integrate', 'scipy.fft', "
-            "'scipy.special', 'scipy.sparse') if m in sys.modules))")
+    code = ("import sys, numpy as np, wienerchaos.cli as cli; "
+            "from wienerchaos import chaos3; "
+            "t = cli.family_generators('block-3-tensor', 60); "
+            "g = chaos3.gamma_batch(t, np.ones((10, 60))); "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -611,6 +615,8 @@ def test_every_assertion_is_a_record_of_numbers(tmp_path, name):
         for key in ("statistic", "reference", "stderr", "z", "tolerance"):
             assert a[key] is None or isinstance(a[key], float)
         assert a["detail"].startswith("statistic=")
+        # the text says which comparison decided the verdict
+        assert a["detail"].endswith(f" relation={a['relation'] or 'finite'}")
         if a["z"] is not None:
             assert a["z"] == (a["statistic"] - a["reference"]) / a["stderr"]
         if a["stderr"] is None:
@@ -897,6 +903,23 @@ def test_unknown_model_key_exits_2(tmp_path, capsys, name, model, key):
     assert cli.main(["run", str(p)]) == 2
     assert f"reads no [model] key {key!r}; it reads kind" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,model,message", [
+    ("negmoment2", ["kind = diagnoal", "alphas = 1"],
+     "unknown model kind 'diagnoal'; choose one of diagonal, matrices, "
+     "tensor-file, "),
+    ("trace-concentration", ["kind = blok-3-tensor"],
+     "unknown family kind 'blok-3-tensor'; choose one of "),
+], ids=["diagnoal", "blok-3-tensor"])
+def test_unknown_model_kind_exits_2(tmp_path, capsys, name, model, message):
+    # a misspelled kind was once reported by its keys, never by its name
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert message + ", ".join(cli.FAMILIES) in err
     assert not out.exists()
 
 

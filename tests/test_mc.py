@@ -169,6 +169,17 @@ def test_hits_across_chunks_match_flat_count():
     assert np.array_equal(hits.fractions()[0], expected / n)
 
 
+def test_hits_counts_ties_over_several_adds():
+    # x < t is strict, so a value on a threshold is a miss; counts add up
+    hits = mc.Hits([0.0, 1.0, 2.0])
+    hits.add(np.array([[0.0, 1.0, 2.0, 1.0], [-1.0, 2.0, 2.0, 3.0]]))
+    hits.add(np.array([[1.0, 0.5], [2.0, 1.5]]))
+    hits.add(np.array([[2.0], [0.0]]))
+    assert hits.counts.dtype == np.int64
+    assert hits.counts.tolist() == [[0, 2, 5], [1, 2, 3]]
+    assert hits.n == 7
+
+
 def test_top_share_matches_brute_force():
     n = 2 * mc.CHUNK_SAMPLES + 777
     k = n // 1000
@@ -253,17 +264,29 @@ def test_only_mc_draws():
     assert sites - {("mc", "reduce")} == DRAW_PROBES
 
 
-def test_chaos2_does_not_import_mc():
-    # chaos2 computes closed forms; their Monte Carlo cross-checks are the
-    # runner's, so chaos2 imports no part of mc
-    path = Path(mc.__file__).parent / "chaos2.py"
+def imported_names(path) -> set:
+    """Every module and name that the imports of one source file name."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             names |= {node.module or ""} | {a.name for a in node.names}
         elif isinstance(node, ast.Import):
             names |= {a.name for a in node.names}
+    return names
+
+
+def test_chaos2_does_not_import_mc():
+    # chaos2 computes closed forms; their Monte Carlo cross-checks are the
+    # runner's, so chaos2 imports no part of mc
+    names = imported_names(Path(mc.__file__).parent / "chaos2.py")
     assert not [n for n in names if n.split(".")[-1] == "mc"], names
+
+
+def test_src_does_not_import_scipy():
+    # the library runs on numpy alone; scipy serves the tests and demos
+    for path in Path(mc.__file__).parent.glob("*.py"):
+        names = imported_names(path)
+        assert not [n for n in names if n.split(".")[0] == "scipy"], path
 
 
 def test_every_public_name_has_a_caller_outside_tests():
