@@ -4,21 +4,27 @@ the trace-concentration contrast between families."""
 
 import numpy as np
 
-from wienerchaos import chaos3
-from wienerchaos.cli import family_generators
+from wienerchaos import chaos3, mc
+from wienerchaos.cli import MIN_HITS, family_generators
 
 
 def slope_line(label, t, n_samples, seed):
     eps = np.geomspace(0.01, 0.3, 8)
-    res = chaos3.smallball_gamma3(t, eps, n_samples, seed)
-    flag = (f" (grid widened: points with fewer than {chaos3.MIN_HITS} hits"
-            " or misses left the fit)") if res.widened else ""
-    print(f"\n{label}: slope = {res.slope:.4f} +- {res.slope_se:.4f}{flag}")
+    (hits,) = mc.reduce(lambda x: chaos3.gamma_batch(t, x), n_samples,
+                        mc.RngSpec(seed), t.n, mc.Hits(eps))
+    (phat,), (se,) = hits.fractions()
+    counts = hits.counts[0]
+    # the runner's rule: a point enters the fit with enough hits and misses
+    used = (counts >= MIN_HITS) & (hits.n - counts >= MIN_HITS)
+    slope, slope_se = mc.loglog_slope(eps[used], phat[used], se[used])
+    flag = (f" (grid widened: points with fewer than {MIN_HITS} hits"
+            " or misses left the fit)") if not used.all() else ""
+    print(f"\n{label}: slope = {slope:.4f} +- {slope_se:.4f}{flag}")
     print("  eps      P(Gamma < eps)   hits")
-    for e, p, h, u in zip(res.eps, res.phat, res.hits, res.used):
+    for e, p, h, u in zip(eps, phat, counts, used):
         mark = "" if u else "   [excluded]"
         print(f"  {e:<8.4f} {p:<15.6g}  {h}{mark}")
-    return res
+    return slope, slope_se
 
 
 def main():
@@ -29,19 +35,25 @@ def main():
     slope_line("F = X1 X2 X3", t3, 500_000, seed=5)
 
     t20 = family_generators("complete-3-tensor", 20)
-    res = slope_line("complete tensor, N = 20 (1e6 samples)", t20,
-                     1_000_000, seed=6)
-    print(f"  baseline exceedance: ({res.slope:.3f} - 0.25)/se = "
-          f"{(res.slope - 0.25) / res.slope_se:.0f} standard errors")
+    slope, slope_se = slope_line("complete tensor, N = 20 (1e6 samples)",
+                                 t20, 1_000_000, seed=6)
+    print(f"  baseline exceedance: ({slope:.3f} - 0.25)/se = "
+          f"{(slope - 0.25) / slope_se:.0f} standard errors")
 
     print("\nnegative moments E Gamma^(-theta) with the heavy-tail flag:")
-    for r in chaos3.negative_moment_gamma3(t3, (0.25, 0.5, 0.9), 200_000,
-                                           seed=7):
-        theta = r.theta
-        flag = "UNSTABLE (top 0.1% carries >50% of the mass)" if r.unstable \
-            else "stable"
-        print(f"  theta={theta:<5g} mean={r.estimate.mean:<10.5g} "
-              f"top-share={r.top_share:.3f}  {flag}")
+    thetas = (0.25, 0.5, 0.9)
+
+    def powers(x):
+        g = chaos3.gamma_batch(t3, x)
+        return np.stack([g ** -theta for theta in thetas], axis=1)
+
+    moments, top = mc.reduce(powers, 200_000, mc.RngSpec(7), t3.n,
+                             mc.Moments(), mc.TopShare(200_000 // 1000))
+    for theta, est, share in zip(thetas, moments.results(), top.share):
+        flag = "UNSTABLE (top 0.1% carries >50% of the mass)" \
+            if share > 0.5 else "stable"
+        print(f"  theta={theta:<5g} mean={est.mean:<10.5g} "
+              f"top-share={share:.3f}  {flag}")
 
     print("\ntrace concentration: Var Tr(A_hat^2) against kappa_4")
     print("  family             N    kappa_4     Var Tr(A_hat^2)")

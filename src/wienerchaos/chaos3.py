@@ -10,6 +10,11 @@ On an independent copy X_hat, the sharp gradient of F is the quadratic
 form of the random symmetric matrix A_hat with entries
 3 sum_k a(i,j,k) X_hat_k; its spectrum carries the law of Gamma[F,F]
 through E exp(-Gamma xi^2 / 2) = E_hat prod_k (1 - 2 i xi lam_k)^(-1/2).
+
+The module holds the tensor, batch kernels that map Gaussian points to
+Gamma, sharp matrices, their Newton sums and spectra, and the exact
+routes (trace form, kappa_4 and Var Gamma).  It draws nothing: the
+runner reduces the kernels by Monte Carlo and decides every check.
 """
 
 from __future__ import annotations
@@ -21,17 +26,13 @@ from itertools import permutations
 
 import numpy as np
 
-from . import mc
 from .chaos2 import (UNIT_VAR_TOL, DiagonalSecondChaos, PreconditionError,
-                     log_char_product, newton_to_elementary, scaled_norm)
+                     scaled_norm)
 from .wick import GaussianPolynomial, isserlis_expectation
 
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries (2 MB); the pair slab takes 4x
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
-MIN_HITS = 50          # fewer hits or misses: the point leaves the slope fit
-SP_ALPHA_GRID = np.geomspace(1e-3, 1.0, 7)   # S_hat_p small-ball grid
-SP_ALPHA_GRID.flags.writeable = False
 
 
 class EigenSolverError(RuntimeError):
@@ -376,67 +377,6 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectral identity for the Laplace transform of Gamma
-# ---------------------------------------------------------------------------
-
-def _grid(values, cast=float) -> list:
-    """A grid of scalars as a list; a single scalar is a one-point grid.
-    An integer grid rejects a value that is not an integer, by name."""
-    values = np.ravel(values)
-    if cast is int:
-        for v in values:
-            if not float(v).is_integer():
-                raise ValueError(f"the grid must hold integers, got {v}")
-    grid = [cast(v) for v in values]
-    if not grid:
-        raise ValueError("the grid is empty")
-    return grid
-
-
-@dataclass(frozen=True)
-class GammaSpecCheck:
-    xi: float
-    lhs: mc.EstimatorResult      # E exp(-Gamma xi^2 / 2)
-    rhs_re: mc.EstimatorResult   # Re E_hat prod (1 - 2 i xi lam)^(-1/2)
-    rhs_im: mc.EstimatorResult   # Im of the same, 0 by symmetry
-    gap: mc.EstimatorResult      # lhs - Re rhs, stderrs in quadrature
-
-
-def verify_gamma_spec(t: SymThreeTensor, xi_grid, n_samples: int,
-                      seed: int) -> list[GammaSpecCheck]:
-    """Both sides of the spectral identity, independently estimated, at
-    every xi of the grid; one GammaSpecCheck per xi.
-
-    lhs averages exp(-xi^2 Gamma / 2) over X (stream 0); rhs averages the
-    factor-wise complex product over the spectrum of A_hat sampled from
-    X_hat (stream 1).  Each side draws once for the whole grid.  The
-    imaginary part of rhs should vanish by the sign symmetry of the
-    spectrum's law.
-    """
-    xis = _grid(xi_grid)
-
-    def fn_lhs(x):
-        g = gamma_batch(t, x)
-        return np.stack([np.exp(-0.5 * xi * xi * g) for xi in xis], axis=1)
-
-    def fn_rhs(xh):
-        lams = spectra_batch(t, xh)
-        z = np.stack([np.exp(log_char_product(x * lams)) for x in xis], axis=1)
-        return np.concatenate([z.real, z.imag], axis=1)
-
-    (lhs,) = mc.reduce(fn_lhs, n_samples, mc.RngSpec(seed, 0), t.n,
-                       mc.Moments())
-    (rhs,) = mc.reduce(fn_rhs, n_samples, mc.RngSpec(seed, 1), t.n,
-                       mc.Moments())
-    parts = rhs.results()     # real parts, then imaginary parts
-    return [GammaSpecCheck(xi, left, re, im, mc.EstimatorResult(
-                left.mean - re.mean, math.hypot(left.stderr, re.stderr),
-                left.n))
-            for xi, left, re, im
-            in zip(xis, lhs.results(), parts, parts[len(xis):])]
-
-
-# ---------------------------------------------------------------------------
 # trace form Tr(A_hat^2) as a positive quadratic form
 # ---------------------------------------------------------------------------
 
@@ -535,146 +475,3 @@ def kappa4_and_var_gamma(t: SymThreeTensor) -> K4VarGamma:
                                 f"{var_gamma} overflow or underflow: "
                                 "normalize the tensor")
     return K4VarGamma(kappa4, var_gamma)
-
-
-# ---------------------------------------------------------------------------
-# spectral radius, small-ball and negative moments by Monte Carlo
-# ---------------------------------------------------------------------------
-
-def spectral_radius_moments(t: SymThreeTensor, p_grid, n_samples: int,
-                            seed: int) -> list[mc.EstimatorResult]:
-    """(E |lam_1|^(2p))^(1/(2p)) with a delta-method standard error, one
-    result per p of the grid, all from one pass over stream 0."""
-    ps = _grid(p_grid, int)
-    if min(ps) < 1:
-        raise ValueError("p must be >= 1")
-
-    def fn(xh):
-        lam1 = np.abs(spectra_batch(t, xh)[:, 0])
-        return np.stack([lam1 ** (2 * p) for p in ps], axis=1)
-
-    (moments,) = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), t.n,
-                           mc.Moments())
-    out = []
-    for p, raw in zip(ps, moments.results()):
-        if raw.mean <= 0.0:
-            out.append(mc.EstimatorResult(0.0, 0.0, raw.n))
-            continue
-        est = raw.mean ** (1.0 / (2 * p))
-        se = est * raw.stderr / (2 * p * raw.mean)
-        out.append(mc.EstimatorResult(float(est), float(se), raw.n))
-    return out
-
-
-@dataclass(frozen=True)
-class SmallBallResult:
-    eps: np.ndarray
-    phat: np.ndarray
-    se: np.ndarray
-    hits: np.ndarray
-    used: np.ndarray          # points with enough hits and misses for the fit
-    slope: float
-    slope_se: float
-    widened: bool             # True when some point left the fit
-    n: int
-
-
-def smallball_gamma3(t: SymThreeTensor, eps_grid, n_samples: int,
-                     seed: int) -> SmallBallResult:
-    """Empirical P(Gamma < eps) over a grid plus a log-log slope fit.
-
-    The fit weighs each point by its binomial standard error, a normal
-    approximation that needs many hits and many misses: a grid point with
-    fewer than MIN_HITS of either leaves the fit and is flagged (widened
-    grid) rather than failing the run; fewer than 3 points left for the
-    fit is a ValueError.
-    """
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or eps.size < 3:
-        raise ValueError("eps_grid must hold at least 3 values")
-    if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
-        raise ValueError("eps_grid must be positive and increasing")
-    (hits,) = mc.reduce(lambda x: gamma_batch(t, x), n_samples,
-                        mc.RngSpec(seed, 0), t.n, mc.Hits(eps))
-    (phat,), (se,) = hits.fractions()
-    n, counts = hits.n, hits.counts[0]
-    used = (counts >= MIN_HITS) & (n - counts >= MIN_HITS)
-    if used.sum() < 3:
-        raise ValueError(
-            f"only {int(used.sum())} of {eps.size} eps grid points reach "
-            f"min_hits={MIN_HITS} (largest hit count {int(counts.max())} "
-            f"and smallest miss count {int(n - counts.min())} of {n} "
-            "samples); at least 3 are needed for the slope fit: move the "
-            "eps grid or raise the sample count")
-    slope, slope_se = mc.loglog_slope(eps[used], phat[used], se[used])
-    return SmallBallResult(eps, phat, se, counts, used, slope, slope_se,
-                           bool(np.any(~used)), n)
-
-
-@dataclass(frozen=True)
-class NegativeMomentResult:
-    estimate: mc.EstimatorResult
-    theta: float
-    top_share: float      # mass fraction carried by the top 0.1% summands
-    unstable: bool        # top_share > 0.5: heavy-tail warning
-
-
-def negative_moment_gamma3(t: SymThreeTensor, theta_grid, n_samples: int,
-                           seed: int) -> list[NegativeMomentResult]:
-    """Monte Carlo E Gamma^(-theta) with a heavy-tail instability flag,
-    one result per theta of the grid, all from one pass over stream 0."""
-    thetas = _grid(theta_grid)
-    if not all(0.0 < theta < 1.0 for theta in thetas):
-        raise ValueError("theta must lie in (0, 1)")
-
-    def fn(x):
-        g = gamma_batch(t, x)
-        return np.stack([g ** (-theta) for theta in thetas], axis=1)
-
-    moments, top = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), t.n,
-                             mc.Moments(),
-                             mc.TopShare(max(1, n_samples // 1000)))
-    return [NegativeMomentResult(est, theta, float(share), bool(share > 0.5))
-            for est, theta, share in zip(moments.results(), thetas,
-                                         top.share)]
-
-
-# ---------------------------------------------------------------------------
-# elementary symmetric functions of the squared spectrum
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpBatchResult:
-    p: int
-    estimate: mc.EstimatorResult     # E S_hat_p
-    lower_bound: float                # (1/2) 3^p / (2^p p!)
-    alpha: np.ndarray                 # small-ball grid for S_hat_p
-    phat: np.ndarray
-    se: np.ndarray
-
-
-def sp_batch_estimate(t: SymThreeTensor, p_grid, n_samples: int,
-                      seed: int) -> list[SpBatchResult]:
-    """Estimate E S_hat_p next to its lower bound, and record the
-    empirical small-ball curve P(S_hat_p < alpha) over SP_ALPHA_GRID, for
-    every p of the grid from one pass over stream 0.
-
-    S_hat_p, the p-th elementary symmetric function of the squared
-    spectrum of A_hat, comes from the Newton sums of sharp_power_sums by
-    the Newton-Girard recursion; no spectrum is computed.
-    """
-    ps = _grid(p_grid, int)
-    if min(ps) < 1 or max(ps) > t.n:
-        raise ValueError(f"p must lie in 1..{t.n}")
-    cols = np.array(ps) - 1
-
-    def fn(xh):
-        return newton_to_elementary(sharp_power_sums(t, xh, max(ps)))[cols].T
-
-    moments, hits = mc.reduce(fn, n_samples, mc.RngSpec(seed, 0), t.n,
-                              mc.Moments(), mc.Hits(SP_ALPHA_GRID))
-    out = []
-    for p, est, phat, se in zip(ps, moments.results(), *hits.fractions()):
-        lb = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))
-        out.append(SpBatchResult(p, est, float(lb), SP_ALPHA_GRID, phat, se))
-    return out

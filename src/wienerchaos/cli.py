@@ -8,8 +8,12 @@ echo is the same run; README.md ("Experiment runner") shows one in full.
 [experiment] holds name (a key of INPUTS, the one table of experiments),
 seed (u64), samples and out; [model] a kind, a family of family_generators
 or one of build_model's explicit kinds, with only that kind's parameters;
-the optional [grids] only the keys that INPUTS lists for the experiment.
-run() checks every input before any work.  RunRecorder.check decides each
+the optional [grids] only the keys that INPUTS lists for the experiment,
+no two values of a list grid sharing the `:g` name of their records.
+run() checks every input before any work.  Every Monte Carlo estimate is
+made here: each experiment maps Gaussian points through the kernels of
+chaos2 and chaos3, which draw nothing, and reduces them with mc.reduce
+itself, after its domain checks.  RunRecorder.check decides each
 assertion by the one rule of `verdict` from the numbers it records in the
 manifest; failures never abort a run, they surface in the exit status.
 """
@@ -95,6 +99,15 @@ def _values(text: str, cast=float) -> list:
     return [cast(v) for v in text.replace(",", " ").split()]
 
 
+def _integer(key: str, value) -> int:
+    """An [experiment] value as an int; a ValueError names key and value."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"[experiment] {key} must be an integer, "
+                         f"got {value!r}") from None
+
+
 def parse_config(path, seed=None, samples=None, out=None) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -114,9 +127,10 @@ def parse_config(path, seed=None, samples=None, out=None) -> ExperimentConfig:
     name = exp.get("name")
     if not name:
         raise ValueError("experiment name is required")
-    cfg_seed = int(seed if seed is not None else exp.get("seed", "0"))
-    cfg_samples = int(samples if samples is not None
-                      else exp.get("samples", "100000"))
+    cfg_seed = _integer("seed", seed if seed is not None
+                        else exp.get("seed", "0"))
+    cfg_samples = _integer("samples", samples if samples is not None
+                           else exp.get("samples", "100000"))
     cfg_out = Path(out if out is not None else exp.get("out", "results"))
     model = dict(cp["model"]) if "model" in cp else {}
     grids = dict(cp["grids"]) if "grids" in cp else {}
@@ -248,6 +262,9 @@ class RunRecorder:
 # experiments
 # ---------------------------------------------------------------------------
 
+MIN_HITS = 50   # fewer hits or misses: a small-ball point leaves the fit
+
+
 def _exp_thm1_certificate(cfg, f, rec):
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
     rows = []
@@ -344,18 +361,37 @@ def _exp_multivariate_bounds(cfg, m, rec):
 
 
 def _exp_gamma_spec(cfg, t, rec):
+    xis = cfg.grids["xi"]
+
+    def lhs_fn(x):      # E exp(-Gamma xi^2 / 2)
+        g = chaos3.gamma_batch(t, x)
+        return np.stack([np.exp(-0.5 * xi * xi * g) for xi in xis], axis=1)
+
+    def rhs_fn(xh):     # E_hat prod (1 - 2 i xi lam)^(-1/2), Re then Im
+        lams = chaos3.spectra_batch(t, xh)
+        z = np.stack([np.exp(chaos2.log_char_product(xi * lams))
+                      for xi in xis], axis=1)
+        return np.concatenate([z.real, z.imag], axis=1)
+
+    # each side of the identity from its own stream, every xi a column
+    (lhs,) = mc.reduce(lhs_fn, cfg.samples, mc.RngSpec(cfg.seed, 0), t.n,
+                       mc.Moments())
+    (rhs,) = mc.reduce(rhs_fn, cfg.samples, mc.RngSpec(cfg.seed, 1), t.n,
+                       mc.Moments())
+    parts = rhs.results()
     rows = []
-    for chk in chaos3.verify_gamma_spec(t, cfg.grids["xi"], cfg.samples,
-                                        cfg.seed):
-        lhs, rhs, im, gap = chk.lhs, chk.rhs_re, chk.rhs_im, chk.gap
+    # Im rhs vanishes by the sign symmetry of the spectrum's law
+    for xi, left, re, im in zip(xis, lhs.results(), parts, parts[len(xis):]):
+        gap = mc.EstimatorResult(left.mean - re.mean,
+                                 math.hypot(left.stderr, re.stderr), left.n)
         real_ok, imag_ok = (verdict(part.mean, "==", 0.0, 3.0, part.stderr)
                             for part in (gap, im))
         # the part with the larger |z| carries the record's numbers
         worst = (gap if abs(gap.mean) * im.stderr >= abs(im.mean) * gap.stderr
                  else im)
-        rec.check(f"gamma_spec_xi{chk.xi:g}", worst.mean, "==", 0.0, 3.0,
+        rec.check(f"gamma_spec_xi{xi:g}", worst.mean, "==", 0.0, 3.0,
                   worst.stderr)
-        rows.append((chk.xi, lhs.mean, lhs.stderr, rhs.mean, rhs.stderr,
+        rows.append((xi, left.mean, left.stderr, re.mean, re.stderr,
                      im.mean, im.stderr, real_ok, imag_ok))
     rec.csv("gamma_spec.csv",
             ["xi", "lhs", "lhs_se", "rhs_re", "rhs_re_se", "rhs_im",
@@ -364,11 +400,24 @@ def _exp_gamma_spec(cfg, t, rec):
 
 def _exp_spectral_radius(cfg, t, rec):
     ps = cfg.grids["p"]
+    if min(ps) < 1:
+        raise ValueError("p must be >= 1")
+
+    def fn(xh):
+        lam1 = np.abs(chaos3.spectra_batch(t, xh)[:, 0])
+        return np.stack([lam1 ** (2 * p) for p in ps], axis=1)
+
+    (moments,) = mc.reduce(fn, cfg.samples, mc.RngSpec(cfg.seed, 0), t.n,
+                           mc.Moments())
     rows = []
-    ests = chaos3.spectral_radius_moments(t, ps, cfg.samples, cfg.seed)
-    for p, est in zip(ps, ests):
-        rec.check(f"finite_p{p}", est.mean, None, None, None)
-        rows.append((p, est.mean, est.stderr, est.n))
+    for p, raw in zip(ps, moments.results()):
+        # (E |lam_1|^(2p))^(1/(2p)), its stderr by the delta method
+        norm, se = 0.0, 0.0
+        if raw.mean > 0.0:
+            norm = raw.mean ** (1.0 / (2 * p))
+            se = norm * raw.stderr / (2 * p * raw.mean)
+        rec.check(f"finite_p{p}", norm, None, None, None)
+        rows.append((p, norm, se, raw.n))
     rec.csv("spectral_radius.csv", ["p", "norm_2p", "se", "n"], rows)
 
 
@@ -390,33 +439,71 @@ def _exp_trace_concentration(cfg, models, rec):
 
 
 def _exp_smallball3(cfg, t, rec):
-    res = chaos3.smallball_gamma3(t, np.asarray(cfg.grids["eps"]),
-                                  cfg.samples, cfg.seed)
-    rec.check("cw_exceedance", res.slope, ">=", 0.25, 2.0, res.slope_se)
+    eps = np.asarray(cfg.grids["eps"])
+    if eps.size < 3:
+        raise ValueError("grid 'eps' must hold at least 3 values")
+    if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
+        raise ValueError("grid 'eps' must be positive and increasing")
+    (hits,) = mc.reduce(lambda x: chaos3.gamma_batch(t, x), cfg.samples,
+                        mc.RngSpec(cfg.seed, 0), t.n, mc.Hits(eps))
+    (phat,), (se,) = hits.fractions()
+    n, counts = hits.n, hits.counts[0]
+    # the binomial se that weighs a point is a normal approximation: a
+    # point with fewer than MIN_HITS hits or misses leaves the fit
+    used = (counts >= MIN_HITS) & (n - counts >= MIN_HITS)
+    if used.sum() < 3:
+        raise ValueError(
+            f"only {int(used.sum())} of {eps.size} eps grid points reach "
+            f"min_hits={MIN_HITS} (largest hit count {int(counts.max())} "
+            f"and smallest miss count {int(n - counts.min())} of {n} "
+            "samples); at least 3 are needed for the slope fit: move the "
+            "eps grid or raise the sample count")
+    slope, slope_se = mc.loglog_slope(eps[used], phat[used], se[used])
+    rec.check("cw_exceedance", slope, ">=", 0.25, 2.0, slope_se)
     rec.csv("smallball3.csv",
             ["eps", "phat", "se", "hits", "used_in_fit"],
-            list(zip(res.eps, res.phat, res.se, res.hits, res.used)))
+            list(zip(eps, phat, se, counts, used)))
     rec.csv("smallball3_fit.csv",
             ["slope", "slope_se", "cw_baseline", "target_exponent",
              "widened"],
-            [(res.slope, res.slope_se, 0.25, 0.75, res.widened)])
+            [(slope, slope_se, 0.25, 0.75, not used.all())])
 
 
 def _exp_negmoment3(cfg, t, rec):
+    thetas = cfg.grids["theta"]
+    if not all(0.0 < theta < 1.0 for theta in thetas):
+        raise ValueError("theta must lie in (0, 1)")
+
+    def fn(x):
+        g = chaos3.gamma_batch(t, x)
+        return np.stack([g ** (-theta) for theta in thetas], axis=1)
+
+    # the share of the top 0.1% summands flags a heavy tail
+    moments, top = mc.reduce(fn, cfg.samples, mc.RngSpec(cfg.seed, 0), t.n,
+                             mc.Moments(),
+                             mc.TopShare(max(1, cfg.samples // 1000)))
     rows = []
-    for res in chaos3.negative_moment_gamma3(t, cfg.grids["theta"],
-                                             cfg.samples, cfg.seed):
-        rec.check(f"finite_theta{res.theta:g}", res.estimate.mean, None,
-                  None, None)
-        rows.append((res.theta, res.estimate.mean, res.estimate.stderr,
-                     res.top_share, res.unstable))
+    for theta, est, share in zip(thetas, moments.results(), top.share):
+        rec.check(f"finite_theta{theta:g}", est.mean, None, None, None)
+        rows.append((theta, est.mean, est.stderr, share, share > 0.5))
     rec.csv("negmoment3.csv",
             ["theta", "mean", "se", "top_share", "unstable"], rows)
 
 
 def _exp_sp_lower_bound(cfg, t, rec):
     ps = cfg.grids["p"]
-    results = chaos3.sp_batch_estimate(t, ps, cfg.samples, cfg.seed)
+    if min(ps) < 1 or max(ps) > t.n:
+        raise ValueError(f"p must lie in 1..{t.n}")
+    cols = np.array(ps) - 1
+    alphas = np.geomspace(1e-3, 1.0, 7)    # the S_hat_p small-ball grid
+
+    def fn(xh):
+        # S_hat_p of the squared spectrum by Newton-Girard: no eigensolve
+        newton = chaos3.sharp_power_sums(t, xh, max(ps))
+        return chaos2.newton_to_elementary(newton)[cols].T
+
+    moments, hits = mc.reduce(fn, cfg.samples, mc.RngSpec(cfg.seed, 0), t.n,
+                              mc.Moments(), mc.Hits(alphas))
     # self-check of the product route of S_hat_p on a small batch:
     # Tr((A_hat^2)^q) == sum lam^(2q) within 1e-12 (Tr A_hat^2)^q
     rng = mc.RngSpec(cfg.seed, 999).generator()
@@ -429,13 +516,13 @@ def _exp_sp_lower_bound(cfg, t, rec):
               for q, n_q in enumerate(newton, start=1))
     rec.check("newton_sums_match_spectrum", rel, "<=", 0.0, 1e-12)
     rows = []
-    for res in results:
-        p, est = res.p, res.estimate
-        holds = rec.check(f"sp_lower_bound_p{p}", est.mean, ">=",
-                          res.lower_bound, 0.0, est.stderr)
-        rows.append((p, est.mean, est.stderr, res.lower_bound, holds))
+    for p, est, phat, se in zip(ps, moments.results(), *hits.fractions()):
+        bound = 0.5 * 3.0 ** p / (2.0 ** p * math.factorial(p))
+        holds = rec.check(f"sp_lower_bound_p{p}", est.mean, ">=", bound, 0.0,
+                          est.stderr)
+        rows.append((p, est.mean, est.stderr, bound, holds))
         rec.csv(f"sp_smallball_p{p}.csv", ["alpha", "phat", "se"],
-                list(zip(res.alpha, res.phat, res.se)))
+                list(zip(alphas, phat, se)))
     rec.csv("sp_lower_bound.csv",
             ["p", "mean_sp", "se", "lower_bound", "bound_holds"], rows)
 
@@ -492,6 +579,13 @@ def _grid(key: str, text: str, default) -> list:
         count = f"exactly {len(default)}" if fixed else "at least 1"
         raise ValueError(f"grid {key!r} must hold {count} value(s), "
                          f"got {text!r}")
+    if not fixed:   # a grid point names its records and files by :g
+        names = [f"{v:g}" for v in values]
+        for i, name in enumerate(names):
+            j = names.index(name)
+            if j < i:
+                raise ValueError(f"grid {key!r} holds {values[j]!r} and "
+                                 f"{values[i]!r}, both named {name}")
     return values
 
 

@@ -1,6 +1,12 @@
+import itertools
+import json
+from types import SimpleNamespace
+
 import pytest
 
-from oracles import make_unit_alphas, make_unit_tensor
+from wienerchaos import chaos3, cli
+
+from oracles import make_unit_alphas, make_unit_tensor, write_tensor_file
 
 
 @pytest.fixture
@@ -11,3 +17,38 @@ def unit_alphas_factory():
 @pytest.fixture
 def unit_tensor_factory():
     return make_unit_tensor
+
+
+def _csv_rows(path) -> list[dict]:
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return [dict(zip(header.split(","), map(float, row.split(","))))
+            for row in rows]
+
+
+@pytest.fixture
+def run_experiment(tmp_path):
+    """Run one experiment through cli.run.
+
+    model is a [model] dict or a SymThreeTensor, which is written to a
+    tensor file that reads back bit for bit; a grid that is not a string
+    is written at full precision.  Returns the exit status, each CSV as a
+    list of rows keyed by column, and the manifest's assertions.
+    """
+    runs = itertools.count()
+
+    def run(name, model, grids, samples, seed):
+        out = tmp_path / f"run{next(runs)}"
+        if isinstance(model, chaos3.SymThreeTensor):
+            path = tmp_path / f"tensor{next(runs)}.txt"
+            write_tensor_file(model, path)
+            model = {"kind": "tensor-file", "path": str(path)}
+        grids = {key: v if isinstance(v, str)
+                 else ", ".join(repr(float(x)) for x in v)
+                 for key, v in grids.items()}
+        status = cli.run(cli.ExperimentConfig(name, seed, samples, out,
+                                              model, grids, {}))
+        manifest = json.loads((out / "manifest.json").read_text())
+        return SimpleNamespace(
+            status=status, assertions=manifest["assertions"],
+            csv={f: _csv_rows(out / f) for f in manifest["files"]})
+    return run

@@ -144,20 +144,21 @@ def test_c05_negative_moment_quadrature():
                          f"q=1/2 mc z={abs(est.mean - val2) / est.stderr:.2f}")
 
 
-def test_c06_gamma_spec_identity():
+def test_c06_gamma_spec_identity(run_experiment):
     start = time.perf_counter()
     rng = np.random.default_rng(SEED + 1)
     tensors = [chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)]
     tensors += [make_unit_tensor(rng, n=6) for _ in range(5)]
     worst_real, worst_imag = 0.0, 0.0
     for ti, t in enumerate(tensors):
-        for chk in chaos3.verify_gamma_spec(t, (0.5, 1.0, 2.0), 100_000,
-                                            SEED + 100 * ti):
-            gap = abs(chk.lhs.mean - chk.rhs_re.mean)
+        run = run_experiment("gamma-spec", t, {"xi": "0.5, 1, 2"}, 100_000,
+                             SEED + 100 * ti)
+        for row in run.csv["gamma_spec.csv"]:
+            gap = abs(row["lhs"] - row["rhs_re"])
             worst_real = max(worst_real, gap / math.hypot(
-                chk.lhs.stderr, chk.rhs_re.stderr))
+                row["lhs_se"], row["rhs_re_se"]))
             worst_imag = max(worst_imag,
-                             abs(chk.rhs_im.mean) / chk.rhs_im.stderr)
+                             abs(row["rhs_im"]) / row["rhs_im_se"])
     elapsed = time.perf_counter() - start
     ok = worst_real <= 3.0 and worst_imag <= 3.0 and elapsed < 120.0
     assert report(6, ok, f"max real z {worst_real:.2f}, max imag z "
@@ -221,20 +222,24 @@ def test_c09_multivariate_worked_example():
                          f"{k4_ok}; variance bound holds: {holds}")
 
 
-def test_c10_smallball_exponent_third_chaos():
+def test_c10_smallball_exponent_third_chaos(run_experiment):
     start = time.perf_counter()
-    t = family_generators("complete-3-tensor", 20)
-    eps = np.geomspace(0.01, 0.3, 8)
-    res = chaos3.smallball_gamma3(t, eps, 10_000_000, SEED)
+    run = run_experiment("smallball3",
+                         {"kind": "complete-3-tensor", "size": "20"},
+                         {"eps": np.geomspace(0.01, 0.3, 8)}, 10_000_000,
+                         SEED)
     elapsed = time.perf_counter() - start
-    margin = (res.slope - 0.25) / res.slope_se
-    ok = margin >= 2.0 and elapsed < 600.0
+    # the margin (slope - 0.25) / se >= 2 is the run's cw_exceedance gate
+    (gate,) = run.assertions
+    (fit,) = run.csv["smallball3_fit.csv"]
+    margin = gate["z"]
+    ok = gate["passed"] and elapsed < 600.0
     # the slope itself and its distance to the 3/4 target are reported only
     assert report(10, ok,
-                  f"slope={res.slope:.4f} +- {res.slope_se:.4f} "
+                  f"slope={fit['slope']:.4f} +- {fit['slope_se']:.4f} "
                   f"(CW baseline 0.25 exceeded by {margin:.1f} se); "
-                  f"distance to 0.75: {res.slope - 0.75:+.4f}; "
-                  f"widened={res.widened}; {elapsed:.0f}s")
+                  f"distance to 0.75: {fit['slope'] - 0.75:+.4f}; "
+                  f"widened={bool(fit['widened'])}; {elapsed:.0f}s")
 
 
 def test_c11_trace_concentration_monotonicity():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wienerchaos import chaos2, chaos3, mc
+from wienerchaos import chaos2, chaos3, cli, mc
 from wienerchaos.chaos3 import SymThreeTensor
 from wienerchaos.cli import family_generators
 from wienerchaos.wick import isserlis_expectation
@@ -339,32 +339,36 @@ def test_spectrum_rejects_asymmetric():
 # spectral identity for the Laplace transform
 # ---------------------------------------------------------------------------
 
-def test_gamma_spec_at_zero():
-    t = triple_product()
-    (chk,) = chaos3.verify_gamma_spec(t, [0.0], 2000, SEED)
-    assert chk.lhs.mean == 1.0 and chk.lhs.stderr == 0.0
-    assert chk.rhs_re.mean == 1.0 and chk.rhs_im.mean == 0.0
-    assert chk.rhs_re.stderr == 0.0 and chk.rhs_im.stderr == 0.0
+def test_gamma_spec_at_zero(run_experiment):
+    run = run_experiment("gamma-spec", triple_product(), {"xi": "0"}, 2000,
+                         SEED)
+    (row,) = run.csv["gamma_spec.csv"]
+    assert row["lhs"] == 1.0 and row["lhs_se"] == 0.0
+    assert row["rhs_re"] == 1.0 and row["rhs_im"] == 0.0
+    assert row["rhs_re_se"] == 0.0 and row["rhs_im_se"] == 0.0
 
 
-def test_gamma_spec_triple_product():
-    t = triple_product()
-    (chk,) = chaos3.verify_gamma_spec(t, [1.0], 20_000, SEED)
-    assert abs(chk.lhs.mean - chk.rhs_re.mean) <= 3.0 * math.hypot(
-        chk.lhs.stderr, chk.rhs_re.stderr)
-    assert chk.rhs_im.within(0.0, 3.0)
+def test_gamma_spec_triple_product(run_experiment):
+    run = run_experiment("gamma-spec", triple_product(), {"xi": "1"},
+                         20_000, SEED)
+    (row,) = run.csv["gamma_spec.csv"]
+    assert abs(row["lhs"] - row["rhs_re"]) <= 3.0 * math.hypot(
+        row["lhs_se"], row["rhs_re_se"])
+    assert abs(row["rhs_im"]) <= 3.0 * row["rhs_im_se"]
+    assert row["real_pass"] == row["imag_pass"] == 1.0
 
 
-def test_gamma_spec_sample_floor():
+def test_gamma_spec_sample_floor(run_experiment):
     with pytest.raises(ValueError, match="need at least 100 samples"):
-        chaos3.verify_gamma_spec(triple_product(), [1.0], 99, SEED)
+        run_experiment("gamma-spec", triple_product(), {"xi": "1"}, 99, SEED)
 
 
-def test_gamma_spec_small_xi_expansion():
+def test_gamma_spec_small_xi_expansion(run_experiment):
     # E exp(-xi^2 Gamma / 2) = 1 - (3/2) xi^2 + O(xi^4)
-    t = triple_product()
-    (chk,) = chaos3.verify_gamma_spec(t, [0.05], 100_000, SEED)
-    assert abs(chk.lhs.mean - (1.0 - 1.5 * 0.05 ** 2)) < 1e-3
+    run = run_experiment("gamma-spec", triple_product(), {"xi": "0.05"},
+                         100_000, SEED)
+    (row,) = run.csv["gamma_spec.csv"]
+    assert abs(row["lhs"] - (1.0 - 1.5 * 0.05 ** 2)) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -514,42 +518,43 @@ def test_kappa4_block_family_exact():
 # spectral radius
 # ---------------------------------------------------------------------------
 
-def test_spectral_radius_triple_product():
+def spectral_radius(run_experiment, model, samples):
+    """||lam_1||_2 and its standard error from a spectral-radius run."""
+    run = run_experiment("spectral-radius", model, {"p": "1"}, samples, SEED)
+    (row,) = run.csv["spectral_radius.csv"]
+    return row["norm_2p"], row["se"]
+
+
+def test_spectral_radius_triple_product(run_experiment):
     # brute-force oracle (5e6 samples, recorded before the build):
     # E lam_1^2 = 0.858649 +- 0.000316
-    (est,) = chaos3.spectral_radius_moments(triple_product(), [1], 100_000,
-                                             SEED)
-    e2 = est.mean ** 2
-    se2 = 2.0 * est.mean * est.stderr
+    norm, se = spectral_radius(run_experiment, triple_product(), 100_000)
+    e2 = norm ** 2
+    se2 = 2.0 * norm * se
     assert abs(e2 - 0.858649) <= 3.0 * se2 + 0.001
 
 
-def test_spectral_radius_zero_tensor():
-    t = SymThreeTensor(3, {})
-    (est,) = chaos3.spectral_radius_moments(t, [1], 1000, SEED)
-    assert est.mean == 0.0 and est.stderr == 0.0
+def test_spectral_radius_zero_tensor(run_experiment):
+    norm, se = spectral_radius(run_experiment, SymThreeTensor(3, {}), 1000)
+    assert norm == 0.0 and se == 0.0
 
 
-def test_spectral_radius_complete_family_grows():
+def test_spectral_radius_complete_family_grows(run_experiment):
     # measured direction (1e5-sample oracle): ||lam1||_2 rises with N
     # (1.048, 1.145, 1.192 at N = 6, 12, 24): the family concentrates its
     # trace in one dominant eigenvalue as N grows
-    vals = []
-    for n in (6, 12, 24):
-        t = family_generators("complete-3-tensor", n)
-        (est,) = chaos3.spectral_radius_moments(t, [1], 20_000, SEED)
-        vals.append((est.mean, est.stderr))
+    vals = [spectral_radius(run_experiment, {"kind": "complete-3-tensor",
+                                             "size": str(n)}, 20_000)
+            for n in (6, 12, 24)]
     for (lo, lo_se), (hi, hi_se) in zip(vals, vals[1:]):
         assert hi - lo > 3.0 * math.hypot(lo_se, hi_se)
 
 
-def test_spectral_radius_block_family_shrinks():
+def test_spectral_radius_block_family_shrinks(run_experiment):
     # the vanishing-kappa4 family: the spectral radius decays with size
-    vals = []
-    for n in (6, 12, 24):
-        t = family_generators("block-3-tensor", n)
-        (est,) = chaos3.spectral_radius_moments(t, [1], 20_000, SEED)
-        vals.append((est.mean, est.stderr))
+    vals = [spectral_radius(run_experiment, {"kind": "block-3-tensor",
+                                             "size": str(n)}, 20_000)
+            for n in (6, 12, 24)]
     for (lo, lo_se), (hi, hi_se) in zip(vals, vals[1:]):
         assert lo - hi > 3.0 * math.hypot(lo_se, hi_se)
 
@@ -558,59 +563,73 @@ def test_spectral_radius_block_family_shrinks():
 # small ball and negative moments
 # ---------------------------------------------------------------------------
 
-def test_smallball_triple_product_slope():
+def refuse_draws(*args, **kwargs):
+    raise AssertionError("a rejected grid drew samples")
+
+
+def smallball(run_experiment, model, eps, samples, seed=SEED):
+    """The grid points and the slope fit of a smallball3 run."""
+    run = run_experiment("smallball3", model, {"eps": eps}, samples, seed)
+    (fit,) = run.csv["smallball3_fit.csv"]
+    return run.csv["smallball3.csv"], fit
+
+
+def test_smallball_triple_product_slope(run_experiment):
     # 1e7-sample oracle before the build: slope 0.5895 +- 0.0003 on this grid
-    t = triple_product()
-    eps = np.geomspace(0.01, 0.3, 8)
-    res = chaos3.smallball_gamma3(t, eps, 1_000_000, SEED)
-    assert not res.widened
-    assert np.all(np.diff(res.phat) >= 0)
-    assert 0.55 <= res.slope <= 0.63
+    points, fit = smallball(run_experiment, triple_product(),
+                            np.geomspace(0.01, 0.3, 8), 1_000_000)
+    assert not fit["widened"]
+    assert np.all(np.diff([r["phat"] for r in points]) >= 0)
+    assert 0.55 <= fit["slope"] <= 0.63
 
 
-def test_smallball_widened_grid_flag():
-    t = triple_product()
+def test_smallball_widened_grid_flag(run_experiment):
     eps = np.concatenate([[1e-9], np.geomspace(0.05, 0.3, 5)])
-    res = chaos3.smallball_gamma3(t, eps, 100_000, SEED)
-    assert res.widened
-    assert not res.used[0]
-    assert math.isfinite(res.slope)
+    points, fit = smallball(run_experiment, triple_product(), eps, 100_000)
+    assert fit["widened"]
+    assert not points[0]["used_in_fit"]
+    assert math.isfinite(fit["slope"])
 
 
-def test_smallball_saturated_points_leave_the_fit():
+def test_smallball_saturated_points_leave_the_fit(run_experiment):
     # eps = 200 and 400 lie far above Gamma's bulk: 199990 and 200000 of
     # 200000 hits.  Their binomial se (1.6e-5 relative, and 0) would
     # outweigh the other points about 1e6 to 1 and flatten the slope to
     # 0.0016; so they leave the fit, which then equals the fit of the grid
     # without them (one stream, one count per eps), 1.017 +- 0.005
-    t = family_generators("complete-3-tensor", 6)
-    eps = [0.05, 0.1, 0.2, 0.4]
-    res = chaos3.smallball_gamma3(t, eps + [200, 400], 200_000, 3)
-    assert res.hits[-1] == res.n and res.n - res.hits[-2] < chaos3.MIN_HITS
-    assert res.used.tolist() == [True] * 4 + [False] * 2
-    assert res.widened
-    ref = chaos3.smallball_gamma3(t, eps, 200_000, 3)
-    assert not ref.widened
-    assert (res.slope, res.slope_se) == (ref.slope, ref.slope_se)
+    model = {"kind": "complete-3-tensor", "size": "6"}
+    eps, n = [0.05, 0.1, 0.2, 0.4], 200_000
+    points, fit = smallball(run_experiment, model, eps + [200, 400], n, 3)
+    assert points[-1]["hits"] == n
+    assert n - points[-2]["hits"] < cli.MIN_HITS
+    assert [r["used_in_fit"] for r in points] == [1.0] * 4 + [0.0] * 2
+    assert fit["widened"]
+    ref_points, ref = smallball(run_experiment, model, eps, n, 3)
+    assert not ref["widened"]
+    assert (fit["slope"], fit["slope_se"]) == (ref["slope"], ref["slope_se"])
     # the slope lies between the steepest and flattest two-point slopes
-    two_point = np.diff(np.log(ref.phat)) / np.diff(np.log(eps))
-    assert two_point.min() < res.slope < two_point.max()
+    phat = [r["phat"] for r in ref_points]
+    two_point = np.diff(np.log(phat)) / np.diff(np.log(eps))
+    assert two_point.min() < fit["slope"] < two_point.max()
 
 
-def test_smallball_too_few_fit_points():
+def test_smallball_too_few_fit_points(run_experiment):
     # block n = 60: Gamma averages 20 independent blocks, so no point of
     # this grid gets min_hits hits and the slope fit has nothing to use
-    t = family_generators("block-3-tensor", 60)
-    eps = np.geomspace(0.01, 0.3, 8)
     with pytest.raises(ValueError, match=r"only 0 of 8 .*min_hits=50"
                        r" \(largest hit count 0 "):
-        chaos3.smallball_gamma3(t, eps, 2000, SEED)
+        smallball(run_experiment, {"kind": "block-3-tensor", "size": "60"},
+                  np.geomspace(0.01, 0.3, 8), 2000)
 
 
 def test_smallball_sparse_tensor_builds_no_dense_array():
     t = family_generators("block-3-tensor", 300)
-    res = chaos3.smallball_gamma3(t, np.linspace(2.0, 2.6, 4), 100_000, SEED)
-    assert not res.widened
+    (hits,) = mc.reduce(lambda x: chaos3.gamma_batch(t, x), 100_000,
+                        mc.RngSpec(SEED), t.n,
+                        mc.Hits(np.linspace(2.0, 2.6, 4)))
+    # every point has the hits and misses that the slope fit asks for
+    counts = hits.counts[0]
+    assert np.all(np.minimum(counts, hits.n - counts) >= cli.MIN_HITS)
     assert "a" not in vars(t)        # the n^3 array was never built
 
 
@@ -628,57 +647,54 @@ def test_dense_array_built_on_access():
                                        rel=1e-14)
 
 
-@pytest.mark.parametrize("call", [
-    lambda t: chaos3.smallball_gamma3(t, [0.05, 0.1, 0.2], 1, SEED),
-    lambda t: chaos3.negative_moment_gamma3(t, 0.25, 1, SEED),
-    lambda t: chaos3.sp_batch_estimate(t, 1, 1, SEED),
-], ids=["smallball_gamma3", "negative_moment_gamma3", "sp_batch_estimate"])
-def test_mc_estimators_reject_too_few_samples(call):
-    with pytest.raises(ValueError, match="need at least 100 samples"):
-        call(triple_product())
+def test_smallball_grid_validation(run_experiment, monkeypatch):
+    # the eps grid is checked before any draw
+    monkeypatch.setattr(mc.RngSpec, "generator", refuse_draws)
+    for eps, message in (("0.1, 0.05, 0.2", "be positive and increasing"),
+                         ("-0.1, 0.05, 0.2", "be positive and increasing"),
+                         ("0.05, 0.1", "hold at least 3 values")):
+        with pytest.raises(ValueError, match=f"grid 'eps' must {message}"):
+            smallball(run_experiment, triple_product(), eps, 1000)
 
 
-def test_smallball_grid_validation():
-    t = triple_product()
-    with pytest.raises(ValueError):
-        chaos3.smallball_gamma3(t, [0.1, 0.05, 0.2], 1000, SEED)
-    with pytest.raises(ValueError):
-        chaos3.smallball_gamma3(t, [-0.1, 0.05, 0.2], 1000, SEED)
+def negmoment(run_experiment, theta, samples):
+    """The one row of a negmoment3 run of F = X1 X2 X3."""
+    run = run_experiment("negmoment3", triple_product(), {"theta": theta},
+                         samples, SEED)
+    (row,) = run.csv["negmoment3.csv"]
+    return row
 
 
-def test_negative_moment_gamma3_small_theta():
-    t = triple_product()
-    (res,) = chaos3.negative_moment_gamma3(t, [0.01], 100_000, SEED)
-    assert res.estimate.mean == pytest.approx(1.0, abs=0.02)
-    assert not res.unstable
+def test_negative_moment_gamma3_small_theta(run_experiment):
+    row = negmoment(run_experiment, "0.01", 100_000)
+    assert row["mean"] == pytest.approx(1.0, abs=0.02)
+    assert not row["unstable"]
 
 
-def test_negative_moment_gamma3_stable():
-    t = triple_product()
-    (res,) = chaos3.negative_moment_gamma3(t, [0.25], 100_000, SEED)
-    assert math.isfinite(res.estimate.mean)
-    assert not res.unstable
+def test_negative_moment_gamma3_stable(run_experiment):
+    row = negmoment(run_experiment, "0.25", 100_000)
+    assert math.isfinite(row["mean"])
+    assert not row["unstable"]
 
 
-def test_negative_moment_gamma3_instability_flag():
+def test_negative_moment_gamma3_instability_flag(run_experiment):
     # theta = 0.9 exceeds the small-ball exponent (~0.59) of this Gamma:
     # the moment is infinite and the mass concentrates in the top summands
-    t = triple_product()
-    (res,) = chaos3.negative_moment_gamma3(t, [0.9], 200_000, SEED)
-    assert res.unstable
+    row = negmoment(run_experiment, "0.9", 200_000)
+    assert row["unstable"]
 
 
-def test_grid_columns_have_their_own_bits():
+def test_grid_columns_have_their_own_bits(run_experiment):
     # a grid point computed beside others equals the one-point grid at the
     # same seed, bitwise, across a chunk boundary
     t = triple_product()
     n = mc.CHUNK_SAMPLES + 4000
-    pair = chaos3.negative_moment_gamma3(t, [0.25, 0.5], n, SEED)
-    (alone,) = chaos3.negative_moment_gamma3(t, [0.5], n, SEED)
-    assert pair[1] == alone
-    checks = chaos3.verify_gamma_spec(t, [0.5, 1.0], 2000, SEED)
-    (single,) = chaos3.verify_gamma_spec(t, [1.0], 2000, SEED)
-    assert checks[1] == single
+    pair = run_experiment("negmoment3", t, {"theta": "0.25, 0.5"}, n, SEED)
+    alone = run_experiment("negmoment3", t, {"theta": "0.5"}, n, SEED)
+    assert pair.csv["negmoment3.csv"][1] == alone.csv["negmoment3.csv"][0]
+    pair = run_experiment("gamma-spec", t, {"xi": "0.5, 1"}, 2000, SEED)
+    alone = run_experiment("gamma-spec", t, {"xi": "1"}, 2000, SEED)
+    assert pair.csv["gamma_spec.csv"][1] == alone.csv["gamma_spec.csv"][0]
 
 
 def _whole_chunks(fn, n, spec, dim, acc):
@@ -690,17 +706,18 @@ def _whole_chunks(fn, n, spec, dim, acc):
     return acc
 
 
-def test_stepped_estimators_match_whole_chunks_bitwise():
+def test_stepped_estimators_match_whole_chunks_bitwise(run_experiment):
     # two chunks of whole steps, then a ragged last chunk of 777 samples;
     # the reference calls fn once per counter block
+    model = {"kind": "complete-3-tensor", "size": "20"}
     t = family_generators("complete-3-tensor", 20)
     n = 2 * mc.CHUNK_SAMPLES + 777
     spec = mc.RngSpec(SEED, 0)
     gamma = lambda x: chaos3.gamma_batch(t, x)
     eps = np.geomspace(0.01, 0.3, 8)
-    res = chaos3.smallball_gamma3(t, eps, n, SEED)
+    points, _ = smallball(run_experiment, model, eps, n)
     hits = _whole_chunks(gamma, n, spec, t.n, mc.Hits(eps))
-    assert np.array_equal(res.hits, hits.counts[0])
+    assert [r["hits"] for r in points] == hits.counts[0].tolist()
 
     thetas = [0.25, 0.5]
 
@@ -708,15 +725,18 @@ def test_stepped_estimators_match_whole_chunks_bitwise():
         g = gamma(x)
         return np.stack([g ** -theta for theta in thetas], axis=1)
 
-    got = chaos3.negative_moment_gamma3(t, thetas, n, SEED)
+    run = run_experiment("negmoment3", model, {"theta": thetas}, n, SEED)
     moments = _whole_chunks(powers, n, spec, t.n, mc.Moments())
-    for r, ref in zip(got, moments.results()):
-        assert (r.estimate.mean, r.estimate.stderr) == (ref.mean, ref.stderr)
+    for row, ref in zip(run.csv["negmoment3.csv"], moments.results()):
+        assert (row["mean"], row["se"]) == (ref.mean, ref.stderr)
 
 
-def test_negative_moment_gamma3_domain():
-    with pytest.raises(ValueError):
-        chaos3.negative_moment_gamma3(triple_product(), [1.0], 1000, SEED)
+def test_negative_moment_gamma3_domain(run_experiment, monkeypatch):
+    # theta is checked before any draw
+    monkeypatch.setattr(mc.RngSpec, "generator", refuse_draws)
+    for theta in ("1", "0", "0.25, 1.5"):
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+            negmoment(run_experiment, theta, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +780,18 @@ def test_trace_square_batch_matches_unstepped_einsum():
                        rtol=1e-12, atol=0.0)
 
 
-def test_sp_grid_shares_one_table():
+def test_sp_grid_shares_one_table(run_experiment):
     # every p of the grid reads the same draws: p = 1 of a grid equals
     # the one-point grid bitwise, and each column is one Newton table
+    model = {"kind": "block-3-tensor", "size": "9"}
+    grid = run_experiment("sp-lower-bound", model, {"p": "1, 2, 3"}, 2000,
+                          SEED)
+    alone = run_experiment("sp-lower-bound", model, {"p": "1"}, 2000, SEED)
+    rows = grid.csv["sp_lower_bound.csv"]
+    assert rows[0] == alone.csv["sp_lower_bound.csv"][0]
+    assert grid.csv["sp_smallball_p1.csv"] == alone.csv["sp_smallball_p1.csv"]
+    assert [r["p"] for r in rows] == [1, 2, 3]
     t = family_generators("block-3-tensor", 9)
-    grid = chaos3.sp_batch_estimate(t, [1, 2, 3], 2000, SEED)
-    (alone,) = chaos3.sp_batch_estimate(t, [1], 2000, SEED)
-    assert grid[0].estimate == alone.estimate
-    assert np.array_equal(grid[0].phat, alone.phat)
-    assert [r.p for r in grid] == [1, 2, 3]
     xh = np.random.default_rng(1).standard_normal((50, 9))
     lams = chaos3.spectra_batch(t, xh)
     table = oracles.elementary_symmetric_spectrum(lams, 3)
@@ -781,34 +804,40 @@ def test_sp_grid_shares_one_table():
         assert np.allclose(products[p - 1], brute, rtol=1e-10)
 
 
-def test_sp_batch_triple_product_mean():
-    (res,) = chaos3.sp_batch_estimate(triple_product(), [1], 50_000, SEED)
-    assert abs(res.estimate.mean - 1.5) <= 3.0 * res.estimate.stderr
+def test_sp_batch_triple_product_mean(run_experiment):
+    run = run_experiment("sp-lower-bound", triple_product(), {"p": "1"},
+                         50_000, SEED)
+    (row,) = run.csv["sp_lower_bound.csv"]
+    assert abs(row["mean_sp"] - 1.5) <= 3.0 * row["se"]
 
 
-def test_sp_domain_error():
-    with pytest.raises(ValueError, match=r"p must lie in 1\.\.3"):
-        chaos3.sp_batch_estimate(triple_product(), [4], 1000, SEED)
+def test_sp_domain_error(run_experiment, monkeypatch):
+    # p is checked before any draw, the self-check's included
+    monkeypatch.setattr(mc.RngSpec, "generator", refuse_draws)
+    for p in ("4", "0, 1"):
+        with pytest.raises(ValueError, match=r"p must lie in 1\.\.3"):
+            run_experiment("sp-lower-bound", triple_product(), {"p": p},
+                           1000, SEED)
 
 
-@pytest.mark.parametrize("call", [
-    lambda t: chaos3.spectral_radius_moments(t, [1, 1.5], 1000, SEED),
-    lambda t: chaos3.sp_batch_estimate(t, [1.5], 1000, SEED),
-], ids=["spectral_radius_moments", "sp_batch_estimate"])
-def test_integer_grids_reject_other_values_by_name(call):
-    with pytest.raises(ValueError, match="must hold integers, got 1.5"):
-        call(triple_product())
+def test_sp_batch_estimate_never_eigensolves(run_experiment, monkeypatch):
+    # S_hat_p comes from the Newton sums: the run's one eigensolve is the
+    # 256-row self-check of the product route
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
 
+    def counted(m):
+        solved.append(m.shape[0])
+        return eigvalsh(m)
 
-def test_sp_batch_estimate_never_eigensolves(monkeypatch):
-    def no_eigensolve(*args, **kwargs):
-        raise AssertionError("S_hat_p must not call eigvalsh")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-    t = family_generators("complete-3-tensor", 8)
-    res = chaos3.sp_batch_estimate(t, [1, 2, 8], 2000, SEED)
-    assert [r.p for r in res] == [1, 2, 8]
-    assert all(math.isfinite(r.estimate.mean) for r in res)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    run = run_experiment("sp-lower-bound",
+                         {"kind": "complete-3-tensor", "size": "8"},
+                         {"p": "1, 2, 8"}, 2000, SEED)
+    assert solved == [256]
+    rows = run.csv["sp_lower_bound.csv"]
+    assert [r["p"] for r in rows] == [1, 2, 8]
+    assert all(math.isfinite(r["mean_sp"]) for r in rows)
 
 
 def _dense_unit_tensor(n, seed):
@@ -880,19 +909,21 @@ def test_sharp_power_sums_q_max_domain(q_max):
         chaos3.sharp_power_sums(t, np.ones((2, 4)), q_max)
 
 
-def test_sp_bound_block_vs_complete_n12():
+def test_sp_bound_block_vs_complete_n12(run_experiment):
     # the spectral lower bound (1/2)(3/2)^p / p! at p = 2 is 0.5625: it holds
     # for the vanishing-kappa4 block family (E = 276/256) and fails for the
     # complete family (measured 0.485 +- 0.003, kappa4 = 58 there)
-    (block,) = chaos3.sp_batch_estimate(
-        family_generators("block-3-tensor", 12), [2], 30_000, SEED)
-    assert block.lower_bound == pytest.approx(0.5625)
-    assert block.estimate.mean >= block.lower_bound
-    assert abs(block.estimate.mean - 276.0 / 256.0) \
-        <= 4.0 * block.estimate.stderr
-    (complete,) = chaos3.sp_batch_estimate(
-        family_generators("complete-3-tensor", 12), [2], 30_000, SEED)
-    assert complete.estimate.mean < complete.lower_bound
+    def sp2(kind):
+        run = run_experiment("sp-lower-bound", {"kind": kind, "size": "12"},
+                             {"p": "2"}, 30_000, SEED)
+        return run.csv["sp_lower_bound.csv"][0]
+
+    block = sp2("block-3-tensor")
+    assert block["lower_bound"] == pytest.approx(0.5625)
+    assert block["mean_sp"] >= block["lower_bound"]
+    assert abs(block["mean_sp"] - 276.0 / 256.0) <= 4.0 * block["se"]
+    complete = sp2("complete-3-tensor")
+    assert complete["mean_sp"] < complete["lower_bound"]
 
 
 # ---------------------------------------------------------------------------

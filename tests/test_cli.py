@@ -1,5 +1,4 @@
 import configparser
-import dataclasses
 import json
 import math
 import operator
@@ -79,6 +78,18 @@ def test_parse_config_and_overrides(tmp_path):
         "name": "laplace-check", "seed": "99", "samples": "1234",
         "out": str(tmp_path / "o2")}
     assert cli.parse_config(p).raw["experiment"]["seed"] == "3"
+
+
+@pytest.mark.parametrize("key", ["seed", "samples"])
+def test_non_integer_experiment_value_exits_2_by_key(tmp_path, capsys, key):
+    # int()'s "invalid literal for int() with base 10" once named no key
+    p = write_config(tmp_path / "c.ini", "laplace-check",
+                     ["kind = diagonal", "alphas = 0.5, 0.5"],
+                     out=tmp_path / "run", **{key: "abc"})
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: [experiment] {key} must be an integer, got 'abc'"
+    assert not (tmp_path / "run").exists()
 
 
 def test_rerun_from_manifest_echo_reproduces_overridden_run(tmp_path):
@@ -195,7 +206,7 @@ def test_run_gamma_spec(tmp_path):
 
 
 def test_gamma_spec_runs_at_the_reduction_floor(tmp_path, capsys):
-    # verify_gamma_spec once asked for 1000 samples on top of mc.reduce's 100
+    # gamma-spec once asked for 1000 samples on top of mc.reduce's 100
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "gamma-spec",
                      ["kind = complete-3-tensor", "size = 4"], ["xi = 1"],
@@ -634,13 +645,8 @@ def test_every_assertion_is_a_record_of_numbers(tmp_path, name):
 def test_cw_exceedance_is_one_sided(tmp_path, monkeypatch):
     # slope = 0.25 + 1.5 se: inside a two-sided 2-sigma band, yet short of
     # the one-sided margin of 2 se that the factor-three claim needs
-    smallball = chaos3.smallball_gamma3
-
-    def short(*args):
-        return dataclasses.replace(smallball(*args), slope=0.4375,
-                                   slope_se=0.125)
-
-    monkeypatch.setattr(chaos3, "smallball_gamma3", short)
+    monkeypatch.setattr(cli.mc, "loglog_slope",
+                        lambda eps, phat, se: (0.4375, 0.125))
     model, grids, samples = RECORD_CONFIGS["smallball3"]
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "smallball3", model, grids,
@@ -794,6 +800,33 @@ def test_float_grids_reject_other_values_by_name(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert f"grid {key!r} must hold finite numbers, got {value!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,model,key,value,first,second", [
+    ("sp-lower-bound", ["kind = block-3-tensor", "size = 12"], "p", "1, 1",
+     "1", "1"),
+    ("negmoment2", ["kind = chi2-average", "size = 12"], "q",
+     "0.25, 0.2500001", "0.25", "0.2500001"),
+    ("gamma-spec", ["kind = complete-3-tensor", "size = 4"], "xi",
+     "1e6, 1000001", "1000000.0", "1000001.0"),
+])
+def test_grid_values_sharing_a_name_exit_2(tmp_path, capsys, name, model,
+                                           key, value, first, second):
+    # records and files are named by the :g form of their grid value; two
+    # values of one name once wrote two records of that name, and p = 1, 1
+    # listed sp_smallball_p1.csv twice
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", name, model, [f"{key} = {value}"],
+                     samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid {key!r} holds {first} and {second}, both named" in err
+    assert not out.exists()
+
+
+def test_fixed_length_grid_may_repeat_a_value():
+    # density's x is start, stop and step, not a list of grid points
+    assert cli._grid("x", "-2, 2, 2", (-6.0, 6.0, 0.01)) == [-2.0, 2.0, 2.0]
 
 
 def test_laplace_check_negative_lambda_draws_nothing(tmp_path, capsys,

@@ -275,10 +275,11 @@ def imported_names(path) -> set:
     return names
 
 
-def test_chaos2_does_not_import_mc():
-    # chaos2 computes closed forms; their Monte Carlo cross-checks are the
-    # runner's, so chaos2 imports no part of mc
-    names = imported_names(Path(mc.__file__).parent / "chaos2.py")
+@pytest.mark.parametrize("module", ["chaos2", "chaos3"])
+def test_library_does_not_import_mc(module):
+    # the library computes closed forms and kernels; every Monte Carlo
+    # estimate and cross-check is the runner's, so it imports no part of mc
+    names = imported_names(Path(mc.__file__).parent / f"{module}.py")
     assert not [n for n in names if n.split(".")[-1] == "mc"], names
 
 
