@@ -33,6 +33,10 @@ from .wick import GaussianPolynomial, isserlis_expectation
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries (2 MB); the pair slab takes 4x
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
+# One GEMM of the pair kernel: OpenBLAS runs a GEMM of at most 65536 x 4
+# multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on the calling thread.
+PAIR_GEMM_COLS = 64
+PAIR_GEMM_MADDS = 1 << 18
 
 
 class EigenSolverError(RuntimeError):
@@ -272,29 +276,41 @@ def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """Gamma by the pair GEMM: grad F(x) = W @ pairs(x), one GEMM of
-    n^2(n-1)/2 multiply-adds per point on a slab of pair products.
+    """Gamma by the pair GEMM: grad F(x) = W @ pairs(x), n^2(n-1)/2
+    multiply-adds per point on a slab of pair products.
 
-    The slab holds up to 4 * STEP_ELEMENTS values (8 MB), so at n <= 22
-    it takes a whole 4096-row reduction step in one GEMM.  Measured at
-    n = 20 and 40, slabs of 1x and 2x STEP_ELEMENTS were slower (more,
-    smaller GEMMs) and 8x or 16x no faster.
+    The slab holds up to 4 * STEP_ELEMENTS values (8 MB), at least one
+    stack of PAIR_GEMM_COLS points; the last stack is padded with zero
+    points.  Its product is a stack of GEMMs of PAIR_GEMM_COLS columns,
+    each over a run of pairs short enough that it does at most
+    PAIR_GEMM_MADDS multiply-adds, summed run by run in pair order.
+    OpenBLAS runs a GEMM that small on the calling thread, so the threads
+    of mc.reduce never queue for its pool.
     """
     n, w = t.n, t._pair_weights
     n_pairs = w.shape[1]
+    cols = PAIR_GEMM_COLS
+    depth = max(1, PAIR_GEMM_MADDS // (n * cols))
     out = np.empty(x.shape[0])
-    step = max(1, 4 * STEP_ELEMENTS // n_pairs)
-    slab = np.empty(n_pairs * min(step, x.shape[0]))
+    step = max(1, 4 * STEP_ELEMENTS // (n_pairs * cols)) * cols
+    slab = np.empty(n_pairs * min(step, -(-x.shape[0] // cols) * cols))
     for s in range(0, x.shape[0], step):
+        rows = x[s:s + step]
+        stack = -(-rows.shape[0] // cols)
         # sample-minor layout: row j of xt is x_j over the step's points
-        xt = np.ascontiguousarray(x[s:s + step].T)
+        xt = np.zeros((n, stack * cols))
+        xt[:, :rows.shape[0]] = rows.T
         pairs = slab[:n_pairs * xt.shape[1]].reshape(n_pairs, xt.shape[1])
         off = 0
         for j in range(n - 1):
             np.multiply(xt[j], xt[j + 1:], out=pairs[off:off + n - 1 - j])
             off += n - 1 - j
-        g = w @ pairs
-        out[s:s + step] = np.einsum('ib,ib->b', g, g)
+        stacked = pairs.reshape(n_pairs, stack, cols).transpose(1, 0, 2)
+        g = w[:, :depth] @ stacked[:, :depth]
+        for k in range(depth, n_pairs, depth):
+            g += w[:, k:k + depth] @ stacked[:, k:k + depth]
+        out[s:s + rows.shape[0]] = np.einsum(
+            'bic,bic->bc', g, g).reshape(-1)[:rows.shape[0]]
     return out
 
 

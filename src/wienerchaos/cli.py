@@ -473,6 +473,14 @@ def _exp_negmoment3(cfg, t, rec):
     thetas = cfg.grids["theta"]
     if not all(0.0 < theta < 1.0 for theta in thetas):
         raise ValueError("theta must lie in (0, 1)")
+    # Gamma = R^4 G(U) on the n coordinates it depends on, G bounded, so
+    # E Gamma^(-theta) >= c E R^(-4 theta) = inf once 4 theta >= n
+    n = len({i for trip, v in t.entries.items() if v for i in trip})
+    for theta in thetas:
+        if 4.0 * theta >= n:
+            raise chaos2.DivergenceError(
+                f"E Gamma^(-theta) diverges for theta >= n/4 (theta="
+                f"{theta:g}, n={n} coordinates that Gamma depends on)")
 
     def fn(x):
         g = chaos3.gamma_batch(t, x)

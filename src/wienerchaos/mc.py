@@ -1,21 +1,25 @@
-"""Deterministic, parallelizable Monte Carlo substrate.
+"""Deterministic, parallel Monte Carlo substrate.
 
 Sampling is organized in fixed-size chunks addressed by a counter-based
 generator (Philox; Salmon et al., SC 2011).  The key is (seed, stream) and
-each chunk occupies its own counter block, so the sample values depend
-only on (seed, stream, sample index) -- never on how chunks are
-distributed over workers.
+each chunk occupies its own counter block, so a sample's point depends
+only on (seed, stream, sample index).
 
 One reduction serves every estimator and does all the drawing:
 reduce(fn, n, spec, dim, *accumulators) draws each sample's standard
 Gaussian point of dim coordinates and hands fn's values at the points,
 one row per sample and one column per quantity (say, the points of a
 grid), to every accumulator.  fn maps points; it never sees a generator.
-Within a chunk the points are drawn in sample order, in steps of at most
-STEP_SAMPLES rows, from the chunk's generator: a sample's point, and the
-value of any fn that maps each row on its own, depend only on (seed,
-stream, sample index) and equal, bit for bit, those of one whole-chunk
-draw.
+Within a chunk the points are drawn in sample order, in steps of
+STEP_SAMPLES rows (the last one shorter), from the chunk's generator, and
+fn sees one step per call.  The chunks are mapped on one thread per
+usable CPU and merged in block order.
+
+What fixes the bits: (seed, stream, sample index) fix a sample's point;
+CHUNK_SAMPLES and STEP_SAMPLES fix the batches fn is called on, and so
+its values, since a kernel's bits may depend on its batch (a GEMM's do:
+the same rows inside a larger call can differ in the last bit); block
+order fixes every merge.  The number of threads fixes none of them.
 
 Moments gives each column's mean and standard error (pairwise sums
 within a chunk, the Chan-Golub-LeVeque merge across chunks in block
@@ -27,6 +31,8 @@ it.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,9 +40,10 @@ import numpy as np
 
 # Samples per counter block.  Fixed: changing it changes the sample stream.
 CHUNK_SAMPLES = 1 << 16
-# Rows drawn per fn call within a block: bounds the arrays drawn, not the
-# stream (6.3 MB of normals at dimension 192).
-STEP_SAMPLES = 1 << 12
+# Rows per fn call within a block: bounds the arrays drawn (3.1 MB of
+# normals at dimension 192, per worker).  Fixed: it sets the batches fn
+# sees, and so the bits of a batch-dependent kernel.
+STEP_SAMPLES = 1 << 11
 
 _U64 = 1 << 64
 
@@ -98,16 +105,26 @@ def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
 
     fn(x) maps the points x of one step (module docstring), an array of
     shape (count, dim) that fn may overwrite, to a float array of shape
-    (count,) or (count, m).  The steps' transposes fill one sample-minor
-    array per chunk, shape (m, count), rows contiguous, and every
-    accumulator gets that same array.  A step whose column count differs
-    from the chunk's first step is a ValueError.  A non-finite value
-    raises PoisonedSampleError naming the chunk, the column and the
-    sample index.  Returns the accumulators.
+    (count,) or (count, m).  fn must be a pure map that several threads
+    may call at once.  The steps' transposes fill one sample-minor array
+    per chunk, shape (m, count), rows contiguous, and every accumulator
+    gets that same array, chunk by chunk in block order.  A step whose
+    column count differs from the chunk's first step is a ValueError.  A
+    non-finite value raises PoisonedSampleError naming the chunk, the
+    column and the sample index.  Returns the accumulators.
+
+    The chunks are mapped on one thread per usable CPU, never more
+    threads than chunks: the calling thread maps every W-th chunk itself
+    and W - 1 helpers the others, at most W chunks ahead of the merge.
+    The first chunk in block order that fails raises its error, and no
+    helper outlives the call.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
-    for j, cnt, rng in chunks(spec, n):
+    blocks = list(chunks(spec, n))
+    workers = min(len(os.sched_getaffinity(0)), len(blocks))
+
+    def values(j, cnt, rng):
         xt = None
         for s in range(0, cnt, STEP_SAMPLES):
             k = min(STEP_SAMPLES, cnt - s)
@@ -130,8 +147,56 @@ def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
                 f"non-finite sample value in chunk {j}, column {col}, "
                 f"sample {j * CHUNK_SAMPLES + row} "
                 f"(seed={spec.seed}, stream={spec.stream})")
-        for acc in accumulators:
-            acc.add(xt)
+        return xt
+
+    mapped = {}       # chunk index -> its values, or the error it raised
+    merged = 0        # chunks fed to the accumulators
+    stop = False
+    cond = threading.Condition()
+
+    def helper(first):
+        for j in range(first, len(blocks), workers):
+            with cond:
+                cond.wait_for(lambda: stop or j < merged + workers)
+                if stop:
+                    return
+            try:
+                out = values(*blocks[j])
+            except BaseException as exc:   # raised by the merge, in order
+                out = exc
+            with cond:
+                mapped[j] = out
+                cond.notify_all()
+            if isinstance(out, BaseException):
+                return
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=helper, args=(first,),
+                                      name=f"mc.reduce-{first}")
+            thread.start()
+            threads.append(thread)
+        for j, block in enumerate(blocks):
+            if j % workers == 0:
+                xt = values(*block)
+            else:
+                with cond:
+                    cond.wait_for(lambda: j in mapped)
+                    xt = mapped.pop(j)
+                if isinstance(xt, BaseException):
+                    raise xt
+            for acc in accumulators:
+                acc.add(xt)
+            with cond:
+                merged = j + 1
+                cond.notify_all()
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
     return accumulators
 
 

@@ -677,11 +677,38 @@ def test_negative_moment_gamma3_stable(run_experiment):
     assert not row["unstable"]
 
 
-def test_negative_moment_gamma3_instability_flag(run_experiment):
-    # theta = 0.9 exceeds the small-ball exponent (~0.59) of this Gamma:
-    # the moment is infinite and the mass concentrates in the top summands
-    row = negmoment(run_experiment, "0.9", 200_000)
+def test_negative_moment_gamma3_instability_flag(run_experiment,
+                                                monkeypatch):
+    # the flag reads the sample: a Gamma of x_1^4, whose moment at theta =
+    # 0.9 is E |x_1|^(-3.6) = inf, puts the mass in the top summands (the
+    # model's 4 coordinates pass the divergence check)
+    monkeypatch.setattr(chaos3, "gamma_batch", lambda t, x: x[:, 0] ** 4)
+    run = run_experiment("negmoment3", family_generators("complete-3-tensor",
+                                                         4),
+                         {"theta": "0.9"}, 200_000, SEED)
+    (row,) = run.csv["negmoment3.csv"]
+    assert row["top_share"] > 0.9
     assert row["unstable"]
+
+
+@pytest.mark.parametrize("theta", ["0.75", "0.8", "0.95"])
+def test_negative_moment_gamma3_divergence(run_experiment, monkeypatch,
+                                           theta):
+    # Gamma of X1 X2 X3 is homogeneous of degree 4 in 3 coordinates, so
+    # E Gamma^(-theta) = inf for theta >= 3/4: refused before any draw
+    monkeypatch.setattr(mc.RngSpec, "generator", refuse_draws)
+    with pytest.raises(chaos2.DivergenceError,
+                       match=rf"theta={theta}, n=3 coordinates"):
+        negmoment(run_experiment, f"0.25, {theta}", 1000)
+
+
+def test_negative_moment_gamma3_counts_the_coordinates_gamma_uses(
+        run_experiment, monkeypatch):
+    # a triple in 6 coordinates: Gamma uses 3 of them
+    monkeypatch.setattr(mc.RngSpec, "generator", refuse_draws)
+    t = SymThreeTensor(6, {(2, 4, 5): 1.0, (1, 2, 3): 0.0}, normalize=True)
+    with pytest.raises(chaos2.DivergenceError, match="n=3 coordinates"):
+        run_experiment("negmoment3", t, {"theta": "0.8"}, 1000, SEED)
 
 
 def test_grid_columns_have_their_own_bits(run_experiment):

@@ -265,7 +265,8 @@ def test_run_density_beyond_node_cap_exits_2(tmp_path, capsys):
 
 def test_cli_import_loads_no_heavy_scipy_module():
     # every CLI run and benchmark pass pays the import time of these; the
-    # sparse Gamma kernel, run on the block family, loads no scipy either
+    # sparse Gamma kernel, run on the block family, loads no scipy either.
+    # mc.reduce's threads need no concurrent.futures, which loads logging.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -273,8 +274,8 @@ def test_cli_import_loads_no_heavy_scipy_module():
             "from wienerchaos import chaos3; "
             "t = cli.family_generators('block-3-tensor', 60); "
             "g = chaos3.gamma_batch(t, np.ones((10, 60))); "
-            "print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] "
+            "in ('scipy', 'concurrent', 'logging')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -364,6 +365,20 @@ def test_run_smallball3_and_negmoment3(tmp_path):
                       ["kind = complete-3-tensor", "size = 6"],
                       ["theta = 0.25"], samples=20_000, out=out2)
     assert cli.main(["run", str(p2)]) == 0
+
+
+def test_negmoment3_infinite_moment_exits_2_by_name(tmp_path, capsys):
+    # one triple: E Gamma^(-theta) = inf for theta >= 3/4, yet the run once
+    # recorded finite_theta0.8 and finite_theta0.95 as PASS and exited 0
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "negmoment3",
+                     ["kind = block-3-tensor", "size = 3"],
+                     ["theta = 0.8, 0.95"], seed=3, samples=200_000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert ("error: E Gamma^(-theta) diverges for theta >= n/4 (theta=0.8, "
+            "n=3 coordinates that Gamma depends on)"
+            ) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_smallball3_no_fit_points(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import ast
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wienerchaos import chaos2, mc
+from wienerchaos import chaos2, chaos3, mc
 from wienerchaos.cli import family_generators
 
 
@@ -192,26 +194,168 @@ def test_top_share_matches_brute_force():
     assert top.share[1] > top.share[0]
 
 
-def test_reduce_poisoned_column_names_chunk():
+def point_at(spec, index, dim=1):
+    """The Gaussian point mc.reduce draws for one global sample index."""
+    block, row = divmod(index, mc.CHUNK_SAMPLES)
+    return spec.generator(block).standard_normal((row + 1, dim))[-1]
+
+
+def set_workers(monkeypatch, workers):
+    # mc.reduce maps on one thread per usable CPU
+    monkeypatch.setattr(mc.os, "sched_getaffinity",
+                        lambda pid: set(range(workers)))
+
+
+class Fed:
+    """An accumulator that records the sample count and the first value of
+    each array fed."""
+
+    def __init__(self):
+        self.counts, self.firsts = [], []
+
+    def add(self, xt):
+        self.counts.append(xt.shape[1])
+        self.firsts.append(float(xt[0, 0]))
+
+
+def drawn_blocks(monkeypatch):
+    """Record the counter block of every draw mc.reduce makes."""
+    drawn = []
+    generator = mc.RngSpec.generator
+
+    class Recorder:
+        def __init__(self, rng, block):
+            self.rng, self.block = rng, block
+
+        def standard_normal(self, size):
+            drawn.append(self.block)
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(mc.RngSpec, "generator", lambda spec, block=0:
+                        Recorder(generator(spec, block), block))
+    return drawn
+
+
+def test_reduce_poisoned_column_names_chunk(monkeypatch):
     # the bad value sits in the second step of chunk 1; the error names its
-    # global sample index, and nothing of chunk 2 is drawn
+    # global sample index, no accumulator gets chunk 2, and at most W - 1
+    # of the 11 chunks past chunk 1 are mapped
+    spec = mc.RngSpec(7, 3)
     bad = mc.CHUNK_SAMPLES + mc.STEP_SAMPLES + 17
-    calls = []
+    target = point_at(spec, bad)
 
     def fn(x):
         out = np.ones((len(x), 3))
-        first = sum(calls)
-        if first <= bad < first + len(x):
-            out[bad - first, 1] = np.nan
-        calls.append(len(x))
+        out[(x == target).all(axis=1), 1] = np.nan
         return out
 
-    with pytest.raises(mc.PoisonedSampleError,
-                       match=rf"chunk 1, column 1, sample {bad} "
-                             r"\(seed=7, stream=3\)"):
-        mc.reduce(fn, 2 * mc.CHUNK_SAMPLES + 10, mc.RngSpec(7, 3), 1,
-                  mc.Moments())
-    assert sum(calls) == 2 * mc.CHUNK_SAMPLES
+    for workers in (1, 2, 3):
+        set_workers(monkeypatch, workers)
+        drawn = drawn_blocks(monkeypatch)
+        fed = Fed()
+        with pytest.raises(mc.PoisonedSampleError,
+                           match=rf"chunk 1, column 1, sample {bad} "
+                                 r"\(seed=7, stream=3\)"):
+            mc.reduce(fn, 12 * mc.CHUNK_SAMPLES + 10, spec, 1, fed)
+        assert fed.counts == [mc.CHUNK_SAMPLES]
+        assert len({b for b in drawn if b > 1}) <= workers - 1
+        monkeypatch.undo()
+
+
+def raising_at(point, fn):
+    """fn, but a batch holding point raises RuntimeError."""
+    def wrapped(x):
+        if (x == point).all(axis=1).any():
+            raise RuntimeError("fn failed")
+        return fn(x)
+    return wrapped
+
+
+def poisoned_at(point):
+    """Ones, but inf on the row that equals point."""
+    def fn(x):
+        out = np.ones(len(x))
+        out[(x == point).all(axis=1)] = np.inf
+        return out
+    return fn
+
+
+def test_reduce_later_error_does_not_hide_an_earlier_poisoned_chunk(
+        monkeypatch):
+    # at 3 workers chunk 2 (10 samples) raises while chunk 1 is still
+    # being mapped; at any count the merge meets chunk 1 first
+    spec = mc.RngSpec(7, 3)
+    n = 2 * mc.CHUNK_SAMPLES + 10
+    bad = mc.CHUNK_SAMPLES + 5
+    later = point_at(spec, 2 * mc.CHUNK_SAMPLES)
+    fn = raising_at(later, poisoned_at(point_at(spec, bad)))
+    for workers in (1, 2, 3):
+        set_workers(monkeypatch, workers)
+        with pytest.raises(mc.PoisonedSampleError,
+                           match=rf"chunk 1, column 0, sample {bad} "):
+            mc.reduce(fn, n, spec, 1, mc.Moments())
+        with pytest.raises(RuntimeError, match="fn failed"):
+            mc.reduce(raising_at(later, np.ones_like), n, spec, 1,
+                      mc.Moments())
+
+
+def test_reduce_leaves_no_thread_behind(monkeypatch):
+    # after a clean run, an error raised in a helper's chunk and a
+    # poisoned chunk, the thread count is back where it was
+    set_workers(monkeypatch, 3)
+    spec, n = mc.RngSpec(1), 3 * mc.CHUNK_SAMPLES + 10
+    point = point_at(spec, mc.CHUNK_SAMPLES + 3)
+    before = threading.active_count()
+    mc.reduce(np.ones_like, n, spec, 1, mc.Moments())
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="fn failed"):
+        mc.reduce(raising_at(point, np.ones_like), n, spec, 1, mc.Moments())
+    assert threading.active_count() == before
+    with pytest.raises(mc.PoisonedSampleError, match="chunk 1,"):
+        mc.reduce(poisoned_at(point), n, spec, 1, mc.Moments())
+    assert threading.active_count() == before
+
+
+def test_reduce_merges_in_block_order_under_thread_stress(monkeypatch):
+    # more workers than CPUs and a short switch interval: a lost update in
+    # the hand-off would drop, repeat or reorder a chunk, or hang the merge
+    spec, n = mc.RngSpec(3, 9), 12 * mc.CHUNK_SAMPLES + 7
+    set_workers(monkeypatch, 1)
+    serial = mc.reduce(np.exp, n, spec, 1, mc.Moments(), Fed())
+    set_workers(monkeypatch, 8)
+    done = []
+    worker = threading.Thread(target=lambda: done.append(
+        mc.reduce(np.exp, n, spec, 1, mc.Moments(), Fed())))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    (moments, fed), = done
+    assert fed.counts == [mc.CHUNK_SAMPLES] * 12 + [7]
+    assert fed.firsts == serial[1].firsts
+    assert moments.results() == serial[0].results()
+
+
+@pytest.mark.parametrize("kernel, size, n", [
+    ("gamma_batch", 20, 3 * mc.CHUNK_SAMPLES + 10),
+    ("spectra_batch", 6, mc.CHUNK_SAMPLES + 1000)])
+def test_reduce_bits_do_not_depend_on_the_thread_count(monkeypatch, kernel,
+                                                       size, n):
+    t = family_generators("complete-3-tensor", size)
+    fn = lambda x: getattr(chaos3, kernel)(t, x)
+    accumulators = lambda: (mc.Moments(), mc.Hits([0.5, 1.0, 2.0]),
+                            mc.TopShare(n // 1000))
+    default = mc.reduce(fn, n, mc.RngSpec(5, 1), size, *accumulators())
+    set_workers(monkeypatch, 1)
+    serial = mc.reduce(fn, n, mc.RngSpec(5, 1), size, *accumulators())
+    assert serial[0].results() == default[0].results()
+    assert np.array_equal(serial[1].counts, default[1].counts)
+    assert np.array_equal(serial[2].top, default[2].top)
+    assert np.array_equal(serial[2].total, default[2].total)
 
 
 def test_reduce_memory_is_one_step_not_one_chunk():
