@@ -642,6 +642,12 @@ def run(cfg: ExperimentConfig) -> int:
             "python": sys.version.split()[0],
         },
         "wall_time_s": round(wall, 3),
+        # the bits do not depend on the CPU count; the time does
+        "provenance": {
+            "cpus": mc.usable_cpus(),
+            "chunk_samples": mc.CHUNK_SAMPLES,
+            "step_samples": mc.STEP_SAMPLES,
+        },
         "files": rec.files,
         "assertions": rec.assertions,
         "n_failed": n_failed,

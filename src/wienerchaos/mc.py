@@ -12,8 +12,9 @@ one row per sample and one column per quantity (say, the points of a
 grid), to every accumulator.  fn maps points; it never sees a generator.
 Within a chunk the points are drawn in sample order, in steps of
 STEP_SAMPLES rows (the last one shorter), from the chunk's generator, and
-fn sees one step per call.  The chunks are mapped on one thread per
-usable CPU and merged in block order.
+fn sees one step per call.  The chunks are mapped in rounds, one thread
+per usable CPU and one chunk per thread, and each round is merged in
+block order once all its threads are joined.
 
 What fixes the bits: (seed, stream, sample index) fix a sample's point;
 CHUNK_SAMPLES and STEP_SAMPLES fix the batches fn is called on, and so
@@ -98,6 +99,14 @@ def chunks(spec: RngSpec, n: int):
         yield j, cnt, spec.generator(block=j)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where os has
+    one, else os.cpu_count() (1 if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
            dim: int, *accumulators):
     """Feed fn's values at n Gaussian points of dimension dim, drawn from
@@ -113,16 +122,17 @@ def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
     non-finite value raises PoisonedSampleError naming the chunk, the
     column and the sample index.  Returns the accumulators.
 
-    The chunks are mapped on one thread per usable CPU, never more
-    threads than chunks: the calling thread maps every W-th chunk itself
-    and W - 1 helpers the others, at most W chunks ahead of the merge.
-    The first chunk in block order that fails raises its error, and no
-    helper outlives the call.
+    The chunks are mapped in rounds of W, W the usable CPUs but never
+    more than the chunks: in each round the calling thread maps the first
+    chunk and W - 1 fresh helper threads one chunk each; the helpers are
+    joined and the round is merged in block order.  So at most W chunks
+    are mapped ahead of the merge, the first chunk in block order that
+    fails raises its error, and no helper outlives the call.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
     blocks = list(chunks(spec, n))
-    workers = min(len(os.sched_getaffinity(0)), len(blocks))
+    workers = min(usable_cpus(), len(blocks))
 
     def values(j, cnt, rng):
         xt = None
@@ -149,54 +159,32 @@ def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
                 f"(seed={spec.seed}, stream={spec.stream})")
         return xt
 
-    mapped = {}       # chunk index -> its values, or the error it raised
-    merged = 0        # chunks fed to the accumulators
-    stop = False
-    cond = threading.Condition()
+    def map_into(out, i, block):
+        try:
+            out[i] = values(*block)
+        except BaseException as exc:   # raised by the merge, in order
+            out[i] = exc
 
-    def helper(first):
-        for j in range(first, len(blocks), workers):
-            with cond:
-                cond.wait_for(lambda: stop or j < merged + workers)
-                if stop:
-                    return
-            try:
-                out = values(*blocks[j])
-            except BaseException as exc:   # raised by the merge, in order
-                out = exc
-            with cond:
-                mapped[j] = out
-                cond.notify_all()
-            if isinstance(out, BaseException):
-                return
-
-    threads = []
-    try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=helper, args=(first,),
-                                      name=f"mc.reduce-{first}")
-            thread.start()
-            threads.append(thread)
-        for j, block in enumerate(blocks):
-            if j % workers == 0:
-                xt = values(*block)
-            else:
-                with cond:
-                    cond.wait_for(lambda: j in mapped)
-                    xt = mapped.pop(j)
-                if isinstance(xt, BaseException):
-                    raise xt
+    for first in range(0, len(blocks), workers):
+        round_ = blocks[first:first + workers]
+        out = [None] * len(round_)
+        helpers = []
+        try:
+            for i in range(1, len(round_)):
+                thread = threading.Thread(target=map_into,
+                                          args=(out, i, round_[i]),
+                                          name=f"mc.reduce-{first + i}")
+                thread.start()
+                helpers.append(thread)
+            out[0] = values(*round_[0])
+        finally:
+            for thread in helpers:
+                thread.join()
+        for xt in out:
+            if isinstance(xt, BaseException):
+                raise xt
             for acc in accumulators:
                 acc.add(xt)
-            with cond:
-                merged = j + 1
-                cond.notify_all()
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
     return accumulators
 
 
@@ -249,6 +237,8 @@ class TopShare:
     """Share of each column's total carried by its k largest values."""
 
     def __init__(self, k: int):
+        if int(k) < 1:
+            raise ValueError(f"TopShare needs k >= 1, got k={k}")
         self.k, self.top, self.total = int(k), None, 0.0
 
     def add(self, xt: np.ndarray) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wienerchaos import chaos2, chaos3, cli
+from wienerchaos import chaos2, chaos3, cli, mc
 
 
 def write_config(path, name, model_lines, grid_lines=(), seed=7,
@@ -156,6 +156,20 @@ def test_run_thm1_certificate_pass(tmp_path):
     rows = (out / "thm1_certificate.csv").read_text().strip().split("\n")
     assert rows[0] == "p,kappa4,threshold,certified,q_sup"
     assert rows[1].split(",")[3:] == ["1", "1.5"]   # q_sup = p/2
+
+
+def test_run_records_provenance(tmp_path, monkeypatch):
+    # cpus comes from the count mc.reduce uses, so a diff of two manifests
+    # shows why their times differ
+    monkeypatch.setattr(mc.os, "sched_getaffinity",
+                        lambda pid: set(range(3)))
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "thm1-certificate",
+                     ["kind = chi2-average", "size = 192"], ["p = 3"],
+                     out=out)
+    assert cli.main(["run", str(p)]) == 0
+    assert read_manifest(out)["provenance"] == {
+        "cpus": 3, "chunk_samples": 65536, "step_samples": 2048}
 
 
 def test_run_assertion_failure_still_writes(tmp_path):

@@ -194,6 +194,13 @@ def test_top_share_matches_brute_force():
     assert top.share[1] > top.share[0]
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_top_share_rejects_k_below_one(k):
+    # before any sampling is paid for, not at the first merge
+    with pytest.raises(ValueError, match=rf"got k={k}"):
+        mc.TopShare(k)
+
+
 def point_at(spec, index, dim=1):
     """The Gaussian point mc.reduce draws for one global sample index."""
     block, row = divmod(index, mc.CHUNK_SAMPLES)
@@ -234,6 +241,34 @@ def drawn_blocks(monkeypatch):
     monkeypatch.setattr(mc.RngSpec, "generator", lambda spec, block=0:
                         Recorder(generator(spec, block), block))
     return drawn
+
+
+class Merges:
+    """An accumulator that logs "merge" to events for each array fed."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def add(self, xt):
+        self.events.append("merge")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_reduce_maps_at_most_w_chunks_ahead_of_the_merge(monkeypatch,
+                                                         workers):
+    # no draw of chunk j comes before chunk j - W is merged
+    set_workers(monkeypatch, workers)
+    events = drawn_blocks(monkeypatch)   # the block of every draw
+    mc.reduce(np.ones_like, 8 * mc.CHUNK_SAMPLES + 10, mc.RngSpec(4), 1,
+              Merges(events))
+    merged = 0
+    for event in events:
+        if event == "merge":
+            merged += 1
+        else:
+            assert event < merged + workers
+    assert merged == 9
+    assert set(events) == {"merge", *range(9)}
 
 
 def test_reduce_poisoned_column_names_chunk(monkeypatch):
@@ -371,6 +406,21 @@ def test_reduce_memory_is_one_step_not_one_chunk():
         tracemalloc.stop()
     assert hits.n == 100_000
     assert peak < 16 * 2 ** 20
+
+
+def test_reduce_runs_where_os_has_no_sched_getaffinity(monkeypatch):
+    # macOS has no sched_getaffinity: the CPUs are os.cpu_count(), 1 if
+    # unknown, and the bits are a one-worker run's
+    spec, n = mc.RngSpec(2, 4), 3 * mc.CHUNK_SAMPLES + 10
+    set_workers(monkeypatch, 1)
+    serial = mc.reduce(np.exp, n, spec, 1, mc.Moments(), Fed())
+    monkeypatch.delattr(mc.os, "sched_getaffinity")
+    for cpus in (3, None):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        assert mc.usable_cpus() == (cpus or 1)
+        moments, fed = mc.reduce(np.exp, n, spec, 1, mc.Moments(), Fed())
+        assert fed.firsts == serial[1].firsts
+        assert moments.results() == serial[0].results()
 
 
 def test_reduce_rejects_bad_shapes_and_counts():
