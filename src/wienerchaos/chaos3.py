@@ -32,11 +32,19 @@ from .wick import GaussianPolynomial, isserlis_expectation
 
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries (2 MB); the pair slab takes 4x
+# sharp_power_sums' per-step temporaries (256 KB): measured faster than
+# STEP_ELEMENTS there, and not in spectra_batch
+POWER_SUM_STEP_ELEMENTS = 1 << 15
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
-# One GEMM of the pair kernel: OpenBLAS runs a GEMM of at most 65536 x 4
-# multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on the calling thread.
+# One GEMM of the pair and sharp kernels: OpenBLAS runs a GEMM of at most
+# 65536 x 4 multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on the calling
+# thread, so the threads of mc.reduce do not queue for its pool.
+GEMM_MADDS = 1 << 18
 PAIR_GEMM_COLS = 64
-PAIR_GEMM_MADDS = 1 << 18
+# Fewest rows of a sharp GEMM: each GEMM packs the n x n^2 unfolding, and
+# at n > 16, where GEMM_MADDS allows fewer rows, shorter stacks measured
+# slower than the pool
+SHARP_GEMM_MIN_ROWS = 64
 
 
 class EigenSolverError(RuntimeError):
@@ -283,14 +291,12 @@ def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     stack of PAIR_GEMM_COLS points; the last stack is padded with zero
     points.  Its product is a stack of GEMMs of PAIR_GEMM_COLS columns,
     each over a run of pairs short enough that it does at most
-    PAIR_GEMM_MADDS multiply-adds, summed run by run in pair order.
-    OpenBLAS runs a GEMM that small on the calling thread, so the threads
-    of mc.reduce never queue for its pool.
+    GEMM_MADDS multiply-adds, summed run by run in pair order.
     """
     n, w = t.n, t._pair_weights
     n_pairs = w.shape[1]
     cols = PAIR_GEMM_COLS
-    depth = max(1, PAIR_GEMM_MADDS // (n * cols))
+    depth = max(1, GEMM_MADDS // (n * cols))
     out = np.empty(x.shape[0])
     step = max(1, 4 * STEP_ELEMENTS // (n_pairs * cols)) * cols
     slab = np.empty(n_pairs * min(step, -(-x.shape[0] // cols) * cols))
@@ -318,18 +324,25 @@ def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """Sharp matrices A_hat(i,j) = 3 sum_k a(i,j,k) xhat_k (zero diagonal,
     zero trace), shape (B, n, n), for source vectors xhat of shape (B, n).
 
-    One GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
-    which contracts the first slot; by symmetry that is any slot.
+    A GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
+    which contracts the first slot; by symmetry that is any slot.  It is
+    issued as row stacks of at most GEMM_MADDS multiply-adds each, but
+    of at least SHARP_GEMM_MIN_ROWS rows (so above the cap at n > 16).
     """
     xhat = _batch(t, xhat)
     n = t.n
-    return (xhat @ (3.0 * t.a).reshape(n, n * n)).reshape(-1, n, n)
+    unfolded = (3.0 * t.a).reshape(n, n * n)
+    out = np.empty((xhat.shape[0], n * n))
+    rows = max(SHARP_GEMM_MIN_ROWS, GEMM_MADDS // n ** 3)
+    for s in range(0, xhat.shape[0], rows):
+        np.matmul(xhat[s:s + rows], unfolded, out=out[s:s + rows])
+    return out.reshape(-1, n, n)
 
 
-def _sharp_steps(t: SymThreeTensor, n_rows: int):
+def _sharp_steps(t: SymThreeTensor, n_rows: int, elements: int):
     """Yield slices of a batch of n_rows source vectors whose sharp
-    matrices fill a cache-sized step of STEP_ELEMENTS float64 values."""
-    step = max(1, STEP_ELEMENTS // (t.n * t.n))
+    matrices fill a cache-sized step of elements float64 values."""
+    step = max(1, elements // (t.n * t.n))
     for s in range(0, n_rows, step):
         yield slice(s, s + step)
 
@@ -358,7 +371,7 @@ def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,
     if not 1 <= q_max <= t.n:
         raise ValueError(f"q_max must lie in 1..{t.n}")
     out = np.empty((q_max, xhat.shape[0]))
-    for rows in _sharp_steps(t, xhat.shape[0]):
+    for rows in _sharp_steps(t, xhat.shape[0], POWER_SUM_STEP_ELEMENTS):
         m = sharp_batch(t, xhat[rows])
         out[0, rows] = np.einsum('bij,bij->b', m, m)
         if q_max == 1:
@@ -381,7 +394,7 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """
     xhat = _batch(t, xhat)
     w = np.empty(xhat.shape)
-    for rows in _sharp_steps(t, xhat.shape[0]):
+    for rows in _sharp_steps(t, xhat.shape[0], STEP_ELEMENTS):
         w[rows] = np.linalg.eigvalsh(sharp_batch(t, xhat[rows]))
     norms = np.abs(w).max(axis=1)
     sums = w.sum(axis=1)

@@ -597,6 +597,16 @@ def _grid(key: str, text: str, default) -> list:
     return values
 
 
+def _blas() -> str | None:
+    """The BLAS numpy was built with, as "name version"; None where numpy
+    does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except KeyError:
+        return None
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns the exit status (0 = all passed)."""
     if cfg.name not in INPUTS:
@@ -642,11 +652,15 @@ def run(cfg: ExperimentConfig) -> int:
             "python": sys.version.split()[0],
         },
         "wall_time_s": round(wall, 3),
-        # the bits do not depend on the CPU count; the time does
+        # the bits do not depend on the CPU count or the BLAS; the time
+        # does, and the threads gain only if the BLAS runs GEMMs of at
+        # most gemm_madds multiply-adds on the calling thread
         "provenance": {
             "cpus": mc.usable_cpus(),
             "chunk_samples": mc.CHUNK_SAMPLES,
             "step_samples": mc.STEP_SAMPLES,
+            "blas": _blas(),
+            "gemm_madds": chaos3.GEMM_MADDS,
         },
         "files": rec.files,
         "assertions": rec.assertions,

@@ -12,9 +12,10 @@ one row per sample and one column per quantity (say, the points of a
 grid), to every accumulator.  fn maps points; it never sees a generator.
 Within a chunk the points are drawn in sample order, in steps of
 STEP_SAMPLES rows (the last one shorter), from the chunk's generator, and
-fn sees one step per call.  The chunks are mapped in rounds, one thread
-per usable CPU and one chunk per thread, and each round is merged in
-block order once all its threads are joined.
+fn sees one step per call.  The chunks are mapped in rounds of one chunk
+per usable CPU, and the step is the unit of work: a round's steps are
+dealt to one thread per CPU, each chunk's steps draw in turn, and each
+round is merged in block order once all its threads are joined.
 
 What fixes the bits: (seed, stream, sample index) fix a sample's point;
 CHUNK_SAMPLES and STEP_SAMPLES fix the batches fn is called on, and so
@@ -122,23 +123,30 @@ def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
     non-finite value raises PoisonedSampleError naming the chunk, the
     column and the sample index.  Returns the accumulators.
 
-    The chunks are mapped in rounds of W, W the usable CPUs but never
-    more than the chunks: in each round the calling thread maps the first
-    chunk and W - 1 fresh helper threads one chunk each; the helpers are
-    joined and the round is merged in block order.  So at most W chunks
-    are mapped ahead of the merge, the first chunk in block order that
-    fails raises its error, and no helper outlives the call.
+    The chunks are mapped in rounds of W, W the usable CPUs.  A round's
+    steps are listed one from each of its chunks in turn, and thread t
+    of min(W, steps) maps entries t, t + W, t + 2W, ...: the calling
+    thread is t = 0, the others are fresh helpers.  So a full round of
+    equal chunks gives each thread one chunk, and a round of one chunk
+    shares its steps among all of them.  A step draws from its chunk's
+    generator only once the chunk's step before it has drawn, so every
+    chunk draws in sample order.  The helpers are joined, and the round
+    is merged in block order: at most W chunks are mapped ahead of the
+    merge, the first chunk in block order that fails (at its first
+    failing step) raises its error, and no helper outlives the call.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
     blocks = list(chunks(spec, n))
-    workers = min(usable_cpus(), len(blocks))
+    cpus = usable_cpus()
 
-    def values(j, cnt, rng):
+    def assembled(j, cnt, values):
+        """One chunk's (m, cnt) array from its steps' values, checked."""
         xt = None
-        for s in range(0, cnt, STEP_SAMPLES):
+        for s, x in zip(range(0, cnt, STEP_SAMPLES), values):
+            if isinstance(x, BaseException):
+                raise x
             k = min(STEP_SAMPLES, cnt - s)
-            x = np.asarray(fn(rng.standard_normal((k, dim))), dtype=float)
             if x.ndim not in (1, 2) or x.shape[0] != k:
                 raise ValueError(f"fn returned shape {x.shape}, "
                                  f"expected ({k},) or ({k}, m)")
@@ -159,30 +167,48 @@ def reduce(fn: Callable[[np.ndarray], np.ndarray], n: int, spec: RngSpec,
                 f"(seed={spec.seed}, stream={spec.stream})")
         return xt
 
-    def map_into(out, i, block):
-        try:
-            out[i] = values(*block)
-        except BaseException as exc:   # raised by the merge, in order
-            out[i] = exc
+    for first in range(0, len(blocks), cpus):
+        round_ = blocks[first:first + cpus]
+        # (chunk, first row) of each step, one from each chunk in turn
+        steps = [(i, s) for s in range(0, CHUNK_SAMPLES, STEP_SAMPLES)
+                 for i, (_, cnt, _) in enumerate(round_) if s < cnt]
+        threads = min(cpus, len(steps))
+        drawn = {step: threading.Event() for step in steps}
+        out = {}     # step -> fn's values, or what the step raised
 
-    for first in range(0, len(blocks), workers):
-        round_ = blocks[first:first + workers]
-        out = [None] * len(round_)
+        def map_steps(t):
+            for i, s in steps[t::threads]:
+                _, cnt, rng = round_[i]
+                try:
+                    try:
+                        if s:
+                            drawn[i, s - STEP_SAMPLES].wait()
+                        x = rng.standard_normal(
+                            (min(STEP_SAMPLES, cnt - s), dim))
+                    finally:
+                        drawn[i, s].set()
+                    out[i, s] = np.asarray(fn(x), dtype=float)
+                except BaseException as exc:   # raised by the merge, in order
+                    out[i, s] = exc
+
         helpers = []
         try:
-            for i in range(1, len(round_)):
-                thread = threading.Thread(target=map_into,
-                                          args=(out, i, round_[i]),
-                                          name=f"mc.reduce-{first + i}")
+            for t in range(1, threads):
+                thread = threading.Thread(target=map_steps, args=(t,),
+                                          name=f"mc.reduce-{t}")
                 thread.start()
                 helpers.append(thread)
-            out[0] = values(*round_[0])
+            map_steps(0)
+        except BaseException:
+            for event in drawn.values():   # the caller left mid-round: no
+                event.set()                # helper may wait on its draws
+            raise
         finally:
             for thread in helpers:
                 thread.join()
-        for xt in out:
-            if isinstance(xt, BaseException):
-                raise xt
+        for i, (j, cnt, _) in enumerate(round_):
+            xt = assembled(j, cnt, [out.pop((i, s))
+                                    for s in range(0, cnt, STEP_SAMPLES)])
             for acc in accumulators:
                 acc.add(xt)
     return accumulators

@@ -246,6 +246,30 @@ def test_gamma_pairs_memory_is_one_slab():
 # sharp matrix and spectrum
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("size", [6, 8, 12, 16, 24])
+def test_sharp_batch_gemms_stay_under_the_cap(monkeypatch, size):
+    # OpenBLAS runs a GEMM of at most GEMM_MADDS multiply-adds on the
+    # calling thread; up to n = 16 every stack stays under that, beyond
+    # it a stack has SHARP_GEMM_MIN_ROWS rows.  The stacks cover the batch.
+    t = family_generators("complete-3-tensor", size)
+    x = np.random.default_rng(29).standard_normal((2048, size))
+    ref = np.einsum('bk,ijk->bij', x, 3.0 * t.a)
+    shapes, matmul = [], np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    m = chaos3.sharp_batch(t, x)
+    assert sum(a[0] for a, _ in shapes) == 2048
+    for (rows, depth), (depth_b, cols) in shapes:
+        assert depth == depth_b == size and cols == size * size
+        assert rows * depth * cols <= (chaos3.GEMM_MADDS if size <= 16 else
+                                       chaos3.SHARP_GEMM_MIN_ROWS * size ** 3)
+    assert np.allclose(m, ref, rtol=0.0, atol=1e-12)
+
+
 def test_sharp_matrix_basis_vector():
     t = triple_product()
     (m,) = chaos3.sharp_batch(t, np.array([[0.0, 0.0, 1.0]]))
@@ -794,10 +818,10 @@ def test_spectra_batch_matches_single_spectra_across_steps():
 
 
 def test_trace_square_batch_matches_unstepped_einsum():
-    # 2000 rows at n = 24 span four full steps and a partial one
+    # 2000 rows at n = 24 span 35 full steps of 56 rows and a partial one
     t = family_generators("complete-3-tensor", 24)
     xh = np.random.default_rng(13).standard_normal((2000, 24))
-    assert xh.shape[0] > 4 * (chaos3.STEP_ELEMENTS // 576)
+    assert xh.shape[0] > 4 * (chaos3.POWER_SUM_STEP_ELEMENTS // 576)
     got = chaos3.trace_square_batch(t, xh)
     m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
     assert np.allclose(got, np.einsum('bij,bij->b', m, m),
@@ -894,16 +918,37 @@ def test_sharp_power_sums_match_eigenvalue_oracle(make):
 
 @pytest.mark.parametrize("q_max", [5, 6])
 def test_sharp_power_sums_match_unstepped_products(q_max):
-    # 1500 rows at n = 20 span two full steps and a partial one
+    # 1500 rows at n = 20 span 18 full steps of 81 rows and a partial one
     t = _dense_unit_tensor(20, 16)
     xh = np.random.default_rng(17).standard_normal((1500, 20))
-    assert xh.shape[0] > 2 * (chaos3.STEP_ELEMENTS // 400)
+    assert xh.shape[0] > 2 * (chaos3.POWER_SUM_STEP_ELEMENTS // 400)
     got = chaos3.sharp_power_sums(t, xh, q_max)
     m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
     for q in range(1, q_max + 1):
         mq = np.linalg.matrix_power(m, q)
         assert np.allclose(got[q - 1], np.einsum('bij,bij->b', mq, mq),
                            rtol=1e-12, atol=0.0)
+
+
+def test_sharp_power_sums_memory_is_one_small_step():
+    # complete-12, q_max 3: the step's temporaries (m, m2, high, and the
+    # next step's m while they live) each hold at most
+    # POWER_SUM_STEP_ELEMENTS values (256 KB), not STEP_ELEMENTS (2 MB);
+    # the rest (output, 3a) is O(q_max rows + n^3).
+    # numpy reports its buffers to tracemalloc.
+    t = family_generators("complete-3-tensor", 12)
+    rows = 4096
+    x = np.random.default_rng(31).standard_normal((rows, t.n))
+    t.a         # cached with the tensor, not per call
+    tracemalloc.start()
+    try:
+        sums = chaos3.sharp_power_sums(t, x, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (3, rows)
+    assert peak < 8 * (5 * chaos3.POWER_SUM_STEP_ELEMENTS + 4 * rows
+                       + t.n ** 3)
 
 
 @pytest.mark.parametrize("q_max", [1, 4])

@@ -159,8 +159,9 @@ def test_run_thm1_certificate_pass(tmp_path):
 
 
 def test_run_records_provenance(tmp_path, monkeypatch):
-    # cpus comes from the count mc.reduce uses, so a diff of two manifests
-    # shows why their times differ
+    # cpus comes from the count mc.reduce uses, and blas and gemm_madds
+    # say whether the BLAS runs the kernels' GEMMs on the calling thread,
+    # so a diff of two manifests shows why their times differ
     monkeypatch.setattr(mc.os, "sched_getaffinity",
                         lambda pid: set(range(3)))
     out = tmp_path / "run"
@@ -168,8 +169,15 @@ def test_run_records_provenance(tmp_path, monkeypatch):
                      ["kind = chi2-average", "size = 192"], ["p = 3"],
                      out=out)
     assert cli.main(["run", str(p)]) == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert read_manifest(out)["provenance"] == {
-        "cpus": 3, "chunk_samples": 65536, "step_samples": 2048}
+        "cpus": 3, "chunk_samples": 65536, "step_samples": 2048,
+        "blas": f"{blas['name']} {blas['version']}", "gemm_madds": 262144}
+    # where numpy does not name its BLAS, the field is null
+    monkeypatch.setattr(cli.np, "show_config",
+                        lambda mode: {"Build Dependencies": {}})
+    assert cli.main(["run", str(p)]) == 0
+    assert read_manifest(out)["provenance"]["blas"] is None
 
 
 def test_run_assertion_failure_still_writes(tmp_path):

@@ -375,22 +375,121 @@ def test_reduce_merges_in_block_order_under_thread_stress(monkeypatch):
     assert moments.results() == serial[0].results()
 
 
+KERNELS = {
+    "gamma_batch": chaos3.gamma_batch,
+    "spectra_batch": chaos3.spectra_batch,
+    "sharp_power_sums": lambda t, x: chaos3.sharp_power_sums(t, x, 3).T,
+}
+
+
 @pytest.mark.parametrize("kernel, size, n", [
     ("gamma_batch", 20, 3 * mc.CHUNK_SAMPLES + 10),
-    ("spectra_batch", 6, mc.CHUNK_SAMPLES + 1000)])
+    ("spectra_batch", 6, mc.CHUNK_SAMPLES + 1000),
+    ("spectra_batch", 12, 25_000),            # one chunk, its steps dealt
+    ("sharp_power_sums", 8, 40_000),          # q_max 3, one chunk
+    ("gamma_batch", 20, mc.CHUNK_SAMPLES + 34_464)])   # an uneven round
 def test_reduce_bits_do_not_depend_on_the_thread_count(monkeypatch, kernel,
                                                        size, n):
     t = family_generators("complete-3-tensor", size)
-    fn = lambda x: getattr(chaos3, kernel)(t, x)
+    fn = lambda x: KERNELS[kernel](t, x)
     accumulators = lambda: (mc.Moments(), mc.Hits([0.5, 1.0, 2.0]),
                             mc.TopShare(n // 1000))
     default = mc.reduce(fn, n, mc.RngSpec(5, 1), size, *accumulators())
-    set_workers(monkeypatch, 1)
-    serial = mc.reduce(fn, n, mc.RngSpec(5, 1), size, *accumulators())
-    assert serial[0].results() == default[0].results()
-    assert np.array_equal(serial[1].counts, default[1].counts)
-    assert np.array_equal(serial[2].top, default[2].top)
-    assert np.array_equal(serial[2].total, default[2].total)
+    for workers in (1, 2, 3):
+        set_workers(monkeypatch, workers)
+        mapped = mc.reduce(fn, n, mc.RngSpec(5, 1), size, *accumulators())
+        assert mapped[0].results() == default[0].results()
+        assert np.array_equal(mapped[1].counts, default[1].counts)
+        assert np.array_equal(mapped[2].top, default[2].top)
+        assert np.array_equal(mapped[2].total, default[2].total)
+
+
+def test_reduce_deals_one_chunk_to_every_worker(monkeypatch):
+    # a one-chunk round shares its steps: fn runs on two threads
+    set_workers(monkeypatch, 2)
+    callers = set()
+
+    def fn(x):
+        callers.add(threading.get_ident())
+        return np.ones(len(x))
+
+    (moments,) = mc.reduce(fn, 5 * mc.STEP_SAMPLES, mc.RngSpec(6), 1,
+                           mc.Moments())
+    assert moments.n == 5 * mc.STEP_SAMPLES
+    assert len(callers) == 2 and threading.get_ident() in callers
+
+
+def test_reduce_of_one_step_starts_no_thread(monkeypatch):
+    set_workers(monkeypatch, 4)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("mc.reduce started a thread")
+
+    monkeypatch.setattr(mc.threading, "Thread", no_thread)
+    (moments,) = mc.reduce(np.exp, 100, mc.RngSpec(6), 1, mc.Moments())
+    assert moments.n == 100
+
+
+def reduce_joined(*args):
+    """What mc.reduce(*args) raises, run on a thread joined with a timeout:
+    a step that waits on a draw that never comes would hang it."""
+    raised = []
+
+    def target():
+        try:
+            mc.reduce(*args)
+        except Exception as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    (exc,) = raised
+    return exc
+
+
+def draws_raising_at(monkeypatch, step):
+    """Make the chunk's draw of one step (0-based) raise RuntimeError."""
+    generator = mc.RngSpec.generator
+
+    class Raising:
+        def __init__(self, rng):
+            self.rng, self.steps = rng, 0
+
+        def standard_normal(self, size):
+            # the chain orders a chunk's draws, so this count is the step
+            self.steps += 1
+            if self.steps == step + 1:
+                raise RuntimeError(f"draw of step {step} failed")
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(mc.RngSpec, "generator", lambda spec, block=0:
+                        Raising(generator(spec, block)))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("step", [1, 4])
+def test_reduce_one_chunk_fails_by_its_first_failing_step(monkeypatch,
+                                                          workers, step):
+    # step 1 is a helper's at 2 and 3 workers, step 4 the caller's at 2
+    # and a helper's at 3; a failed step frees the steps that wait on it
+    set_workers(monkeypatch, workers)
+    spec, n = mc.RngSpec(7, 3), 8 * mc.STEP_SAMPLES + 10
+    before = threading.active_count()
+    bad = step * mc.STEP_SAMPLES + 5
+    exc = reduce_joined(raising_at(point_at(spec, bad), np.ones_like), n,
+                        spec, 1, mc.Moments())
+    assert isinstance(exc, RuntimeError) and str(exc) == "fn failed"
+    exc = reduce_joined(poisoned_at(point_at(spec, bad)), n, spec, 1,
+                        mc.Moments())
+    assert isinstance(exc, mc.PoisonedSampleError)
+    assert f"chunk 0, column 0, sample {bad} " in str(exc)
+    draws_raising_at(monkeypatch, step)
+    exc = reduce_joined(np.ones_like, n, spec, 1, mc.Moments())
+    assert isinstance(exc, RuntimeError)
+    assert str(exc) == f"draw of step {step} failed"
+    assert threading.active_count() == before
 
 
 def test_reduce_memory_is_one_step_not_one_chunk():
