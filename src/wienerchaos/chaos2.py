@@ -373,8 +373,9 @@ def density_by_inversion(f: DiagonalSecondChaos, x_min: float = -6.0,
     if f.nonzero_count() < 3:
         raise NonIntegrableError(
             "need >= 3 nonzero coefficients for an integrable |phi|")
-    if x_max <= x_min or dx <= 0:
-        raise ValueError("bad grid")
+    if not (x_min < x_max and dx > 0):
+        raise ValueError(f"bad grid x_min={x_min:g}, x_max={x_max:g}, "
+                         f"dx={dx:g}: need x_min < x_max and dx > 0")
     dxi = min(0.02, math.pi / (32.0 * max(abs(x_min), abs(x_max), 1.0)))
     probe = dxi * 2.0 ** np.arange(0.0, math.log2(MAX_GRID_NODES), 0.0625)
     below = np.abs(char_function(f, probe)) <= DENSITY_TAIL_EPS

@@ -31,20 +31,16 @@ from .chaos2 import (UNIT_VAR_TOL, DiagonalSecondChaos, PreconditionError,
 from .wick import GaussianPolynomial, isserlis_expectation
 
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
-STEP_ELEMENTS = 250_000   # per-step temporaries (2 MB); the pair slab takes 4x
-# sharp_power_sums' per-step temporaries (256 KB): measured faster than
-# STEP_ELEMENTS there, and not in spectra_batch
-POWER_SUM_STEP_ELEMENTS = 1 << 15
+STEP_ELEMENTS = 250_000   # per-step temporaries of the Gamma kernels (2 MB)
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
 # One GEMM of the pair and sharp kernels: OpenBLAS runs a GEMM of at most
 # 65536 x 4 multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on the calling
 # thread, so the threads of mc.reduce do not queue for its pool.
 GEMM_MADDS = 1 << 18
-PAIR_GEMM_COLS = 64
-# Fewest rows of a sharp GEMM: each GEMM packs the n x n^2 unfolding, and
-# at n > 16, where GEMM_MADDS allows fewer rows, shorter stacks measured
-# slower than the pool
-SHARP_GEMM_MIN_ROWS = 64
+# Points of one GEMM stack: exactly that many in the pair kernel, at least
+# that many in a sharp one (each packs the n x n^2 unfolding: at n > 16,
+# shorter sharp stacks measured slower than the BLAS pool)
+GEMM_POINTS = 64
 
 
 class EigenSolverError(RuntimeError):
@@ -287,18 +283,18 @@ def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     """Gamma by the pair GEMM: grad F(x) = W @ pairs(x), n^2(n-1)/2
     multiply-adds per point on a slab of pair products.
 
-    The slab holds up to 4 * STEP_ELEMENTS values (8 MB), at least one
-    stack of PAIR_GEMM_COLS points; the last stack is padded with zero
-    points.  Its product is a stack of GEMMs of PAIR_GEMM_COLS columns,
-    each over a run of pairs short enough that it does at most
-    GEMM_MADDS multiply-adds, summed run by run in pair order.
+    The slab holds up to STEP_ELEMENTS values, at least one stack of
+    GEMM_POINTS points; the last stack is padded with zero points.  Its
+    product is a stack of GEMMs of GEMM_POINTS columns, each over a run
+    of pairs short enough that it does at most GEMM_MADDS multiply-adds,
+    summed run by run in pair order.
     """
     n, w = t.n, t._pair_weights
     n_pairs = w.shape[1]
-    cols = PAIR_GEMM_COLS
+    cols = GEMM_POINTS
     depth = max(1, GEMM_MADDS // (n * cols))
     out = np.empty(x.shape[0])
-    step = max(1, 4 * STEP_ELEMENTS // (n_pairs * cols)) * cols
+    step = max(1, STEP_ELEMENTS // (n_pairs * cols)) * cols
     slab = np.empty(n_pairs * min(step, -(-x.shape[0] // cols) * cols))
     for s in range(0, x.shape[0], step):
         rows = x[s:s + step]
@@ -326,25 +322,23 @@ def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
 
     A GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
     which contracts the first slot; by symmetry that is any slot.  It is
-    issued as row stacks of at most GEMM_MADDS multiply-adds each, but
-    of at least SHARP_GEMM_MIN_ROWS rows (so above the cap at n > 16).
+    issued one _sharp_steps stack at a time.
     """
     xhat = _batch(t, xhat)
     n = t.n
     unfolded = (3.0 * t.a).reshape(n, n * n)
     out = np.empty((xhat.shape[0], n * n))
-    rows = max(SHARP_GEMM_MIN_ROWS, GEMM_MADDS // n ** 3)
-    for s in range(0, xhat.shape[0], rows):
-        np.matmul(xhat[s:s + rows], unfolded, out=out[s:s + rows])
+    for rows in _sharp_steps(t, xhat.shape[0]):
+        np.matmul(xhat[rows], unfolded, out=out[rows])
     return out.reshape(-1, n, n)
 
 
-def _sharp_steps(t: SymThreeTensor, n_rows: int, elements: int):
-    """Yield slices of a batch of n_rows source vectors whose sharp
-    matrices fill a cache-sized step of elements float64 values."""
-    step = max(1, elements // (t.n * t.n))
-    for s in range(0, n_rows, step):
-        yield slice(s, s + step)
+def _sharp_steps(t: SymThreeTensor, n_rows: int):
+    """Slices of a batch of n_rows source vectors, one sharp GEMM stack
+    each: at most GEMM_MADDS multiply-adds, but at least GEMM_POINTS rows
+    (so above the cap at n > 16)."""
+    step = max(GEMM_POINTS, GEMM_MADDS // t.n ** 3)
+    return (slice(s, s + step) for s in range(0, n_rows, step))
 
 
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
@@ -365,13 +359,13 @@ def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,
     flops per row against the eigensolve's n^3: measured on 2 CPUs, the
     products win at every q_max <= n up to n = 36, but at n = 48 and 60
     they lose beyond q_max of about n / 2 (1.4x and 2.2x slower at
-    q_max = n).
+    q_max = n).  Each step is one sharp GEMM stack.
     """
     xhat = _batch(t, xhat)
     if not 1 <= q_max <= t.n:
         raise ValueError(f"q_max must lie in 1..{t.n}")
     out = np.empty((q_max, xhat.shape[0]))
-    for rows in _sharp_steps(t, xhat.shape[0], POWER_SUM_STEP_ELEMENTS):
+    for rows in _sharp_steps(t, xhat.shape[0]):
         m = sharp_batch(t, xhat[rows])
         out[0, rows] = np.einsum('bij,bij->b', m, m)
         if q_max == 1:
@@ -388,13 +382,13 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """Spectra of the sharp matrices of a batch of source vectors, shape
     (B, n), each row ordered by decreasing |lambda|.
 
-    eigvalsh solves each matrix on its own.  Zero-trace hygiene: a row
-    whose sum breaks SPECTRUM_TOL (relative to its largest |lambda|) is
-    recentred.
+    eigvalsh solves each matrix on its own, one sharp GEMM stack per
+    step.  Zero-trace hygiene: a row whose sum breaks SPECTRUM_TOL
+    (relative to its largest |lambda|) is recentred.
     """
     xhat = _batch(t, xhat)
     w = np.empty(xhat.shape)
-    for rows in _sharp_steps(t, xhat.shape[0], STEP_ELEMENTS):
+    for rows in _sharp_steps(t, xhat.shape[0]):
         w[rows] = np.linalg.eigvalsh(sharp_batch(t, xhat[rows]))
     norms = np.abs(w).max(axis=1)
     sums = w.sum(axis=1)

@@ -405,7 +405,11 @@ def _exp_spectral_radius(cfg, t, rec):
 
     def fn(xh):
         lam1 = np.abs(chaos3.spectra_batch(t, xh)[:, 0])
-        return np.stack([lam1 ** (2 * p) for p in ps], axis=1)
+        with np.errstate(over="ignore"):     # checked below
+            powers = np.stack([lam1 ** (2 * p) for p in ps], axis=1)
+        if not np.isfinite(powers).all():     # first at the largest p
+            raise ValueError(f"|lambda_1|^(2p) overflows at p={max(ps)}")
+        return powers
 
     (moments,) = mc.reduce(fn, cfg.samples, mc.RngSpec(cfg.seed, 0), t.n,
                            mc.Moments())
@@ -652,8 +656,8 @@ def run(cfg: ExperimentConfig) -> int:
             "python": sys.version.split()[0],
         },
         "wall_time_s": round(wall, 3),
-        # the bits do not depend on the CPU count or the BLAS; the time
-        # does, and the threads gain only if the BLAS runs GEMMs of at
+        # the bits do not depend on the CPU count or the BLAS threads; the
+        # time does, and the threads gain only if the BLAS runs GEMMs of at
         # most gemm_madds multiply-adds on the calling thread
         "provenance": {
             "cpus": mc.usable_cpus(),
@@ -661,6 +665,7 @@ def run(cfg: ExperimentConfig) -> int:
             "step_samples": mc.STEP_SAMPLES,
             "blas": _blas(),
             "gemm_madds": chaos3.GEMM_MADDS,
+            "gemm_points": chaos3.GEMM_POINTS,
         },
         "files": rec.files,
         "assertions": rec.assertions,

@@ -1,5 +1,8 @@
+import faulthandler
 import itertools
 import json
+import os
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -7,6 +10,14 @@ import pytest
 from wienerchaos import chaos3, cli
 
 from oracles import make_unit_alphas, make_unit_tensor, write_tensor_file
+
+
+def pytest_configure(config):
+    # a hang, also at interpreter exit, dumps every thread's stack and
+    # exits non-zero well above the suite's ~35 s; the file is a copy of
+    # stderr, since the test output capture redirects fd 2 itself
+    faulthandler.dump_traceback_later(600, exit=True,
+                                      file=os.dup(sys.stderr.fileno()))
 
 
 @pytest.fixture

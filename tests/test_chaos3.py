@@ -225,8 +225,8 @@ def test_gamma_batch_builds_no_sharp_matrix(monkeypatch):
 
 def test_gamma_pairs_memory_is_one_slab():
     # complete-40: a slab for the whole 4096-row call would be 25.6 MB; the
-    # kernel's slab stays within 4 * STEP_ELEMENTS values (8 MB), and the
-    # rest (transposed rows, gradients, output) is O(n * rows).
+    # kernel's slab stays within STEP_ELEMENTS values (2 MB), and the rest
+    # (transposed rows, gradients, output) is O(n * rows).
     # numpy reports its buffers to tracemalloc.
     t = family_generators("complete-3-tensor", 40)
     rows = 4096
@@ -239,7 +239,7 @@ def test_gamma_pairs_memory_is_one_slab():
     finally:
         tracemalloc.stop()
     assert g.shape == (rows,)
-    assert peak < 8 * (4 * chaos3.STEP_ELEMENTS + 4 * t.n * rows)
+    assert peak < 8 * (chaos3.STEP_ELEMENTS + 4 * t.n * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +249,10 @@ def test_gamma_pairs_memory_is_one_slab():
 @pytest.mark.parametrize("size", [6, 8, 12, 16, 24])
 def test_sharp_batch_gemms_stay_under_the_cap(monkeypatch, size):
     # OpenBLAS runs a GEMM of at most GEMM_MADDS multiply-adds on the
-    # calling thread; up to n = 16 every stack stays under that, beyond
-    # it a stack has SHARP_GEMM_MIN_ROWS rows.  The stacks cover the batch.
+    # calling thread; up to n = 16 every sharp stack stays under that,
+    # beyond it a stack has GEMM_POINTS rows.  sharp_power_sums and
+    # spectra_batch issue the same stacks, and each call's stacks cover
+    # the batch.
     t = family_generators("complete-3-tensor", size)
     x = np.random.default_rng(29).standard_normal((2048, size))
     ref = np.einsum('bk,ijk->bij', x, 3.0 * t.a)
@@ -261,13 +263,17 @@ def test_sharp_batch_gemms_stay_under_the_cap(monkeypatch, size):
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
-    m = chaos3.sharp_batch(t, x)
-    assert sum(a[0] for a, _ in shapes) == 2048
-    for (rows, depth), (depth_b, cols) in shapes:
-        assert depth == depth_b == size and cols == size * size
-        assert rows * depth * cols <= (chaos3.GEMM_MADDS if size <= 16 else
-                                       chaos3.SHARP_GEMM_MIN_ROWS * size ** 3)
-    assert np.allclose(m, ref, rtol=0.0, atol=1e-12)
+    assert np.allclose(chaos3.sharp_batch(t, x), ref, rtol=0.0, atol=1e-12)
+    for kernel in (lambda: chaos3.sharp_batch(t, x),
+                   lambda: chaos3.sharp_power_sums(t, x, 2),
+                   lambda: chaos3.spectra_batch(t, x)):
+        shapes.clear()
+        kernel()
+        assert sum(a[0] for a, _ in shapes) == 2048
+        for (rows, depth), (depth_b, cols) in shapes:
+            assert depth == depth_b == size and cols == size * size
+            assert (rows * depth * cols <= chaos3.GEMM_MADDS if size <= 16
+                    else rows == chaos3.GEMM_POINTS)
 
 
 def test_sharp_matrix_basis_vector():
@@ -805,11 +811,12 @@ def test_s1_equals_trace_square(unit_tensor_factory):
 
 
 def test_spectra_batch_matches_single_spectra_across_steps():
-    # 1500 rows at n = 20 span two full solve steps and a partial one
+    # 1500 rows at n = 20 span 23 full sharp stacks of 64 rows and a
+    # partial one
     t = family_generators("complete-3-tensor", 20)
     xh = np.random.default_rng(12).standard_normal((1500, 20))
     lams = chaos3.spectra_batch(t, xh)
-    assert xh.shape[0] > 2 * (chaos3.STEP_ELEMENTS // 400)
+    assert len(list(chaos3._sharp_steps(t, xh.shape[0]))) > 2
     single = np.array([oracles.spectrum(m)[0]
                        for m in chaos3.sharp_batch(t, xh)])
     assert np.allclose(np.sort(lams, axis=1), np.sort(single, axis=1),
@@ -818,10 +825,11 @@ def test_spectra_batch_matches_single_spectra_across_steps():
 
 
 def test_trace_square_batch_matches_unstepped_einsum():
-    # 2000 rows at n = 24 span 35 full steps of 56 rows and a partial one
+    # 2000 rows at n = 24 span 31 full sharp stacks of 64 rows and a
+    # partial one
     t = family_generators("complete-3-tensor", 24)
     xh = np.random.default_rng(13).standard_normal((2000, 24))
-    assert xh.shape[0] > 4 * (chaos3.POWER_SUM_STEP_ELEMENTS // 576)
+    assert len(list(chaos3._sharp_steps(t, xh.shape[0]))) > 4
     got = chaos3.trace_square_batch(t, xh)
     m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
     assert np.allclose(got, np.einsum('bij,bij->b', m, m),
@@ -918,10 +926,11 @@ def test_sharp_power_sums_match_eigenvalue_oracle(make):
 
 @pytest.mark.parametrize("q_max", [5, 6])
 def test_sharp_power_sums_match_unstepped_products(q_max):
-    # 1500 rows at n = 20 span 18 full steps of 81 rows and a partial one
+    # 1500 rows at n = 20 span 23 full sharp stacks of 64 rows and a
+    # partial one
     t = _dense_unit_tensor(20, 16)
     xh = np.random.default_rng(17).standard_normal((1500, 20))
-    assert xh.shape[0] > 2 * (chaos3.POWER_SUM_STEP_ELEMENTS // 400)
+    assert len(list(chaos3._sharp_steps(t, xh.shape[0]))) > 2
     got = chaos3.sharp_power_sums(t, xh, q_max)
     m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
     for q in range(1, q_max + 1):
@@ -932,9 +941,9 @@ def test_sharp_power_sums_match_unstepped_products(q_max):
 
 def test_sharp_power_sums_memory_is_one_small_step():
     # complete-12, q_max 3: the step's temporaries (m, m2, high, and the
-    # next step's m while they live) each hold at most
-    # POWER_SUM_STEP_ELEMENTS values (256 KB), not STEP_ELEMENTS (2 MB);
-    # the rest (output, 3a) is O(q_max rows + n^3).
+    # next step's m while they live) are each one sharp GEMM stack of at
+    # most max(GEMM_MADDS / n, GEMM_POINTS n^2) values (171 KB here); the
+    # rest (output, 3a) is O(q_max rows + n^3).
     # numpy reports its buffers to tracemalloc.
     t = family_generators("complete-3-tensor", 12)
     rows = 4096
@@ -947,8 +956,8 @@ def test_sharp_power_sums_memory_is_one_small_step():
     finally:
         tracemalloc.stop()
     assert sums.shape == (3, rows)
-    assert peak < 8 * (5 * chaos3.POWER_SUM_STEP_ELEMENTS + 4 * rows
-                       + t.n ** 3)
+    stack = max(chaos3.GEMM_MADDS // t.n, chaos3.GEMM_POINTS * t.n ** 2)
+    assert peak < 8 * (4 * stack + 4 * rows + t.n ** 3)
 
 
 @pytest.mark.parametrize("q_max", [1, 4])

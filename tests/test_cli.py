@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +162,8 @@ def test_run_thm1_certificate_pass(tmp_path):
 def test_run_records_provenance(tmp_path, monkeypatch):
     # cpus comes from the count mc.reduce uses, and blas and gemm_madds
     # say whether the BLAS runs the kernels' GEMMs on the calling thread,
-    # so a diff of two manifests shows why their times differ
+    # so a diff of two manifests shows why their times differ; gemm_madds
+    # and gemm_points fix the GEMM shapes, on which the bits may depend
     monkeypatch.setattr(mc.os, "sched_getaffinity",
                         lambda pid: set(range(3)))
     out = tmp_path / "run"
@@ -172,7 +174,8 @@ def test_run_records_provenance(tmp_path, monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert read_manifest(out)["provenance"] == {
         "cpus": 3, "chunk_samples": 65536, "step_samples": 2048,
-        "blas": f"{blas['name']} {blas['version']}", "gemm_madds": 262144}
+        "blas": f"{blas['name']} {blas['version']}", "gemm_madds": 262144,
+        "gemm_points": 64}
     # where numpy does not name its BLAS, the field is null
     monkeypatch.setattr(cli.np, "show_config",
                         lambda mode: {"Build Dependencies": {}})
@@ -301,6 +304,42 @@ def test_cli_import_loads_no_heavy_scipy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # GEMM-heavy runs under a one- and a two-thread BLAS write the same
+    # CSV bytes: trace-concentration's 64-row sharp stacks at n = 24
+    # exceed GEMM_MADDS, so the BLAS may split them, as it may the
+    # kappa4 GEMM; gamma-spec solves the spectra of complete-6, and
+    # negmoment3 on complete-20 runs the pair GEMMs
+    configs = [
+        write_config(tmp_path / "trace.ini", "trace-concentration",
+                     ["kind = complete-3-tensor"], ["sizes = 6, 24"],
+                     samples=4096),
+        write_config(tmp_path / "spec.ini", "gamma-spec",
+                     ["kind = complete-3-tensor", "size = 6"],
+                     samples=4096),
+        write_config(tmp_path / "neg.ini", "negmoment3",
+                     ["kind = complete-3-tensor", "size = 20"],
+                     samples=4096)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from wienerchaos import cli; "
+            "sys.exit(max(cli.main(['run', c, '--out', f'{sys.argv[1]}/{i}'])"
+            " for i, c in enumerate(sys.argv[2:])))")
+    csvs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        root = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-c", code, str(root), *configs],
+                       env=env, check=True, capture_output=True,
+                       timeout=120)
+        csvs.append({f.relative_to(root): f.read_bytes()
+                     for f in sorted(root.rglob("*.csv"))})
+    assert len(csvs[0]) == 3
+    assert csvs[0] == csvs[1]
 
 
 def test_run_trace_concentration(tmp_path):
@@ -449,6 +488,21 @@ def test_run_spectral_radius_and_negmoment2(tmp_path):
                       ["kind = diagonal", "alphas = 0.5, 0.5"],
                       ["q = 0.25"], samples=50_000, out=out2)
     assert cli.main(["run", str(p2)]) == 0
+
+
+def test_spectral_radius_overflow_exits_2_by_name(tmp_path, capsys):
+    # |lambda_1|^800 overflows on some samples: numpy's RuntimeWarning once
+    # escaped cli.main under warnings-as-errors instead of exiting 2
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "spectral-radius",
+                     ["kind = complete-3-tensor", "size = 6"],
+                     ["p = 1, 400"], seed=1, samples=2000, out=out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(p)]) == 2
+    assert ("error: |lambda_1|^(2p) overflows at p=400"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_run_negmoment2_quadrature_failure_exits_2(tmp_path, capsys):
@@ -814,6 +868,22 @@ def test_density_takes_three_x_values(tmp_path, capsys, value):
     assert cli.main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert f"grid 'x' must hold exactly 3 value(s), got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,shown", [
+    ("-1, 1, 0", "x_min=-1, x_max=1, dx=0"),
+    ("1, -1, 0.1", "x_min=1, x_max=-1, dx=0.1"),
+])
+def test_density_names_its_bad_grid(tmp_path, capsys, value, shown):
+    # these once exited 2 with only "error: bad grid"
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "density",
+                     ["kind = chi2-average", "size = 16"], [f"x = {value}"],
+                     out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert (f"error: bad grid {shown}: need x_min < x_max and dx > 0"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
