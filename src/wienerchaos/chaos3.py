@@ -33,9 +33,15 @@ from .wick import GaussianPolynomial, isserlis_expectation
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries of the Gamma kernels (2 MB)
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
-# One GEMM of the pair and sharp kernels: OpenBLAS runs a GEMM of at most
-# 65536 x 4 multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on the calling
-# thread, so the threads of mc.reduce do not queue for its pool.
+# One GEMM of the pair, sharp and contraction kernels: OpenBLAS runs a
+# GEMM of at most 65536 x 4 multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on
+# the calling thread, so the threads of mc.reduce do not queue for its
+# pool.  Measured in OpenBLAS 0.3.31 (DYNAMIC_ARCH) at 2 BLAS threads,
+# the pool wakes a little later: 884 736 and 1 000 000 multiply-adds
+# stayed on the calling thread, 1 024 000 and 1 105 920 woke it.  A woken
+# pool thread spins on a CPU for about 0.1 s, and a pooled call can
+# stall: the 8.0 M of complete-24's n^4 Gram took about 8 ms in some
+# processes, against 0.8 ms on one thread.
 GEMM_MADDS = 1 << 18
 # Points of one GEMM stack: exactly that many in the pair kernel, at least
 # that many in a sharp one (each packs the n x n^2 unfolding: at n > 16,
@@ -87,6 +93,13 @@ class SymThreeTensor:
                 a[p] = v
         a.flags.writeable = False
         return a
+
+    @cached_property
+    def _sharp_unfolding(self) -> np.ndarray:
+        """3a.reshape(n, n^2): A_hat(xhat) = xhat @ this, read-only."""
+        u = (3.0 * self.a).reshape(self.n, self.n * self.n)
+        u.flags.writeable = False
+        return u
 
     def _gradient_triples(self):
         """The triples as 0-based index arrays i < j < k, and the weight
@@ -321,15 +334,15 @@ def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     zero trace), shape (B, n, n), for source vectors xhat of shape (B, n).
 
     A GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
-    which contracts the first slot; by symmetry that is any slot.  It is
-    issued one _sharp_steps stack at a time.
+    which contracts the first slot; by symmetry that is any slot.  The
+    unfolding is cached with the tensor, and the product is issued one
+    _sharp_steps stack at a time.
     """
     xhat = _batch(t, xhat)
     n = t.n
-    unfolded = (3.0 * t.a).reshape(n, n * n)
     out = np.empty((xhat.shape[0], n * n))
     for rows in _sharp_steps(t, xhat.shape[0]):
-        np.matmul(xhat[rows], unfolded, out=out[rows])
+        np.matmul(xhat[rows], t._sharp_unfolding, out=out[rows])
     return out.reshape(-1, n, n)
 
 
@@ -359,20 +372,32 @@ def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,
     flops per row against the eigensolve's n^3: measured on 2 CPUs, the
     products win at every q_max <= n up to n = 36, but at n = 48 and 60
     they lose beyond q_max of about n / 2 (1.4x and 2.2x slower at
-    q_max = n).  Each step is one sharp GEMM stack.
+    q_max = n).  Each step is one sharp GEMM stack, and the steps share
+    at most three stack-sized buffers.
     """
     xhat = _batch(t, xhat)
-    if not 1 <= q_max <= t.n:
-        raise ValueError(f"q_max must lie in 1..{t.n}")
+    n = t.n
+    if not 1 <= q_max <= n:
+        raise ValueError(f"q_max must lie in 1..{n}")
     out = np.empty((q_max, xhat.shape[0]))
+    # A_hat, M2 and, from q = 5 on, a third buffer: the products of
+    # q = 3, 7, ... take A_hat's buffer, those of q = 5, 9, ... the third
+    depth = 1 if q_max == 1 else 2 if q_max < 5 else 3
+    bufs = None
     for rows in _sharp_steps(t, xhat.shape[0]):
-        m = sharp_batch(t, xhat[rows])
+        x = xhat[rows]
+        if bufs is None:     # sized by the first, largest stack
+            bufs = np.empty((depth, len(x), n, n))
+        m = bufs[0, :len(x)]     # sharp_batch's one GEMM, into the buffer
+        np.matmul(x, t._sharp_unfolding, out=m.reshape(len(x), n * n))
         out[0, rows] = np.einsum('bij,bij->b', m, m)
         if q_max == 1:
             continue
-        m2 = low = m @ m      # at step q, low = M2^floor(q/2)
-        for q in range(2, q_max + 1):
-            high = low @ m2 if q % 2 else low
+        m2 = low = np.matmul(m, m, out=bufs[1, :len(x)])
+        for q in range(2, q_max + 1):   # at step q, low = M2^floor(q/2)
+            high = (np.matmul(low, m2,
+                              out=bufs[0 if q % 4 == 3 else 2, :len(x)])
+                    if q % 2 else low)
             out[q - 1, rows] = np.einsum('bij,bij->b', high, low)
             low = high
     return out
@@ -457,16 +482,31 @@ class K4VarGamma:
 
 def _contractions(t: SymThreeTensor) -> tuple[float, float]:
     """v1 = ||a x_1 a||^2 and the K4 cycle
-    v2 = C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f), from one GEMM.
+    v2 = C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f), one slice of
+    the Gram at a time.
 
     c = r' r with r = a.reshape(n, n^2) is a x_1 a, indexed (bc, de); as a
-    is symmetric, it is also sum_f a(b,d,f) a(c,e,f) indexed (bd, ce).
+    is symmetric, it is also sum_f a(b,d,f) a(c,e,f) indexed (bd, ce), so
+    v1 = sum c^2 and v2 = sum c[b,c,d,e] c[b,d,c,e].  Both sums pair
+    only entries that share b: the slice X_b = r[:, bn:(b+1)n]' r =
+    c[(b,.),(.,.)] of n^3 values carries all of slot b's terms, and the
+    n^2 x n^2 Gram is never built.  Each slice is issued as GEMMs of at
+    most max(1, GEMM_MADDS // n^3) rows (at most GEMM_MADDS multiply-adds
+    up to n = 64).
     """
     n = t.n
     r = t.a.reshape(n, n * n)   # rows indexed by the contracted slot
-    c = r.T @ r
-    c4 = c.reshape(n, n, n, n)
-    return float(np.sum(c * c)), float(np.einsum('bcde,bdce->', c4, c4))
+    x = np.empty((n, n * n))
+    x3 = x.reshape(n, n, n)
+    step = max(1, GEMM_MADDS // n ** 3)
+    v1 = v2 = 0.0
+    for b in range(n):
+        rb = r[:, b * n:(b + 1) * n].T
+        for s in range(0, n, step):
+            np.matmul(rb[s:s + step], r, out=x[s:s + step])
+        v1 += float(np.sum(x * x))
+        v2 += float(np.einsum('cde,dce->', x3, x3))
+    return v1, v2
 
 
 def kappa4_contraction(t: SymThreeTensor) -> float:

@@ -1,6 +1,8 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,14 +254,16 @@ def test_sharp_batch_gemms_stay_under_the_cap(monkeypatch, size):
     # calling thread; up to n = 16 every sharp stack stays under that,
     # beyond it a stack has GEMM_POINTS rows.  sharp_power_sums and
     # spectra_batch issue the same stacks, and each call's stacks cover
-    # the batch.
+    # the batch.  The batched n x n products of sharp_power_sums are not
+    # sharp GEMMs, and are not recorded.
     t = family_generators("complete-3-tensor", size)
     x = np.random.default_rng(29).standard_normal((2048, size))
     ref = np.einsum('bk,ijk->bij', x, 3.0 * t.a)
     shapes, matmul = [], np.matmul
 
     def recorded(a, b, *args, **kwargs):
-        shapes.append((a.shape, b.shape))
+        if np.ndim(b) == 2:
+            shapes.append((a.shape, b.shape))
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
@@ -544,6 +548,79 @@ def test_kappa4_block_family_exact():
             24.0 / n_blocks, rel=1e-12)
 
 
+def complete_family_exact(n):
+    # kappa_4 and Var Gamma of the unit-variance complete family, in exact
+    # arithmetic.  Every triple of distinct indices carries c, with
+    # 36 C(n,3) c^2 = 1.  (a x_1 a)(j,k,l,m) is c^2 times the number of i
+    # outside {j,k,l,m} (j != k, l != m), and C4(a) is c^4 times the number
+    # of ways to label the six edges of K4 so that the three edges at each
+    # vertex differ.  Both counts depend only on how many distinct labels
+    # a tuple uses; each is counted by brute force over a label set of the
+    # tuple's length, per fixed set of s labels, and summed over C(n, s).
+    def per_label_set(length, ok):
+        counts = Counter(len(set(v)) for v in
+                         itertools.product(range(length), repeat=length)
+                         if ok(v))
+        return {s: Fraction(k, math.comb(length, s))
+                for s, k in counts.items()}
+
+    pairs = per_label_set(4, lambda v: v[0] != v[1] and v[2] != v[3])
+    v1 = sum(math.comb(n, s) * p * (n - s) ** 2 for s, p in pairs.items())
+    vertices = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+    edges = per_label_set(6, lambda v: all(
+        len({v[i], v[j], v[k]}) == 3 for i, j, k in vertices))
+    v2 = sum(math.comb(n, s) * p for s, p in edges.items())
+    c4 = Fraction(1, 36 * math.comb(n, 3)) ** 2
+    kappa4 = c4 * (1944 * v1 + 1296 * v2)
+    return kappa4, kappa4 + 1296 * c4 * v1
+
+
+def test_kappa4_complete_family_exact():
+    # n = 6 is the Isserlis value 177/5 = 35.4
+    assert complete_family_exact(6)[0] == Fraction(177, 5)
+    for n in (8, 12, 24, 48):
+        res = chaos3.kappa4_and_var_gamma(
+            family_generators("complete-3-tensor", n))
+        kappa4, var_gamma = complete_family_exact(n)
+        assert abs(Fraction(res.kappa4) - kappa4) <= 1e-13 * kappa4
+        assert abs(Fraction(res.var_gamma) - var_gamma) <= 1e-13 * var_gamma
+
+
+@pytest.mark.parametrize("size", [24, 48])
+def test_contraction_gemms_stay_under_the_cap(monkeypatch, size):
+    # the n^2 x n^2 Gram has n^4 multiply-adds (8.0 M at n = 24), far
+    # above what OpenBLAS runs on the calling thread; its slices are
+    # issued in row stacks of at most GEMM_MADDS multiply-adds
+    t = family_generators("complete-3-tensor", size)
+    shapes, matmul = [], np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    chaos3.kappa4_and_var_gamma(t)
+    assert shapes
+    for (rows, depth), (depth_b, cols) in shapes:
+        assert depth == depth_b
+        assert rows * depth * cols <= chaos3.GEMM_MADDS
+
+
+def test_contractions_memory_is_one_slice():
+    # complete-48: the Gram and its square were 2 x 42.5 MB; one slice
+    # of the Gram is n^3 values (0.88 MB)
+    # numpy reports its buffers to tracemalloc.
+    t = family_generators("complete-3-tensor", 48)
+    t.a         # cached with the tensor, not per call
+    tracemalloc.start()
+    try:
+        chaos3.kappa4_and_var_gamma(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 # ---------------------------------------------------------------------------
 # spectral radius
 # ---------------------------------------------------------------------------
@@ -673,6 +750,10 @@ def test_dense_array_built_on_access():
     assert np.array_equal(t.a, dense)
     assert t.a is t.a
     assert not t.a.flags.writeable
+    # the sharp unfolding 3a.reshape(n, n^2) is cached the same way
+    assert np.array_equal(t._sharp_unfolding, 3.0 * dense.reshape(9, 81))
+    assert t._sharp_unfolding is t._sharp_unfolding
+    assert not t._sharp_unfolding.flags.writeable
     assert t.variance == pytest.approx(6.0 * np.sum(dense * dense),
                                        rel=1e-14)
 
@@ -940,24 +1021,26 @@ def test_sharp_power_sums_match_unstepped_products(q_max):
 
 
 def test_sharp_power_sums_memory_is_one_small_step():
-    # complete-12, q_max 3: the step's temporaries (m, m2, high, and the
-    # next step's m while they live) are each one sharp GEMM stack of at
-    # most max(GEMM_MADDS / n, GEMM_POINTS n^2) values (171 KB here); the
-    # rest (output, 3a) is O(q_max rows + n^3).
+    # complete-12, q_max 3 and 5: the steps share at most three buffers
+    # (A_hat, M2 and a product; q_max 5 is the first to need the third),
+    # each one sharp GEMM stack of at most max(GEMM_MADDS / n,
+    # GEMM_POINTS n^2) values (171 KB here); the rest is the output,
+    # O(q_max rows).  3a is cached with the tensor.
     # numpy reports its buffers to tracemalloc.
     t = family_generators("complete-3-tensor", 12)
     rows = 4096
     x = np.random.default_rng(31).standard_normal((rows, t.n))
-    t.a         # cached with the tensor, not per call
-    tracemalloc.start()
-    try:
-        sums = chaos3.sharp_power_sums(t, x, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.shape == (3, rows)
+    t._sharp_unfolding
     stack = max(chaos3.GEMM_MADDS // t.n, chaos3.GEMM_POINTS * t.n ** 2)
-    assert peak < 8 * (4 * stack + 4 * rows + t.n ** 3)
+    for q_max in (3, 5):
+        tracemalloc.start()
+        try:
+            sums = chaos3.sharp_power_sums(t, x, q_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums.shape == (q_max, rows)
+        assert peak < 8 * (3 * stack + (q_max + 1) * rows)
 
 
 @pytest.mark.parametrize("q_max", [1, 4])
