@@ -47,6 +47,10 @@ class SeriesCapError(ValueError):
     """The small-ball series would need more than MAX_SERIES_TERMS terms."""
 
 
+class MomentOverflowError(ValueError):
+    """The requested moment is finite but exceeds the largest double."""
+
+
 class DiagonalSecondChaos:
     """F = sum_k alpha_k (G_k^2 - 1) for a finite real coefficient vector.
 
@@ -75,7 +79,9 @@ class DiagonalSecondChaos:
 
     @property
     def variance(self) -> float:
-        return float(2.0 * np.sum(self.alphas ** 2))
+        # no square of a coefficient over- or underflows; the variance may
+        norm = scaled_norm(self.alphas)
+        return 2.0 * norm * norm
 
     @property
     def unit_variance(self) -> bool:
@@ -99,7 +105,9 @@ def scaled_norm(v) -> float:
     v = np.asarray(v, dtype=float)
     _, e = math.frexp(float(np.max(np.abs(v), initial=0.0)))
     w = np.ldexp(v, -e)
-    return math.ldexp(math.sqrt(sum(w * w)), e)
+    # the running sum adds in order, as a Python sum would; np.sum pairs
+    total = float(np.cumsum(w * w)[-1]) if w.size else 0.0
+    return math.ldexp(math.sqrt(total), e)
 
 
 @dataclass(frozen=True)
@@ -336,7 +344,14 @@ def negative_moment(f: DiagonalSecondChaos, q: float) -> float:
             g = np.exp(log_g - top) - np.exp(q * t - np.exp(t) - top)
         val = 1.0 + math.exp(top - math.lgamma(q)) * np.trapezoid(g, dx=h)
         if prev is not None and abs(val - prev) <= MELLIN_REL_TOL * val:
-            return math.exp(math.log(val) - q * log_c)
+            log_moment = math.log(val) - q * log_c
+            try:
+                return math.exp(log_moment)
+            except OverflowError:
+                raise MomentOverflowError(
+                    f"E Gamma^(-q) = exp({log_moment:.6g}) exceeds the "
+                    f"largest double (q={q}): rescale the coefficients"
+                ) from None
         prev, h = val, 0.5 * h
     raise QuadratureError(f"no agreement in {MAX_GRID_NODES} nodes, q={q}")
 

@@ -56,26 +56,27 @@ class EigenSolverError(RuntimeError):
 class SymThreeTensor:
     """Symmetric 3-tensor, zero on coincident indices, on [1, n]^3.
 
-    entries maps strictly increasing 1-based triples (i, j, k) to values.
-    The dense array `a`, with all permutations filled in, is built on
-    first access and kept read-only; gamma_batch never builds it.
+    The triples are held as arrays: `triples`, the 0-based index rows
+    i < j < k of shape (nnz, 3), and `values`, in the order given; both are
+    read-only.  `entries`, the same triples as a dict of 1-based (i, j, k)
+    keys, and the dense array `a`, with all permutations filled in, are
+    built on first access; gamma_batch builds neither.
     """
 
     def __init__(self, n: int, entries, normalize: bool = False):
         self.n = _checked_dimension(n)
-        canon = dict(_checked_entry(trip, val, self.n)
-                     for trip, val in dict(entries).items())
+        triples, values = _checked_triples(dict(entries), self.n)
         if normalize:
-            norm = scaled_norm(list(canon.values()))
+            norm = scaled_norm(values)
             if norm == 0.0:
                 raise ValueError("cannot normalize an all-zero tensor")
-            scale = 1.0 / (6.0 * norm)
-            canon = {t: v * scale for t, v in canon.items()}
-        self.entries = canon
+            values = values * (1.0 / (6.0 * norm))
+        triples.flags.writeable = values.flags.writeable = False
+        self.triples, self.values = triples, values
         if not math.isfinite(self.variance):    # the squares overflow
             raise ValueError(f"variance {self.variance} is not finite: "
                              "pass normalize=True or rescale the entries")
-        if self.variance < np.finfo(float).tiny and any(canon.values()):
+        if self.variance < np.finfo(float).tiny and values.any():
             raise ValueError(f"variance {self.variance} underflows: pass "
                              "normalize=True or rescale the entries")
         if self.n <= EXACT_MODE_MAX_N:
@@ -86,11 +87,16 @@ class SymThreeTensor:
                 raise AssertionError("internal variance self-check failed")
 
     @cached_property
+    def entries(self) -> dict:
+        """The triples as a dict of 1-based (i, j, k) keys to values."""
+        return dict(zip(map(tuple, (self.triples + 1).tolist()),
+                        self.values.tolist()))
+
+    @cached_property
     def a(self) -> np.ndarray:
         a = np.zeros((self.n, self.n, self.n))
-        for (i, j, k), v in self.entries.items():
-            for p in permutations((i - 1, j - 1, k - 1)):
-                a[p] = v
+        for p in permutations(self.triples.T):
+            a[p] = self.values
         a.flags.writeable = False
         return a
 
@@ -101,13 +107,20 @@ class SymThreeTensor:
         u.flags.writeable = False
         return u
 
+    @cached_property
+    def _sharp_upper(self) -> np.ndarray:
+        """The columns i < j of _sharp_unfolding, 3a[:, i<j] of shape
+        (n, n(n-1)/2) in np.triu_indices order: xhat @ this lists the
+        entries of A_hat(xhat) above its diagonal, read-only."""
+        i, j = np.triu_indices(self.n, 1)
+        u = 3.0 * self.a[:, i, j]
+        u.flags.writeable = False
+        return u
+
     def _gradient_triples(self):
         """The triples as 0-based index arrays i < j < k, and the weight
         6 a(i,j,k) that each of their slots carries in grad F."""
-        trips = np.array(list(self.entries), dtype=np.intp).reshape(-1, 3) - 1
-        vals = 6.0 * np.fromiter(self.entries.values(), float,
-                                 len(self.entries))
-        return (*trips.T, vals)
+        return (*self.triples.T, 6.0 * self.values)
 
     @cached_property
     def _scatter(self):
@@ -153,9 +166,11 @@ class SymThreeTensor:
         w.flags.writeable = False
         return w
 
-    @property
+    @cached_property
     def variance(self) -> float:
-        return 36.0 * math.fsum(v * v for v in self.entries.values())
+        # a square that overflows to inf is named by the constructor
+        with np.errstate(over="ignore", under="ignore"):
+            return 36.0 * math.fsum(np.square(self.values).tolist())
 
     @property
     def unit_variance(self) -> bool:
@@ -163,16 +178,16 @@ class SymThreeTensor:
 
     def to_polynomial(self) -> GaussianPolynomial:
         terms: dict[tuple, float] = {}
-        for (i, j, k), v in self.entries.items():
+        for (i, j, k), v in zip(self.triples.tolist(), self.values.tolist()):
             if v == 0.0:
                 continue
             e = [0] * self.n
-            e[i - 1] = e[j - 1] = e[k - 1] = 1
+            e[i] = e[j] = e[k] = 1
             terms[tuple(e)] = 6.0 * v   # 6 ordered triples per i<j<k
         return GaussianPolynomial(self.n, terms)
 
     def __repr__(self):
-        return (f"SymThreeTensor(n={self.n}, triples={len(self.entries)}, "
+        return (f"SymThreeTensor(n={self.n}, triples={self.values.size}, "
                 f"variance={self.variance:.6g})")
 
 
@@ -182,6 +197,33 @@ def _checked_dimension(n) -> int:
     if n < 3:
         raise ValueError("dimension must be >= 3")
     return n
+
+
+def _checked_triples(entries: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a tensor on [1, n] as 0-based index rows i < j < k,
+    shape (nnz, 3), and their float values, in the given order.
+
+    Integer triples and real values are checked as arrays.  Other types,
+    or a failed check, take the entries through _checked_entry one at a
+    time, so the first bad entry raises its own ValueError.
+    """
+    keys, vals = list(entries), list(entries.values())
+    try:
+        trips, values = np.array(keys), np.array(vals)
+    except ValueError:    # ragged triples or values
+        trips = values = np.array(None)
+    if (trips.dtype.kind in "iu" and values.dtype.kind in "fiu"
+            and trips.shape == (len(keys), 3)
+            and values.shape == (len(keys),)):
+        i, j, k = trips.T
+        values = values.astype(float)
+        if (np.all((1 <= i) & (i < j) & (j < k) & (k <= n))
+                and np.all(np.isfinite(values))):
+            return trips.astype(np.intp) - 1, values
+    canon = dict(_checked_entry(trip, val, n)
+                 for trip, val in entries.items())
+    return (np.array(list(canon), dtype=np.intp).reshape(-1, 3) - 1,
+            np.array(list(canon.values()), dtype=float))
 
 
 def _checked_entry(trip, val, n: int) -> tuple[tuple, float]:
@@ -249,7 +291,7 @@ def gamma_batch(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     flop rate.
     """
     x = _batch(t, x)
-    if _triples_win(len(t.entries), t.n):
+    if _triples_win(t.values.size, t.n):
         return _gamma_triples(t, x)
     return _gamma_pairs(t, x)
 
@@ -346,18 +388,35 @@ def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     return out.reshape(-1, n, n)
 
 
-def _sharp_steps(t: SymThreeTensor, n_rows: int):
+def _sharp_steps(t: SymThreeTensor, n_rows: int, width: int | None = None):
     """Slices of a batch of n_rows source vectors, one sharp GEMM stack
-    each: at most GEMM_MADDS multiply-adds, but at least GEMM_POINTS rows
-    (so above the cap at n > 16)."""
-    step = max(GEMM_POINTS, GEMM_MADDS // t.n ** 3)
+    each on an unfolding of `width` columns (n^2 by default): at most
+    GEMM_MADDS multiply-adds, but at least GEMM_POINTS rows (so above the
+    cap at n > 16 on the full unfolding, at n > 20 on its upper half)."""
+    step = max(GEMM_POINTS, GEMM_MADDS // (t.n * (width or t.n * t.n)))
     return (slice(s, s + step) for s in range(0, n_rows, step))
 
 
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
-    """Tr(A_hat^2) = sum_{i,j} A_hat_{ij}^2 for a batch of source vectors,
-    shape (B, n): the first Newton sum."""
-    return sharp_power_sums(t, xhat, 1)[0]
+    """Tr(A_hat^2) = sum_{i,j} A_hat_ij^2 = 2 sum_{i<j} A_hat_ij^2 for a
+    batch of source vectors, shape (B, n): the first Newton sum.
+
+    A_hat is symmetric with a zero diagonal, so its entries above the
+    diagonal carry the sum: one GEMM stack per _sharp_steps step on the
+    cached (n, n(n-1)/2) upper unfolding, half of sharp_batch's.
+    """
+    xhat = _batch(t, xhat)
+    u = t._sharp_upper
+    out = np.empty(xhat.shape[0])
+    buf = None
+    for rows in _sharp_steps(t, xhat.shape[0], u.shape[1]):
+        x = xhat[rows]
+        if buf is None:     # sized by the first, largest stack
+            buf = np.empty((len(x), u.shape[1]))
+        upper = np.matmul(x, u, out=buf[:len(x)])
+        out[rows] = np.einsum('bp,bp->b', upper, upper)
+    out *= 2.0
+    return out
 
 
 def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,

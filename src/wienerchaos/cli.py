@@ -205,11 +205,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _fmt_column(col) -> list[str]:
+    """_fmt of each value of a column; a column of one float type, the
+    bulk of every CSV, is formatted without the per-value type tests."""
+    kinds = set(map(type, col))
+    if len(kinds) == 1 and issubclass(kinds.pop(), (float, np.floating)):
+        return [f"{v:.17g}" for v in np.asarray(col, dtype=float).tolist()]
+    return [_fmt(v) for v in col]
+
+
 def write_csv(path: Path, header, rows) -> None:
+    """One header line and one line per row, each value as _fmt gives
+    it, the rule picked per column; the rows must be of one length."""
+    cols = [_fmt_column(col) for col in zip(*rows, strict=True)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join([",".join(header) + "\n"]
+                         + [",".join(row) + "\n" for row in zip(*cols)]))
 
 
 def verdict(statistic, relation, reference, tolerance, stderr=None) -> bool:
@@ -479,7 +490,7 @@ def _exp_negmoment3(cfg, t, rec):
         raise ValueError("theta must lie in (0, 1)")
     # Gamma = R^4 G(U) on the n coordinates it depends on, G bounded, so
     # E Gamma^(-theta) >= c E R^(-4 theta) = inf once 4 theta >= n
-    n = len({i for trip, v in t.entries.items() if v for i in trip})
+    n = np.unique(t.triples[t.values != 0.0]).size
     for theta in thetas:
         if 4.0 * theta >= n:
             raise chaos2.DivergenceError(

@@ -92,6 +92,17 @@ def test_normalize_survives_extreme_scales(scale):
     assert f.unit_variance
 
 
+@pytest.mark.parametrize("scale, variance", [(1e165, math.inf),
+                                             (1e-170, 0.0)])
+def test_variance_at_extreme_scales_warns_nothing(scale, variance):
+    # the squares of the coefficients once over- or underflowed: at 1e165
+    # with an overflow RuntimeWarning before any named error
+    f = DiagonalSecondChaos([scale] * 3)
+    assert f.variance == variance
+    assert not f.unit_variance
+    assert DiagonalSecondChaos([scale] * 3, normalize=True).unit_variance
+
+
 def test_rejects_zero_vector():
     with pytest.raises(ValueError):
         DiagonalSecondChaos([0.0, 0.0])
@@ -461,6 +472,18 @@ def test_negative_moment_matches_quadrature_oracle(family, qs):
 def test_negative_moment_divergence():
     with pytest.raises(chaos2.DivergenceError):
         chaos2.negative_moment(DiagonalSecondChaos([SQ2]), 0.5)
+
+
+def test_negative_moment_beyond_the_largest_double():
+    # E Gamma^(-q) of Gamma ~ 1e-339: about exp(779) at q = 0.999, once a
+    # bare OverflowError from math.exp
+    f = DiagonalSecondChaos(np.full(5, 1e-170))
+    with pytest.raises(chaos2.MomentOverflowError,
+                       match=r"E Gamma\^\(-q\) = exp\(779\.6\d*\) exceeds "
+                             r"the largest double \(q=0\.999\)"):
+        chaos2.negative_moment(f, 0.999)
+    # the same model at a small enough q is finite: exp(780 q)
+    assert math.isfinite(chaos2.negative_moment(f, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,134 @@ def test_overflowing_tensor_raises_named_errors():
         assert chaos3.kappa4_contraction(t) == pytest.approx(12.0, rel=1e-12)
 
 
+def per_triple_reference(n, entries, normalize):
+    """The tensor's storage built one triple at a time: the entries dict,
+    a, the variance, the triple scatter and the pair weights."""
+    canon = {tuple(int(i) for i in trip): float(v)
+             for trip, v in entries.items()}
+    if normalize:
+        vals = np.array(list(canon.values()))
+        _, e = math.frexp(float(np.max(np.abs(vals))))
+        w = np.ldexp(vals, -e)
+        total = 0.0
+        for x in w * w:     # in order
+            total += x
+        scale = 1.0 / (6.0 * math.ldexp(math.sqrt(total), e))
+        canon = {trip: v * scale for trip, v in canon.items()}
+    a = np.zeros((n, n, n))
+    pairs = np.zeros((n, n * (n - 1) // 2))
+    slots = [[] for _ in range(n)]
+    for role in range(3):
+        for trip, v in canon.items():
+            trip = [i - 1 for i in trip]
+            target = trip.pop(role)
+            slots[target].append((*trip, 6.0 * v))
+    for (i, j, k), v in canon.items():
+        for p in itertools.permutations((i - 1, j - 1, k - 1)):
+            a[p] = v
+        for target, lo, hi in ((i, j, k), (j, i, k), (k, i, j)):
+            lo, hi = lo - 1, hi - 1
+            pairs[target - 1, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = \
+                6.0 * v
+    # block q holds the q-th slot of each target, longest runs first
+    ranked = sorted(range(n), key=lambda t: -len(slots[t]))
+    blocks = [[slots[t][q] for t in ranked if len(slots[t]) > q]
+              for q in range(max(map(len, slots)))]
+    flat = [slot for block in blocks for slot in block]
+    scatter = (np.array([s[0] for s in flat]), np.array([s[1] for s in flat]),
+               np.array([[s[2]] for s in flat]),
+               tuple(len(block) for block in blocks))
+    variance = 36.0 * math.fsum(v * v for v in canon.values())
+    return canon, a, variance, scatter, pairs
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 17, 30])
+def test_array_storage_matches_a_per_triple_reference(n):
+    rng = np.random.default_rng(n)
+    for fill, normalize in ((0.9, True), (0.2, False), (0.05, True)):
+        trips = [t for t in itertools.combinations(range(1, n + 1), 3)
+                 if rng.random() < fill] or [(1, 2, 3)]
+        order = rng.permutation(len(trips))
+        values = rng.standard_normal(len(trips)) * np.exp(
+            rng.uniform(-20, 20, len(trips)))
+        entries = {trips[m]: float(v) for m, v in zip(order, values)}
+        t = SymThreeTensor(n, entries, normalize=normalize)
+        canon, a, variance, scatter, pairs = per_triple_reference(
+            n, entries, normalize)
+        assert list(t.entries.items()) == list(canon.items())
+        assert all(type(i) is int for trip in t.entries for i in trip)
+        assert t.a.tobytes() == a.tobytes()
+        assert t.variance == variance
+        assert t._pair_weights.tobytes() == pairs.tobytes()
+        left, right, w, sizes = t._scatter
+        assert sizes == scatter[3]
+        for got, ref in zip((left, right, w), scatter):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_non_integer_triples_take_the_per_entry_route():
+    # int() and float() of each entry, as the tensor file reader gives
+    t = SymThreeTensor(4, {(1.0, 2, 3): 0.5, ("1", "2", "4"): "-0.25"})
+    assert t.entries == {(1, 2, 3): 0.5, (1, 2, 4): -0.25}
+    assert t.triples.tolist() == [[0, 1, 2], [0, 1, 3]]
+    assert t.values.tolist() == [0.5, -0.25]
+    assert not t.triples.flags.writeable and not t.values.flags.writeable
+
+
+@pytest.mark.parametrize("entries", [
+    {(1, 2): 1.0}, {(1, 2, 3, 4): 1.0}, {(1, 2, 3): 1.0, (1, 2): 2.0},
+    {(1, 2, 3): [1.0, 2.0]}, {(1, 2, 3): [1.0]}, {(1, 2, 3): None},
+    {(1, 2, 3): 1j}, {(1, 2, 3): "x"}, {(1, 2, 3 ** 70): 1.0},
+], ids=["pair", "quadruple", "ragged", "list", "one-list", "none",
+        "complex", "text", "huge-index"])
+def test_malformed_entries_fail_as_the_per_entry_rule(entries):
+    with pytest.raises((TypeError, ValueError)) as ref:
+        for trip, val in entries.items():
+            chaos3._checked_entry(trip, val, 4)
+    with pytest.raises(type(ref.value)) as err:
+        SymThreeTensor(4, entries)
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("n, entries, normalize, message", [
+    (4, {(1, 2, 3): 1.0, (2, 1, 4): 1.0}, False,
+     "triple (2, 1, 4) must satisfy 1 <= i < j < k <= 4 (coincident or "
+     "unordered indices are invalid)"),
+    (4, {(1, 3, 3): 1.0}, False,
+     "triple (1, 3, 3) must satisfy 1 <= i < j < k <= 4"),
+    (4, {(1, 2, 3): 1.0, (0, 2, 3): 1.0}, True,
+     "triple (0, 2, 3) must satisfy 1 <= i < j < k <= 4"),
+    (4, {(2, 3, 5): 1.0}, False,
+     "triple (2, 3, 5) must satisfy 1 <= i < j < k <= 4"),
+    (4, {(1, 2, 3): 1.0, (1, 2, 4): math.nan}, False,
+     "non-finite value at (1, 2, 4)"),
+    (4, {(1, 2, 3): -math.inf}, True, "non-finite value at (1, 2, 3)"),
+    # the first bad entry in the given order is named
+    (4, {(1, 2, 4): math.inf, (3, 2, 1): 1.0}, False,
+     "non-finite value at (1, 2, 4)"),
+    (4, {(3, 2, 1): 1.0, (1, 2, 4): math.inf}, False,
+     "triple (3, 2, 1) must satisfy"),
+    (6, {(1, 2, 3): 1e160, (4, 5, 6): 1e160}, False,
+     "variance inf is not finite: pass normalize=True or rescale the "
+     "entries"),
+    (6, {(1, 2, 3): 1e-170, (4, 5, 6): -1e-170}, False,
+     "variance 0.0 underflows: pass normalize=True or rescale the "
+     "entries"),
+    (5, {}, True, "cannot normalize an all-zero tensor"),
+    (5, {(1, 2, 3): 0.0, (3, 4, 5): -0.0}, True,
+     "cannot normalize an all-zero tensor"),
+    (2, {}, False, "dimension must be >= 3"),
+], ids=["unordered", "coincident", "below-range", "above-range", "nan",
+        "inf-normalized", "first-is-value", "first-is-triple",
+        "variance-overflow", "variance-underflow", "empty-normalized",
+        "zeros-normalized", "dimension"])
+def test_constructor_errors_keep_their_messages(n, entries, normalize,
+                                                 message):
+    with pytest.raises(ValueError) as err:
+        SymThreeTensor(n, entries, normalize=normalize)
+    assert str(err.value).startswith(message)
+
+
 def test_variance_matches_oracle(unit_tensor_factory):
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -742,7 +870,7 @@ def test_smallball_sparse_tensor_builds_no_dense_array():
 
 def test_dense_array_built_on_access():
     t = random_sparse_tensor(9, 0.5, 7)
-    assert "a" not in vars(t)
+    assert "a" not in vars(t) and "entries" not in vars(t)
     dense = np.zeros((9, 9, 9))
     for trip, v in t.entries.items():
         for p in itertools.permutations(trip):
@@ -754,6 +882,11 @@ def test_dense_array_built_on_access():
     assert np.array_equal(t._sharp_unfolding, 3.0 * dense.reshape(9, 81))
     assert t._sharp_unfolding is t._sharp_unfolding
     assert not t._sharp_unfolding.flags.writeable
+    # and so is its upper half 3a[:, i<j], the columns of the trace route
+    i, j = np.triu_indices(9, 1)
+    assert np.array_equal(t._sharp_upper, 3.0 * dense[:, i, j])
+    assert t._sharp_upper is t._sharp_upper
+    assert not t._sharp_upper.flags.writeable
     assert t.variance == pytest.approx(6.0 * np.sum(dense * dense),
                                        rel=1e-14)
 
@@ -918,6 +1051,55 @@ def test_trace_square_batch_matches_unstepped_einsum():
     m = np.einsum('bk,ijk->bij', xh, 3.0 * t.a)
     assert np.allclose(got, np.einsum('bij,bij->b', m, m),
                        rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("complete-3-tensor", 3), ("complete-3-tensor", 7),
+    ("complete-3-tensor", 24), ("complete-3-tensor", 48),
+    ("spiked-3-tensor", 3), ("spiked-3-tensor", 10), ("spiked-3-tensor", 48),
+    ("block-3-tensor", 3), ("block-3-tensor", 12), ("block-3-tensor", 48),
+    ("random", 3), ("random", 5), ("random", 16), ("random", 33),
+    ("random", 48)])
+def test_trace_square_batch_is_the_trace_form(kind, size):
+    # two routes per sample: the upper unfolding's 2 sum_{i<j} A_hat_ij^2,
+    # and x' B x with B = 9 a_(1)' a_(1) of the trace form
+    t = (oracles.make_unit_tensor(np.random.default_rng(size), size)
+         if kind == "random" else family_generators(kind, size))
+    x = np.random.default_rng(t.n).standard_normal((300, t.n))
+    got = chaos3.trace_square_batch(t, x)
+    b = chaos3.trace_form(t).b_matrix
+    assert np.allclose(got, np.einsum('bi,ij,bj->b', x, b, x),
+                       rtol=1e-13, atol=0.0)
+    newton = chaos3.sharp_power_sums(t, x, 1)[0]
+    assert np.allclose(got, newton, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("size", [3, 6, 12, 20, 21, 24, 32])
+def test_trace_square_gemms_stay_under_the_cap(monkeypatch, size):
+    # the upper unfolding has n(n-1)/2 columns: up to n = 20 a stack of
+    # GEMM_POINTS rows does at most GEMM_MADDS multiply-adds, and every
+    # stack but the last is as long as that cap allows; beyond it every
+    # stack has GEMM_POINTS rows
+    t = family_generators("complete-3-tensor", size)
+    x = np.random.default_rng(30).standard_normal((2048, size))
+    cols = size * (size - 1) // 2
+    shapes, matmul = [], np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    chaos3.trace_square_batch(t, x)
+    assert sum(a[0] for a, _ in shapes) == 2048
+    under = chaos3.GEMM_POINTS * size * cols <= chaos3.GEMM_MADDS
+    assert under == (size <= 20)
+    for m, ((rows, depth), (depth_b, width)) in enumerate(shapes):
+        assert depth == depth_b == size and width == cols
+        assert (rows * depth * width <= chaos3.GEMM_MADDS if under
+                else rows == chaos3.GEMM_POINTS)
+        if under and m < len(shapes) - 1:
+            assert (rows + 1) * depth * width > chaos3.GEMM_MADDS
 
 
 def test_sp_grid_shares_one_table(run_experiment):

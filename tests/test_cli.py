@@ -519,6 +519,36 @@ def test_run_negmoment2_quadrature_failure_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_negmoment2_beyond_the_largest_double_exits_2(tmp_path, capsys):
+    # E Gamma^(-0.999) is about exp(779): once a bare "math range error"
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "negmoment2",
+                     ["kind = diagonal", "alphas = " + ", ".join(
+                         ["1e-170"] * 5)],
+                     ["q = 0.999"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: E Gamma^(-q) = exp(779.6")
+    assert "exceeds the largest double (q=0.999)" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale, shown", [("1e165", "inf"), ("1e-170", "0")])
+def test_unit_variance_error_names_an_extreme_variance(tmp_path, capsys,
+                                                        scale, shown):
+    # at 1e165 the variance once overflowed with a RuntimeWarning first
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "density",
+                     ["kind = diagonal", "alphas = " + ", ".join([scale] * 3)],
+                     out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert ("experiment 'density' needs a unit-variance model, got "
+            f"variance {shown}: set normalize = true"
+            ) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,key,csv", [
     ("negmoment3", "theta", "negmoment3.csv"),
     ("gamma-spec", "xi", "gamma_spec.csv"),
@@ -556,6 +586,61 @@ def test_second_chaos_grid_reads_one_stream(tmp_path, name, key, csv):
         assert cli.main(["run", str(p)]) in (0, 1)
         rows.append((out / csv).read_text().strip().split("\n"))
     assert rows[0][2] == rows[1][1]
+
+
+# every kind of value write_csv meets, as a column of four
+CSV_COLUMNS = {
+    "bool": [True, False, False, True],
+    "np_bool": list(np.array([False, True, True, False])),
+    "int": [0, -3, 7, 10 ** 20],
+    "np_int64": list(np.array([-1, 0, 2 ** 62, 5], dtype=np.int64)),
+    "np_uint8": list(np.array([0, 1, 254, 255], dtype=np.uint8)),
+    "float": [0.1, -0.0, 1e300, 5e-324],
+    "float_thirds": [1.0 / 3.0, -2.0 / 3.0, 1e-3 / 3.0, 3e16 / 7.0],
+    "float_special": [math.nan, math.inf, -math.inf, 2.0],
+    "np_float64": list(np.random.default_rng(3).standard_normal(4)),
+    "np_float32": list(np.float32([0.1, -1.5, 3e38, 1e-45])),
+    "np_float16": list(np.float16([0.1, 65504.0, -6e-8, 1.0])),
+    "str": ["a", "b c", "", "2.5"],
+    "mixed_numbers": [1, 2.5, np.float32(0.5), np.int64(4)],
+    "mixed_bools": [True, np.True_, 0, 1.0],
+    "mixed_all": [None, "x", np.bool_(False), np.float64(0.25)],
+}
+
+
+def _per_value_csv(header, rows) -> bytes:
+    """The CSV that _fmt writes one value at a time."""
+    lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row)
+                                  for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("names", [[name] for name in CSV_COLUMNS]
+                         + [list(CSV_COLUMNS)], ids=list(CSV_COLUMNS)
+                         + ["all"])
+def test_write_csv_matches_the_per_value_rule(tmp_path, names):
+    rows = list(zip(*(CSV_COLUMNS[name] for name in names)))
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, names, rows)
+    assert path.read_bytes() == _per_value_csv(names, rows)
+    for row, line in zip(rows, path.read_text().splitlines()[1:]):
+        for value, text in zip(row, line.split(",")):
+            if isinstance(value, (float, np.floating)) and \
+                    not math.isnan(value):
+                assert float(text) == value
+
+
+def test_write_csv_zero_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, ["eps", "phat"], [])
+    assert path.read_bytes() == b"eps,phat\n"
+    cli.write_csv(path, ["eps", "phat"], iter(()))
+    assert path.read_bytes() == b"eps,phat\n"
+
+
+def test_write_csv_rejects_a_short_row(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
 
 
 def test_rerun_reproduces_csv_bitwise(tmp_path):
