@@ -205,7 +205,7 @@ def _checked_triples(entries: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Integer triples and real values are checked as arrays.  Other types,
     or a failed check, take the entries through _checked_entry one at a
-    time, so the first bad entry raises its own ValueError.
+    time, so the first bad entry raises its own error.
     """
     keys, vals = list(entries), list(entries.values())
     try:
