@@ -191,7 +191,9 @@ def laplace_gamma(f: DiagonalSecondChaos, lam):
     if (lam_arr < 0).any():
         raise ValueError("lam must be >= 0")
     a2 = f.alphas[f.alphas != 0.0] ** 2
-    return np.exp(-0.5 * np.log1p(8.0 * np.multiply.outer(lam_arr, a2)).sum(-1))
+    with np.errstate(over="ignore"):    # inf: exp(-log1p(inf)) = 0, exact
+        lam_a2 = 8.0 * np.multiply.outer(lam_arr, a2)
+    return np.exp(-0.5 * np.log1p(lam_a2).sum(-1))
 
 
 def thm1_threshold(p: int) -> float:

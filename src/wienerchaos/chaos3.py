@@ -13,8 +13,12 @@ through E exp(-Gamma xi^2 / 2) = E_hat prod_k (1 - 2 i xi lam_k)^(-1/2).
 
 The module holds the tensor, batch kernels that map Gaussian points to
 Gamma, sharp matrices, their Newton sums and spectra, and the exact
-routes (trace form, kappa_4 and Var Gamma).  It draws nothing: the
-runner reduces the kernels by Monte Carlo and decides every check.
+routes (trace form, kappa_4 and Var Gamma).  The dense kernels read two
+cached contractions of the tensor: the unfolding 3a.reshape(n, n^2),
+with A_hat(xhat) = xhat @ it, and its columns i < j, U, with
+grad F(x) = 2 U @ (x_j x_k)_{j<k}; the sharp kernels issue their GEMMs
+through one stack loop, _sharp_stacks.  It draws nothing: the runner
+reduces the kernels by Monte Carlo and decides every check.
 """
 
 from __future__ import annotations
@@ -36,12 +40,8 @@ SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
 # One GEMM of the pair, sharp and contraction kernels: OpenBLAS runs a
 # GEMM of at most 65536 x 4 multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on
 # the calling thread, so the threads of mc.reduce do not queue for its
-# pool.  Measured in OpenBLAS 0.3.31 (DYNAMIC_ARCH) at 2 BLAS threads,
-# the pool wakes a little later: 884 736 and 1 000 000 multiply-adds
-# stayed on the calling thread, 1 024 000 and 1 105 920 woke it.  A woken
-# pool thread spins on a CPU for about 0.1 s, and a pooled call can
-# stall: the 8.0 M of complete-24's n^4 Gram took about 8 ms in some
-# processes, against 0.8 ms on one thread.
+# pool, whose woken threads spin and can stall a call (measured in
+# OpenBLAS 0.3.31 at 2 threads; the figures are in CHANGES.md).
 GEMM_MADDS = 1 << 18
 # Points of one GEMM stack: exactly that many in the pair kernel, at least
 # that many in a sharp one (each packs the n x n^2 unfolding: at n > 16,
@@ -58,9 +58,9 @@ class SymThreeTensor:
 
     The triples are held as arrays: `triples`, the 0-based index rows
     i < j < k of shape (nnz, 3), and `values`, in the order given; both are
-    read-only.  `entries`, the same triples as a dict of 1-based (i, j, k)
-    keys, and the dense array `a`, with all permutations filled in, are
-    built on first access; gamma_batch builds neither.
+    read-only.  The dense array `a`, with all permutations filled in, and
+    the sharp unfoldings are built on first access; gamma_batch never
+    builds `a`.
     """
 
     def __init__(self, n: int, entries, normalize: bool = False):
@@ -87,12 +87,6 @@ class SymThreeTensor:
                 raise AssertionError("internal variance self-check failed")
 
     @cached_property
-    def entries(self) -> dict:
-        """The triples as a dict of 1-based (i, j, k) keys to values."""
-        return dict(zip(map(tuple, (self.triples + 1).tolist()),
-                        self.values.tolist()))
-
-    @cached_property
     def a(self) -> np.ndarray:
         a = np.zeros((self.n, self.n, self.n))
         for p in permutations(self.triples.T):
@@ -109,18 +103,18 @@ class SymThreeTensor:
 
     @cached_property
     def _sharp_upper(self) -> np.ndarray:
-        """The columns i < j of _sharp_unfolding, 3a[:, i<j] of shape
-        (n, n(n-1)/2) in np.triu_indices order: xhat @ this lists the
-        entries of A_hat(xhat) above its diagonal, read-only."""
-        i, j = np.triu_indices(self.n, 1)
-        u = 3.0 * self.a[:, i, j]
+        """U = 3a[:, i<j] of shape (n, n(n-1)/2), read-only: xhat @ U lists
+        A_hat(xhat) above its diagonal, and grad F(x) = 2 U @ pairs(x) for
+        the products x_j x_k, j < k, in np.triu_indices order (pair (j, k)
+        at column j(2n - j - 1)/2 + k - j - 1).  Filled from the triples,
+        column-major like 3.0 * a[:, i, j]: the GEMMs' bits depend on it."""
+        n, v = self.n, 3.0 * self.values
+        i, j, k = self.triples.T
+        u = np.zeros((n, n * (n - 1) // 2), order="F")
+        for target, lo, hi in ((i, j, k), (j, i, k), (k, i, j)):
+            u[target, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = v
         u.flags.writeable = False
         return u
-
-    def _gradient_triples(self):
-        """The triples as 0-based index arrays i < j < k, and the weight
-        6 a(i,j,k) that each of their slots carries in grad F."""
-        return (*self.triples.T, 6.0 * self.values)
 
     @cached_property
     def _scatter(self):
@@ -132,10 +126,10 @@ class SymThreeTensor:
         their place in their target's run (CSR order: i, j, then k), then
         by target, longest runs first: the q-th slots of all targets form
         block q of sizes[q] rows, whose targets are a prefix of block 0.
-        The sparse twin of _pair_weights: it gathers only the pairs that
+        The sparse twin of _sharp_upper: it gathers only the pairs that
         some triple uses.
         """
-        i, j, k, vals = self._gradient_triples()
+        i, j, k = self.triples.T
         target = np.concatenate([i, j, k])
         order = np.argsort(target, kind="stable")
         runs = np.bincount(target, minlength=self.n)
@@ -146,25 +140,8 @@ class SymThreeTensor:
         order = order[np.lexsort((rank[target[order]], place))]
         left = np.concatenate([j, i, i])[order]
         right = np.concatenate([k, k, j])[order]
-        w = np.tile(vals, 3)[order, None]
+        w = np.tile(6.0 * self.values, 3)[order, None]
         return left, right, w, tuple(np.bincount(place, minlength=1).tolist())
-
-    @cached_property
-    def _pair_weights(self) -> np.ndarray:
-        """W of shape (n, n(n-1)/2) with grad F(x) = W @ pairs(x).
-
-        pairs(x) lists the products x_j x_k, j < k, row by row of the
-        strict upper triangle: pair (j, k) sits at column
-        off_j + k - j - 1, with off_j = j(2n - j - 1)/2.  Column (j, k)
-        holds 6 a(i,j,k) in row i.
-        """
-        n = self.n
-        i, j, k, vals = self._gradient_triples()
-        w = np.zeros((n, n * (n - 1) // 2))
-        for target, lo, hi in ((i, j, k), (j, i, k), (k, i, j)):
-            w[target, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = vals
-        w.flags.writeable = False
-        return w
 
     @cached_property
     def variance(self) -> float:
@@ -335,8 +312,10 @@ def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """Gamma by the pair GEMM: grad F(x) = W @ pairs(x), n^2(n-1)/2
-    multiply-adds per point on a slab of pair products.
+    """Gamma by the pair GEMM: grad F(x) = 2 U @ pairs(x) with U the
+    upper unfolding _sharp_upper, n^2(n-1)/2 multiply-adds per point on a
+    slab of pair products, and Gamma = 4 |U @ pairs(x)|^2, an exact
+    power-of-two scale.
 
     The slab holds up to STEP_ELEMENTS values, at least one stack of
     GEMM_POINTS points; the last stack is padded with zero points.  Its
@@ -344,8 +323,8 @@ def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     of pairs short enough that it does at most GEMM_MADDS multiply-adds,
     summed run by run in pair order.
     """
-    n, w = t.n, t._pair_weights
-    n_pairs = w.shape[1]
+    n, u = t.n, t._sharp_upper
+    n_pairs = u.shape[1]
     cols = GEMM_POINTS
     depth = max(1, GEMM_MADDS // (n * cols))
     out = np.empty(x.shape[0])
@@ -363,12 +342,27 @@ def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
             np.multiply(xt[j], xt[j + 1:], out=pairs[off:off + n - 1 - j])
             off += n - 1 - j
         stacked = pairs.reshape(n_pairs, stack, cols).transpose(1, 0, 2)
-        g = w[:, :depth] @ stacked[:, :depth]
+        g = u[:, :depth] @ stacked[:, :depth]
         for k in range(depth, n_pairs, depth):
-            g += w[:, k:k + depth] @ stacked[:, k:k + depth]
-        out[s:s + rows.shape[0]] = np.einsum(
+            g += u[:, k:k + depth] @ stacked[:, k:k + depth]
+        out[s:s + rows.shape[0]] = 4.0 * np.einsum(
             'bic,bic->bc', g, g).reshape(-1)[:rows.shape[0]]
     return out
+
+
+def _sharp_stacks(t: SymThreeTensor, xhat, u: np.ndarray):
+    """(rows, xhat[rows] @ u) over a batch of source vectors, one sharp
+    GEMM stack per slice on an unfolding u of t: at most GEMM_MADDS
+    multiply-adds, but at least GEMM_POINTS rows (so above the cap at
+    n > 16 on the full unfolding, at n > 20 on its upper half).  Each
+    product is written into one stack-sized buffer, which the next step
+    overwrites; the caller may use it as scratch until then."""
+    xhat = _batch(t, xhat)
+    step = max(GEMM_POINTS, GEMM_MADDS // (t.n * u.shape[1]))
+    buf = np.empty((min(step, xhat.shape[0]), u.shape[1]))
+    for s in range(0, xhat.shape[0], step):
+        x = xhat[s:s + step]
+        yield slice(s, s + step), np.matmul(x, u, out=buf[:len(x)])
 
 
 def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
@@ -378,23 +372,13 @@ def sharp_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     A GEMM on the unfolding: A_hat(xhat) = xhat @ 3a.reshape(n, n^2),
     which contracts the first slot; by symmetry that is any slot.  The
     unfolding is cached with the tensor, and the product is issued one
-    _sharp_steps stack at a time.
+    _sharp_stacks stack at a time.
     """
     xhat = _batch(t, xhat)
-    n = t.n
-    out = np.empty((xhat.shape[0], n * n))
-    for rows in _sharp_steps(t, xhat.shape[0]):
-        np.matmul(xhat[rows], t._sharp_unfolding, out=out[rows])
-    return out.reshape(-1, n, n)
-
-
-def _sharp_steps(t: SymThreeTensor, n_rows: int, width: int | None = None):
-    """Slices of a batch of n_rows source vectors, one sharp GEMM stack
-    each on an unfolding of `width` columns (n^2 by default): at most
-    GEMM_MADDS multiply-adds, but at least GEMM_POINTS rows (so above the
-    cap at n > 16 on the full unfolding, at n > 20 on its upper half)."""
-    step = max(GEMM_POINTS, GEMM_MADDS // (t.n * (width or t.n * t.n)))
-    return (slice(s, s + step) for s in range(0, n_rows, step))
+    out = np.empty((xhat.shape[0], t.n * t.n))
+    for rows, m in _sharp_stacks(t, xhat, t._sharp_unfolding):
+        out[rows] = m
+    return out.reshape(-1, t.n, t.n)
 
 
 def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
@@ -402,18 +386,12 @@ def trace_square_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     batch of source vectors, shape (B, n): the first Newton sum.
 
     A_hat is symmetric with a zero diagonal, so its entries above the
-    diagonal carry the sum: one GEMM stack per _sharp_steps step on the
+    diagonal carry the sum: one _sharp_stacks stack per step on the
     cached (n, n(n-1)/2) upper unfolding, half of sharp_batch's.
     """
     xhat = _batch(t, xhat)
-    u = t._sharp_upper
     out = np.empty(xhat.shape[0])
-    buf = None
-    for rows in _sharp_steps(t, xhat.shape[0], u.shape[1]):
-        x = xhat[rows]
-        if buf is None:     # sized by the first, largest stack
-            buf = np.empty((len(x), u.shape[1]))
-        upper = np.matmul(x, u, out=buf[:len(x)])
+    for rows, upper in _sharp_stacks(t, xhat, t._sharp_upper):
         out[rows] = np.einsum('bp,bp->b', upper, upper)
     out *= 2.0
     return out
@@ -431,31 +409,28 @@ def sharp_power_sums(t: SymThreeTensor, xhat: np.ndarray,
     flops per row against the eigensolve's n^3: measured on 2 CPUs, the
     products win at every q_max <= n up to n = 36, but at n = 48 and 60
     they lose beyond q_max of about n / 2 (1.4x and 2.2x slower at
-    q_max = n).  Each step is one sharp GEMM stack, and the steps share
-    at most three stack-sized buffers.
+    q_max = n).  Each step is one _sharp_stacks stack, and M2 and one
+    product buffer sit beside its stack buffer.
     """
     xhat = _batch(t, xhat)
     n = t.n
     if not 1 <= q_max <= n:
         raise ValueError(f"q_max must lie in 1..{n}")
     out = np.empty((q_max, xhat.shape[0]))
-    # A_hat, M2 and, from q = 5 on, a third buffer: the products of
-    # q = 3, 7, ... take A_hat's buffer, those of q = 5, 9, ... the third
-    depth = 1 if q_max == 1 else 2 if q_max < 5 else 3
     bufs = None
-    for rows in _sharp_steps(t, xhat.shape[0]):
-        x = xhat[rows]
-        if bufs is None:     # sized by the first, largest stack
-            bufs = np.empty((depth, len(x), n, n))
-        m = bufs[0, :len(x)]     # sharp_batch's one GEMM, into the buffer
-        np.matmul(x, t._sharp_unfolding, out=m.reshape(len(x), n * n))
+    for rows, m in _sharp_stacks(t, xhat, t._sharp_unfolding):
+        m = m.reshape(-1, n, n)
         out[0, rows] = np.einsum('bij,bij->b', m, m)
         if q_max == 1:
             continue
-        m2 = low = np.matmul(m, m, out=bufs[1, :len(x)])
+        if bufs is None:     # M2 and a product buffer (used from q = 5)
+            bufs = np.empty((2, *m.shape))
+        m2 = low = np.matmul(m, m, out=bufs[0, :len(m)])
         for q in range(2, q_max + 1):   # at step q, low = M2^floor(q/2)
+            # the products of q = 3, 7, ... overwrite A_hat's stack,
+            # those of q = 5, 9, ... the product buffer
             high = (np.matmul(low, m2,
-                              out=bufs[0 if q % 4 == 3 else 2, :len(x)])
+                              out=m if q % 4 == 3 else bufs[1, :len(m)])
                     if q % 2 else low)
             out[q - 1, rows] = np.einsum('bij,bij->b', high, low)
             low = high
@@ -466,14 +441,14 @@ def spectra_batch(t: SymThreeTensor, xhat: np.ndarray) -> np.ndarray:
     """Spectra of the sharp matrices of a batch of source vectors, shape
     (B, n), each row ordered by decreasing |lambda|.
 
-    eigvalsh solves each matrix on its own, one sharp GEMM stack per
-    step.  Zero-trace hygiene: a row whose sum breaks SPECTRUM_TOL
-    (relative to its largest |lambda|) is recentred.
+    eigvalsh solves each _sharp_stacks stack from its buffer.
+    Zero-trace hygiene: a row whose sum breaks SPECTRUM_TOL (relative to
+    its largest |lambda|) is recentred.
     """
     xhat = _batch(t, xhat)
     w = np.empty(xhat.shape)
-    for rows in _sharp_steps(t, xhat.shape[0]):
-        w[rows] = np.linalg.eigvalsh(sharp_batch(t, xhat[rows]))
+    for rows, m in _sharp_stacks(t, xhat, t._sharp_unfolding):
+        w[rows] = np.linalg.eigvalsh(m.reshape(-1, t.n, t.n))
     norms = np.abs(w).max(axis=1)
     sums = w.sum(axis=1)
     bad = np.abs(sums) > SPECTRUM_TOL * np.maximum(1.0, norms)

@@ -57,13 +57,19 @@ def make_unit_tensor(rng, n=None):
     return chaos3.SymThreeTensor(n, entries, normalize=True)
 
 
+def entries(t):
+    """The triples of a SymThreeTensor as a dict of 1-based (i, j, k) keys
+    to values, in the order of its arrays."""
+    return dict(zip(map(tuple, (t.triples + 1).tolist()), t.values.tolist()))
+
+
 def write_tensor_file(t, path):
     """Write t in the plain-text format that chaos3.read_tensor_file reads."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# symmetric 3-tensor: dimension, then 'i j k value' "
                  "(1-based, i<j<k)\n")
         fh.write(f"{t.n}\n")
-        for (i, j, k), v in sorted(t.entries.items()):
+        for (i, j, k), v in sorted(entries(t).items()):
             fh.write(f"{i} {j} {k} {v:.17g}\n")
 
 

@@ -222,6 +222,14 @@ def test_laplace_examples():
         pytest.approx(1.0 / 3.0)
 
 
+def test_laplace_overflow_gives_the_exact_zero():
+    # 8 lam alpha^2 overflows to inf, and log1p(inf) = inf gives the
+    # exact limit 0; the suite turns an overflow warning into an error
+    f = DiagonalSecondChaos([1e5, 2e5])
+    assert chaos2.laplace_gamma(f, 1e300) == 0.0
+    assert chaos2.laplace_gamma(f, [0.0, 1e300]).tolist() == [1.0, 0.0]
+
+
 def test_laplace_domain():
     with pytest.raises(ValueError):
         chaos2.laplace_gamma(DiagonalSecondChaos([SQ2]), -0.1)

@@ -28,7 +28,7 @@ def triple_product():
 
 def test_make_tensor_normalization():
     t = triple_product()
-    assert t.entries[(1, 2, 3)] == pytest.approx(1.0 / 6.0)
+    assert oracles.entries(t)[(1, 2, 3)] == pytest.approx(1.0 / 6.0)
     p = t.to_polynomial()
     assert p.terms == {(1, 1, 1): pytest.approx(1.0)}
     assert isserlis_expectation(p * p) == pytest.approx(1.0)
@@ -36,8 +36,8 @@ def test_make_tensor_normalization():
 
 def test_complete_tensor_entry_value():
     t = family_generators("complete-3-tensor", 4)
-    assert len(t.entries) == 4
-    for v in t.entries.values():
+    assert len(oracles.entries(t)) == 4
+    for v in oracles.entries(t).values():
         assert abs(v) == pytest.approx(1.0 / 12.0)  # 1/sqrt(144)
     assert t.unit_variance
 
@@ -61,9 +61,10 @@ def test_normalize_survives_extreme_scales(scale):
     # the squares under- or overflow: once "all-zero" and 0.0 entries
     t = SymThreeTensor(6, {(1, 2, 3): scale, (4, 5, 6): scale},
                        normalize=True)
-    assert list(t.entries.values()) == [t.entries[(1, 2, 3)]] * 2
-    assert t.entries[(1, 2, 3)] == pytest.approx(1.0 / (6.0 * 2 ** 0.5),
-                                                 rel=1e-15)
+    entries = oracles.entries(t)
+    assert list(entries.values()) == [entries[(1, 2, 3)]] * 2
+    assert entries[(1, 2, 3)] == pytest.approx(1.0 / (6.0 * 2 ** 0.5),
+                                               rel=1e-15)
     assert t.unit_variance
 
 
@@ -96,7 +97,7 @@ def test_overflowing_tensor_raises_named_errors():
 
 def per_triple_reference(n, entries, normalize):
     """The tensor's storage built one triple at a time: the entries dict,
-    a, the variance, the triple scatter and the pair weights."""
+    a, the variance, the triple scatter and the pair weights 6a[:, j<k]."""
     canon = {tuple(int(i) for i in trip): float(v)
              for trip, v in entries.items()}
     if normalize:
@@ -148,11 +149,15 @@ def test_array_storage_matches_a_per_triple_reference(n):
         t = SymThreeTensor(n, entries, normalize=normalize)
         canon, a, variance, scatter, pairs = per_triple_reference(
             n, entries, normalize)
-        assert list(t.entries.items()) == list(canon.items())
-        assert all(type(i) is int for trip in t.entries for i in trip)
+        stored = oracles.entries(t)
+        assert list(stored.items()) == list(canon.items())
+        assert all(type(i) is int for trip in stored for i in trip)
         assert t.a.tobytes() == a.tobytes()
         assert t.variance == variance
-        assert t._pair_weights.tobytes() == pairs.tobytes()
+        # grad F = 2 U @ pairs(x): the pair weights are twice the upper
+        # unfolding, which is column-major
+        assert (2.0 * t._sharp_upper).tobytes() == pairs.tobytes()
+        assert t._sharp_upper.flags.f_contiguous
         left, right, w, sizes = t._scatter
         assert sizes == scatter[3]
         for got, ref in zip((left, right, w), scatter):
@@ -162,7 +167,7 @@ def test_array_storage_matches_a_per_triple_reference(n):
 def test_non_integer_triples_take_the_per_entry_route():
     # int() and float() of each entry, as the tensor file reader gives
     t = SymThreeTensor(4, {(1.0, 2, 3): 0.5, ("1", "2", "4"): "-0.25"})
-    assert t.entries == {(1, 2, 3): 0.5, (1, 2, 4): -0.25}
+    assert oracles.entries(t) == {(1, 2, 3): 0.5, (1, 2, 4): -0.25}
     assert t.triples.tolist() == [[0, 1, 2], [0, 1, 3]]
     assert t.values.tolist() == [0.5, -0.25]
     assert not t.triples.flags.writeable and not t.values.flags.writeable
@@ -329,6 +334,12 @@ def test_gamma_kernels_empty_batch():
         x = np.empty((0, t.n))
         assert chaos3._gamma_triples(t, x).shape == (0,)
         assert chaos3._gamma_pairs(t, x).shape == (0,)
+        assert chaos3.gamma_batch(t, x).shape == (0,)
+        # the sharp kernels issue no stack, and return their empty shape
+        assert chaos3.sharp_batch(t, x).shape == (0, t.n, t.n)
+        assert chaos3.trace_square_batch(t, x).shape == (0,)
+        assert chaos3.sharp_power_sums(t, x, 3).shape == (3, 0)
+        assert chaos3.spectra_batch(t, x).shape == (0, t.n)
 
 
 @pytest.mark.parametrize("case, triples", [
@@ -337,7 +348,7 @@ def test_gamma_kernels_empty_batch():
     ("random-40-sparse", True), ("random-40-dense", False)])
 def test_gamma_kernel_choice(case, triples):
     t = GAMMA_KERNEL_CASES[case]()
-    assert chaos3._triples_win(len(t.entries), t.n) is triples
+    assert chaos3._triples_win(t.values.size, t.n) is triples
 
 
 def test_gamma_batch_builds_no_sharp_matrix(monkeypatch):
@@ -349,8 +360,8 @@ def test_gamma_batch_builds_no_sharp_matrix(monkeypatch):
     x = np.random.default_rng(22).standard_normal((100, 20))
     assert np.all(chaos3.gamma_batch(t, x) > 0.0)
     assert "a" not in vars(t)     # the dense tensor is never built
-    with pytest.raises(ValueError):
-        t._pair_weights[0, 0] = 1.0
+    with pytest.raises(ValueError):     # the pair GEMM's weights
+        t._sharp_upper[0, 0] = 1.0
 
 
 def test_gamma_pairs_memory_is_one_slab():
@@ -361,7 +372,7 @@ def test_gamma_pairs_memory_is_one_slab():
     t = family_generators("complete-3-tensor", 40)
     rows = 4096
     x = np.random.default_rng(23).standard_normal((rows, t.n))
-    t._pair_weights     # cached with the tensor, not per call
+    t._sharp_upper     # cached with the tensor, not per call
     tracemalloc.start()
     try:
         g = chaos3.gamma_batch(t, x)
@@ -483,7 +494,7 @@ def test_spectrum_invariant_under_permutation(unit_tensor_factory):
     perm = rng.permutation(5)
     relabelled = SymThreeTensor(5, {
         tuple(sorted(int(perm[i - 1]) + 1 for i in trip)): v
-        for trip, v in t.entries.items()})
+        for trip, v in oracles.entries(t).items()})
     xh = rng.standard_normal((8, 5))
     yh = np.empty_like(xh)
     yh[:, perm] = xh
@@ -870,9 +881,9 @@ def test_smallball_sparse_tensor_builds_no_dense_array():
 
 def test_dense_array_built_on_access():
     t = random_sparse_tensor(9, 0.5, 7)
-    assert "a" not in vars(t) and "entries" not in vars(t)
+    assert "a" not in vars(t)
     dense = np.zeros((9, 9, 9))
-    for trip, v in t.entries.items():
+    for trip, v in oracles.entries(t).items():
         for p in itertools.permutations(trip):
             dense[tuple(i - 1 for i in p)] = v
     assert np.array_equal(t.a, dense)
@@ -1030,7 +1041,7 @@ def test_spectra_batch_matches_single_spectra_across_steps():
     t = family_generators("complete-3-tensor", 20)
     xh = np.random.default_rng(12).standard_normal((1500, 20))
     lams = chaos3.spectra_batch(t, xh)
-    assert len(list(chaos3._sharp_steps(t, xh.shape[0]))) > 2
+    assert len(list(chaos3._sharp_stacks(t, xh, t._sharp_unfolding))) > 2
     single = np.array([oracles.spectrum(m)[0]
                        for m in chaos3.sharp_batch(t, xh)])
     assert np.allclose(np.sort(lams, axis=1), np.sort(single, axis=1),
@@ -1043,7 +1054,7 @@ def test_trace_square_batch_matches_unstepped_einsum():
     # partial one
     t = family_generators("complete-3-tensor", 24)
     xh = np.random.default_rng(13).standard_normal((2000, 24))
-    assert len(list(chaos3._sharp_steps(t, xh.shape[0]))) > 4
+    assert len(list(chaos3._sharp_stacks(t, xh, t._sharp_upper))) > 4
     got = chaos3.trace_square_batch(t, xh)
     m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
     assert np.allclose(got, np.einsum('bij,bij->b', m, m),
@@ -1193,7 +1204,7 @@ def test_sharp_power_sums_match_unstepped_products(q_max):
     # partial one
     t = _dense_unit_tensor(20, 16)
     xh = np.random.default_rng(17).standard_normal((1500, 20))
-    assert len(list(chaos3._sharp_steps(t, xh.shape[0]))) > 2
+    assert len(list(chaos3._sharp_stacks(t, xh, t._sharp_unfolding))) > 2
     got = chaos3.sharp_power_sums(t, xh, q_max)
     m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
     for q in range(1, q_max + 1):
@@ -1234,15 +1245,19 @@ def test_sharp_power_sums_zero_rows(q_max):
 
 
 @pytest.mark.parametrize("call", [
+    lambda t, x: chaos3.sharp_batch(t, x),
     lambda t, x: chaos3.spectra_batch(t, x),
     lambda t, x: chaos3.trace_square_batch(t, x),
     lambda t, x: chaos3.sharp_power_sums(t, x, 2),
     lambda t, x: chaos3.gamma_batch(t, x),
-], ids=["spectra_batch", "trace_square_batch", "sharp_power_sums",
-        "gamma_batch"])
-@pytest.mark.parametrize("shape", [(4,), (2, 5), (2, 4, 4)],
-                         ids=["1-d", "wrong-width", "3-d"])
+], ids=["sharp_batch", "spectra_batch", "trace_square_batch",
+        "sharp_power_sums", "gamma_batch"])
+@pytest.mark.parametrize("shape", [(), (4,), (2, 5), (0, 5), (2, 4, 4)],
+                         ids=["0-d", "1-d", "wrong-width", "empty-wrong-width",
+                              "3-d"])
 def test_batch_shape_errors(call, shape):
+    # a named error, not a TypeError from len() of a scalar, and raised
+    # even where the batch would issue no GEMM stack
     t = family_generators("complete-3-tensor", 4)
     with pytest.raises(ValueError, match=r"batch must have shape \(B, 4\)"):
         call(t, np.ones(shape))
@@ -1351,7 +1366,8 @@ def test_tensor_file_normalize(tmp_path):
     assert chaos3.read_tensor_file(path).variance == pytest.approx(405.0)
     t = chaos3.read_tensor_file(path, normalize=True)
     assert t.unit_variance
-    assert t.entries[(4, 5, 6)] == pytest.approx(-2.0 * t.entries[(1, 2, 3)])
+    entries = oracles.entries(t)
+    assert entries[(4, 5, 6)] == pytest.approx(-2.0 * entries[(1, 2, 3)])
 
 
 def test_tensor_file_parse_errors(tmp_path):
@@ -1364,7 +1380,7 @@ def test_tensor_file_parse_errors(tmp_path):
         chaos3.read_tensor_file(p)
     p.write_text("# dim\n3\n1 2 3 0.25\n")
     t = chaos3.read_tensor_file(p)
-    assert t.entries[(1, 2, 3)] == 0.25
+    assert oracles.entries(t)[(1, 2, 3)] == 0.25
     p.write_text("4\n1 2 3 0.5\n1 2 4 1.0\n1 2 3 -7.0\n")
     with pytest.raises(ValueError,
                        match=r"bad\.txt:4: triple \(1, 2, 3\) repeats the "

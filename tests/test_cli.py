@@ -39,9 +39,9 @@ def test_chi2_average_kappa4():
 
 def test_complete_tensor_family():
     t = cli.family_generators("complete-3-tensor", 4)
-    assert len(t.entries) == 4
+    assert len(oracles.entries(t)) == 4
     assert all(abs(v) == pytest.approx(1.0 / math.sqrt(144.0))
-               for v in t.entries.values())
+               for v in oracles.entries(t).values())
 
 
 def test_spiked_tensor_family_keeps_kappa4_large():
@@ -1067,6 +1067,35 @@ def test_gamma_spec_at_huge_xi(tmp_path):
     assert cli.main(["run", str(p)]) == 0
     (check,) = read_manifest(out)["assertions"]
     assert check["passed"] and check["statistic"] == 0.0
+
+
+def test_gamma_spec_left_side_overflows_to_its_exact_zero(tmp_path):
+    # at xi = 1e154, xi^2 Gamma / 2 overflows and exp(-inf) = 0 is exact:
+    # once an overflow warning, so a traceback under the suite's
+    # warnings-as-errors filter.  The verdict is not checked: the right
+    # side underflows to a subnormal with stderr 0.
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "gamma-spec",
+                     ["kind = complete-3-tensor", "size = 4"],
+                     ["xi = 1e154"], samples=2000, out=out)
+    assert cli.main(["run", str(p)]) in (0, 1)
+    header, row = (out / "gamma_spec.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["lhs"] == 0.0 and values["lhs_se"] == 0.0
+
+
+def test_laplace_check_overflows_to_its_exact_zero(tmp_path):
+    # lambda = 1e300 on alphas of 1e5 and 2e5: both lambda alpha^2 in the
+    # closed form and lambda Gamma in the samples overflow, and the exact
+    # transform is 0 (once an overflow warning, so a traceback here)
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "laplace-check",
+                     ["kind = diagonal", "alphas = 1e5, 2e5"],
+                     ["lambda = 1e300"], samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 0
+    header, row = (out / "laplace_check.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["closed_form"] == values["mc_mean"] == 0.0
 
 
 def test_trace_concentration_checks_the_model_class(tmp_path, capsys):
