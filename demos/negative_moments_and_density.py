@@ -1,13 +1,15 @@
 """Negative moments by Mellin quadrature and density recovery by Fourier
-inversion, both cross-checked against closed forms and Monte Carlo."""
+inversion, both cross-checked against closed forms and, through the
+experiment runner, against Monte Carlo and the fourth-moment bound."""
 
 import math
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
-from wienerchaos import chaos2, mc
+from wienerchaos import chaos2
 from wienerchaos.chaos2 import DiagonalSecondChaos
+
+from _experiment import run
 
 
 def main():
@@ -16,19 +18,17 @@ def main():
     print("=" * 72)
     f = DiagonalSecondChaos([2 ** -0.5])
     val = chaos2.negative_moment(f, 0.25)
-    closed = float(gamma_fn(0.25)) / math.sqrt(2 * math.pi)
+    closed = math.gamma(0.25) / math.sqrt(2 * math.pi)
     print(f"E Gamma^(-1/4) for Gamma = 2 G^2:")
     print(f"  mellin quadrature: {val:.10f}")
     print(f"  closed form      : {closed:.10f}   (Gamma(1/4)/sqrt(2 pi))")
 
-    f2 = DiagonalSecondChaos([0.5, 0.5])
-    val2 = chaos2.negative_moment(f2, 0.5)
-    est = mc.estimate(lambda x: f2.sample_gamma(x) ** -0.5, 400_000,
-                      mc.RngSpec(3), f2.m)
+    (r,) = run("negmoment2", {"kind": "diagonal", "alphas": "0.5, 0.5"},
+               {"q": 0.5}, samples=400_000, seed=3).csv["negmoment2.csv"]
     print(f"\nE Gamma^(-1/2) for Gamma = chi^2_2:")
-    print(f"  mellin quadrature: {val2:.10f}  (exact sqrt(pi/2) = "
+    print(f"  mellin quadrature: {r['mellin']:.10f}  (exact sqrt(pi/2) = "
           f"{math.sqrt(math.pi / 2):.10f})")
-    print(f"  monte carlo      : {est.mean:.6f} +- {est.stderr:.6f}")
+    print(f"  monte carlo      : {r['mc_mean']:.6f} +- {r['mc_se']:.6f}")
 
     print("\ndivergence detection: q >= m/2 is rejected")
     try:
@@ -40,17 +40,12 @@ def main():
     print("density by inversion of the characteristic function")
     print("=" * 72)
     for n in (4, 16, 64):
-        fam = DiagonalSecondChaos(np.full(n, 1.0 / np.sqrt(2 * n)))
-        xs, dens = chaos2.density_by_inversion(fam, -4.0, 4.0, 0.01)
-        mass = float(np.trapezoid(dens, xs))
-        mode = float(xs[np.argmax(dens)])
-        gauss = np.exp(-xs * xs / 2) / math.sqrt(2 * math.pi)
-        tv = 0.5 * float(np.trapezoid(np.abs(dens - gauss), xs))
-        kappa4 = chaos2.newton_cumulants(fam, 2).cumulants[1]
-        bound = math.sqrt(kappa4 / 3.0)
-        print(f"  n={n:<3d} mass={mass:.5f}  mode={mode:+.3f}  "
-              f"tv-to-gauss={tv:.4f}  (fourth-moment bound "
-              f"{min(bound, 1):.4f})")
+        res = run("density", {"kind": "chi2-average", "size": n})
+        tab, tv = res.csv["density.csv"], res.checks["tv_bound"]
+        mode = tab["x"][np.argmax(tab["density"])]
+        print(f"  n={n:<3d} mass={res.checks['mass_unit']['statistic']:.5f}"
+              f"  mode={mode:+.3f}  tv-to-gauss={tv['statistic']:.4f}  "
+              f"(fourth-moment bound {tv['reference']:.4f})")
     print("  the mode moves to 0 and the density tightens onto the "
           "standard normal as kappa_4 = 12/n vanishes")
 

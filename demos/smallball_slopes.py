@@ -1,59 +1,52 @@
 """Small-ball behaviour of Gamma[F,F] in the third chaos: empirical tail
 curves, fitted log-log slopes against the Carbery-Wright baseline 1/4, and
-the trace-concentration contrast between families."""
+the trace-concentration contrast between families.  The curves, slopes
+and negative moments are runs of the experiment runner."""
 
-import numpy as np
+from wienerchaos import chaos2, chaos3
+from wienerchaos.cli import family_generators
 
-from wienerchaos import chaos3, mc
-from wienerchaos.cli import MIN_HITS, family_generators
+from _experiment import X1X2X3, run
 
 
-def slope_line(label, t, n_samples, seed):
-    eps = np.geomspace(0.01, 0.3, 8)
-    (hits,) = mc.reduce(lambda x: chaos3.gamma_batch(t, x), n_samples,
-                        mc.RngSpec(seed), t.n, mc.Hits(eps))
-    (phat,), (se,) = hits.fractions()
-    counts = hits.counts[0]
+def slope_line(label, model, n_samples, seed):
+    res = run("smallball3", model, samples=n_samples, seed=seed)
+    (fit,) = res.csv["smallball3_fit.csv"]
     # the runner's rule: a point enters the fit with enough hits and misses
-    used = (counts >= MIN_HITS) & (hits.n - counts >= MIN_HITS)
-    slope, slope_se = mc.loglog_slope(eps[used], phat[used], se[used])
-    flag = (f" (grid widened: points with fewer than {MIN_HITS} hits"
-            " or misses left the fit)") if not used.all() else ""
-    print(f"\n{label}: slope = {slope:.4f} +- {slope_se:.4f}{flag}")
+    flag = " (grid widened: points with too few hits or misses left the " \
+        "fit)" if fit["widened"] else ""
+    print(f"\n{label}: slope = {fit['slope']:.4f} +- {fit['slope_se']:.4f}"
+          f"{flag}")
     print("  eps      P(Gamma < eps)   hits")
-    for e, p, h, u in zip(eps, phat, counts, used):
-        mark = "" if u else "   [excluded]"
-        print(f"  {e:<8.4f} {p:<15.6g}  {h}{mark}")
-    return slope, slope_se
+    for r in res.csv["smallball3.csv"]:
+        mark = "" if r["used_in_fit"] else "   [excluded]"
+        print(f"  {r['eps']:<8.4f} {r['phat']:<15.6g}  {r['hits']:g}{mark}")
+    return res.checks["cw_exceedance"]
 
 
 def main():
     print("=" * 72)
     print("small-ball slopes of Gamma[F,F] (Carbery-Wright baseline: 1/4)")
     print("=" * 72)
-    t3 = chaos3.SymThreeTensor(3, {(1, 2, 3): 1.0}, normalize=True)
-    slope_line("F = X1 X2 X3", t3, 500_000, seed=5)
+    slope_line("F = X1 X2 X3", X1X2X3, 500_000, seed=5)
 
-    t20 = family_generators("complete-3-tensor", 20)
-    slope, slope_se = slope_line("complete tensor, N = 20 (1e6 samples)",
-                                 t20, 1_000_000, seed=6)
-    print(f"  baseline exceedance: ({slope:.3f} - 0.25)/se = "
-          f"{(slope - 0.25) / slope_se:.0f} standard errors")
+    cw = slope_line("complete tensor, N = 20 (1e6 samples)",
+                    {"kind": "complete-3-tensor", "size": 20}, 1_000_000,
+                    seed=6)
+    print(f"  baseline exceedance: ({cw['statistic']:.3f} - 0.25)/se = "
+          f"{cw['z']:.0f} standard errors")
 
     print("\nnegative moments E Gamma^(-theta) with the heavy-tail flag:")
-    thetas = (0.25, 0.5, 0.9)
-
-    def powers(x):
-        g = chaos3.gamma_batch(t3, x)
-        return np.stack([g ** -theta for theta in thetas], axis=1)
-
-    moments, top = mc.reduce(powers, 200_000, mc.RngSpec(7), t3.n,
-                             mc.Moments(), mc.TopShare(200_000 // 1000))
-    for theta, est, share in zip(thetas, moments.results(), top.share):
+    for r in run("negmoment3", X1X2X3, {"theta": "0.25, 0.5"},
+                 samples=200_000, seed=7).csv["negmoment3.csv"]:
         flag = "UNSTABLE (top 0.1% carries >50% of the mass)" \
-            if share > 0.5 else "stable"
-        print(f"  theta={theta:<5g} mean={est.mean:<10.5g} "
-              f"top-share={share:.3f}  {flag}")
+            if r["unstable"] else "stable"
+        print(f"  theta={r['theta']:<5g} mean={r['mean']:<10.5g} "
+              f"top-share={r['top_share']:.3f}  {flag}")
+    try:
+        run("negmoment3", X1X2X3, {"theta": 0.9})
+    except chaos2.DivergenceError as exc:
+        print(f"  theta=0.9   DivergenceError: {exc}")
 
     print("\ntrace concentration: Var Tr(A_hat^2) against kappa_4")
     print("  family             N    kappa_4     Var Tr(A_hat^2)")

@@ -6,14 +6,15 @@ an independent Gaussian copy satisfies, for every real xi,
 
     E exp(-Gamma[F,F] xi^2 / 2)  =  E_hat prod_k (1 - 2 i xi lam_k)^(-1/2),
 
-so the spectrum {lam_k} carries the whole law of Gamma[F,F]."""
-
-import math
+so the spectrum {lam_k} carries the whole law of Gamma[F,F].  The Monte
+Carlo sides are runs of the experiment runner."""
 
 import numpy as np
 
-from wienerchaos import chaos2, chaos3, mc
+from wienerchaos import chaos2, chaos3
 from wienerchaos.cli import family_generators
+
+from _experiment import X1X2X3, run
 
 
 def main():
@@ -29,29 +30,11 @@ def main():
 
     print("\nspectral identity, both sides estimated independently "
           "(2e4 samples):")
-    xis = (0.5, 1.0, 2.0)
-
-    def lhs_fn(x):
-        g = chaos3.gamma_batch(t, x)
-        return np.stack([np.exp(-0.5 * xi * xi * g) for xi in xis], axis=1)
-
-    def rhs_fn(xh):
-        lams = chaos3.spectra_batch(t, xh)
-        z = np.stack([np.exp(chaos2.log_char_product(xi * lams))
-                      for xi in xis], axis=1)
-        return np.concatenate([z.real, z.imag], axis=1)
-
-    # each side from its own stream of the same seed
-    (lhs,) = mc.reduce(lhs_fn, 20_000, mc.RngSpec(11, 0), t.n, mc.Moments())
-    (rhs,) = mc.reduce(rhs_fn, 20_000, mc.RngSpec(11, 1), t.n, mc.Moments())
-    parts = rhs.results()     # real parts, then imaginary parts
-    for xi, left, re, im in zip(xis, lhs.results(), parts, parts[len(xis):]):
-        gap = mc.EstimatorResult(left.mean - re.mean,
-                                 math.hypot(left.stderr, re.stderr), left.n)
-        print(f"  xi={xi:<4g} "
-              f"lhs={left.mean:.5f}+-{left.stderr:.5f}  "
-              f"Re rhs={re.mean:.5f}+-{re.stderr:.5f}  "
-              f"Im rhs={im.mean:+.5f}  agree={gap.within(0.0, 3.0)}")
+    for r in run("gamma-spec", X1X2X3, samples=20_000, seed=11
+                 ).csv["gamma_spec.csv"]:
+        print(f"  xi={r['xi']:<4g} lhs={r['lhs']:.5f}+-{r['lhs_se']:.5f}  "
+              f"Re rhs={r['rhs_re']:.5f}+-{r['rhs_re_se']:.5f}  "
+              f"Im rhs={r['rhs_im']:+.5f}  agree={bool(r['real_pass'])}")
 
     tf = chaos3.trace_form(t)
     print(f"\ntrace form Tr(A_hat^2) = sum beta_k G_k^2:")
@@ -71,15 +54,12 @@ def main():
     print("  family             N    ||lam_1||_2      kappa_4 (exact)")
     for kind in ("complete-3-tensor", "block-3-tensor"):
         for n in (6, 12, 24):
-            fam = family_generators(kind, n)
-            raw = mc.estimate(
-                lambda xh: chaos3.spectra_batch(fam, xh)[:, 0] ** 2,
-                20_000, mc.RngSpec(13), fam.n)
-            # ||lam_1||_2 = (E lam_1^2)^(1/2), its stderr by the delta method
-            norm = raw.mean ** 0.5
-            se = norm * raw.stderr / (2 * raw.mean)
-            k4 = chaos3.kappa4_contraction(fam)
-            print(f"  {kind:<18s} {n:<4d} {norm:.4f}+-{se:.4f}"
+            # ||lam_1||_2 = (E lam_1^2)^(1/2), the runner's p = 1
+            (r,) = run("spectral-radius", {"kind": kind, "size": n},
+                       {"p": 1}, samples=20_000, seed=13
+                       ).csv["spectral_radius.csv"]
+            k4 = chaos3.kappa4_contraction(family_generators(kind, n))
+            print(f"  {kind:<18s} {n:<4d} {r['norm_2p']:.4f}+-{r['se']:.4f}"
                   f"    {k4:.4f}")
     print("  the block family (kappa_4 = 72/N -> 0) shows the shrinking "
           "spectral radius;\n  the complete family converges to the cubic "

@@ -190,10 +190,19 @@ def laplace_gamma(f: DiagonalSecondChaos, lam):
     lam_arr = np.asarray(lam, dtype=float)
     if (lam_arr < 0).any():
         raise ValueError("lam must be >= 0")
-    a2 = f.alphas[f.alphas != 0.0] ** 2
-    with np.errstate(over="ignore"):    # inf: exp(-log1p(inf)) = 0, exact
+    a = f.alphas[f.alphas != 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a ** 2
+        # inf where lam alpha^2 overflows: exp(-log1p(inf)) = 0
         lam_a2 = 8.0 * np.multiply.outer(lam_arr, a2)
-    return np.exp(-0.5 * np.log1p(lam_a2).sum(-1))
+    logs = np.log1p(lam_a2)
+    big = np.isinf(a2)    # alpha^2 overflowed: log1p(8 lam alpha^2) by logs
+    if big.any():
+        with np.errstate(divide="ignore"):    # lam = 0: log 0 = -inf
+            logs[..., big] = np.logaddexp(
+                0.0, (math.log(8.0) + np.log(lam_arr))[..., None]
+                + 2.0 * np.log(np.abs(a[big])))
+    return np.exp(-0.5 * logs.sum(-1))
 
 
 def thm1_threshold(p: int) -> float:

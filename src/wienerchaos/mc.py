@@ -83,10 +83,6 @@ class EstimatorResult:
     stderr: float
     n: int
 
-    def within(self, value: float, k: float = 3.0) -> bool:
-        """|mean - value| <= k standard errors (stderr 0 demands equality)."""
-        return abs(self.mean - value) <= k * self.stderr
-
 
 def chunks(spec: RngSpec, n: int):
     """Yield (block_index, count, generator) covering n samples.

@@ -63,6 +63,12 @@ def entries(t):
     return dict(zip(map(tuple, (t.triples + 1).tolist()), t.values.tolist()))
 
 
+def within(est, value, k):
+    """|mean - value| <= k standard errors of an mc.EstimatorResult
+    (stderr 0 demands equality)."""
+    return abs(est.mean - value) <= k * est.stderr
+
+
 def write_tensor_file(t, path):
     """Write t in the plain-text format that chaos3.read_tensor_file reads."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ import pytest
 
 from wienerchaos import chaos2, mc
 from wienerchaos.chaos2 import DiagonalSecondChaos, MultivariateSecondChaos
+from wienerchaos.cli import family_generators
 from wienerchaos.wick import (
     GaussianPolynomial,
     cumulants_from_moment_sequence,
@@ -230,6 +231,18 @@ def test_laplace_overflow_gives_the_exact_zero():
     assert chaos2.laplace_gamma(f, [0.0, 1e300]).tolist() == [1.0, 0.0]
 
 
+def test_laplace_overflowing_coefficient_takes_the_log_route():
+    # alpha^2 = 1e400 overflows: log1p(8 lam alpha^2) is taken as
+    # logaddexp(0, log 8 + log lam + 2 log alpha), so no nan at lam = 0
+    # and no 0 where the transform is 3.5e-51 (the suite turns the
+    # overflow and invalid-value warnings of the plain route into errors)
+    f = DiagonalSecondChaos([1e200, 1.0])
+    exact = [1.0, (1.0 + 8e100) ** -0.5,
+             math.exp(-0.5 * (math.log(8.0) + 400.0 * math.log(10.0))) / 3.0]
+    assert chaos2.laplace_gamma(f, [0.0, 1e-300, 1.0]) == \
+        pytest.approx(exact, rel=1e-12)
+
+
 def test_laplace_domain():
     with pytest.raises(ValueError):
         chaos2.laplace_gamma(DiagonalSecondChaos([SQ2]), -0.1)
@@ -248,7 +261,7 @@ def test_laplace_matches_mc(lam):
     f = DiagonalSecondChaos([0.5, 0.5])
     est = mc.estimate(lambda x: np.exp(-lam * f.sample_gamma(x)), 200_000,
                       mc.RngSpec(17), f.m)
-    assert est.within(chaos2.laplace_gamma(f, lam), 4.0)
+    assert oracles.within(est, chaos2.laplace_gamma(f, lam), 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +426,7 @@ def test_negative_moment_matches_mc():
     assert val == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-7)
     est = mc.estimate(lambda x: f.sample_gamma(x) ** -0.5, 400_000,
                       mc.RngSpec(29), f.m)
-    assert est.within(val, 3.0)
+    assert oracles.within(est, val, 3.0)
 
 
 def chi2_average(m):
@@ -475,6 +488,23 @@ def test_negative_moment_matches_quadrature_oracle(family, qs):
         ref = oracles.mellin_quad_negative_moment(family, q)
         assert chaos2.negative_moment(family, q) == pytest.approx(
             ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_thm1_extremal_family(p):
+    # chi2-average m = p-1 has the least kappa_4 = 12/m of any m nonzero
+    # coefficients, and 1/Gamma is in L^q for q < m/2 only: no threshold
+    # above 12/(p-1) can certify q < p/2
+    m = p - 1
+    f = family_generators("chi2-average", m)
+    assert chaos2.newton_cumulants(f, 2).cumulants[1] == \
+        pytest.approx(12.0 / m, rel=1e-14)
+    with pytest.raises(chaos2.DivergenceError):
+        chaos2.negative_moment(f, m / 2)
+    # Gamma = (2/m) chi^2_m: E Gamma^(-q) = (m/4)^q G(m/2 - q) / G(m/2)
+    q = m / 4
+    exact = (m / 4) ** q * math.gamma(m / 2 - q) / math.gamma(m / 2)
+    assert chaos2.negative_moment(f, q) == pytest.approx(exact, rel=1e-12)
 
 
 def test_negative_moment_divergence():

@@ -10,6 +10,8 @@ import pytest
 from wienerchaos import chaos2, chaos3, mc
 from wienerchaos.cli import family_generators
 
+import oracles
+
 
 def test_gaussian_vector_deterministic():
     spec = mc.RngSpec(seed=42, stream=0)
@@ -43,14 +45,14 @@ def test_estimate_constant():
 
 def test_estimate_chi_square():
     res = mc.estimate(lambda x: x[:, 0] ** 2, 200_000, mc.RngSpec(5), 1)
-    assert res.within(1.0, 4.0)
+    assert oracles.within(res, 1.0, 4.0)
 
 
 def test_estimate_matches_laplace_transform():
     f = chaos2.DiagonalSecondChaos([2 ** -0.5])
     res = mc.estimate(lambda x: np.exp(-f.sample_gamma(x)), 200_000,
                       mc.RngSpec(6), f.m)
-    assert res.within(chaos2.laplace_gamma(f, 1.0), 4.0)
+    assert oracles.within(res, chaos2.laplace_gamma(f, 1.0), 4.0)
 
 
 def test_estimate_reproducible_bitwise():
@@ -96,8 +98,8 @@ def test_estimate_complex():
     (m,) = mc.reduce(fn, 200_000, mc.RngSpec(8), 1, mc.Moments())
     re, im = m.results()
     # E exp(iG) = exp(-1/2)
-    assert re.within(np.exp(-0.5), 4.0)
-    assert im.within(0.0, 4.0)
+    assert oracles.within(re, np.exp(-0.5), 4.0)
+    assert oracles.within(im, 0.0, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +578,29 @@ def test_library_does_not_import_mc(module):
     assert not [n for n in names if n.split(".")[-1] == "mc"], names
 
 
+# the Monte Carlo machinery that only the runner drives
+MC_NAMES = {"reduce", "estimate", "Moments", "Hits", "TopShare",
+            "loglog_slope"}
+
+
+def test_demos_run_the_runner():
+    # a demo prints the runner's estimates and gates, not its own copies;
+    # it runs on numpy alone, without the oracle polynomials of wick
+    for path in (Path(mc.__file__).parents[2] / "demos").glob("*.py"):
+        names = imported_names(path)
+        assert not [n for n in names
+                    if n.split(".")[-1] in {"mc", "wick"}
+                    or n.split(".")[0] == "scipy"], path
+        used = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(ast.parse(path.read_text(
+                    encoding="utf-8")))
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not used & MC_NAMES, path
+
+
 def test_src_does_not_import_scipy():
-    # the library runs on numpy alone; scipy serves the tests and demos
+    # the library runs on numpy alone; scipy serves the tests and the
+    # benchmark only
     for path in Path(mc.__file__).parent.glob("*.py"):
         names = imported_names(path)
         assert not [n for n in names if n.split(".")[0] == "scipy"], path
