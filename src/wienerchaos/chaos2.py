@@ -184,24 +184,24 @@ def check_sp_deviation(f: DiagonalSecondChaos, p: int) -> SpDeviation:
 def laplace_gamma(f: DiagonalSecondChaos, lam):
     """E exp(-lam * Gamma[F,F]) = prod_k (1 + 8 lam alpha_k^2)^(-1/2).
 
-    The product runs over the nonzero coefficients.  Takes lam of any
-    shape and returns that shape (0-d for a scalar).
+    The product runs over the nonzero coefficients, and a factor whose
+    8 lam alpha_k^2 overflows is taken by logs.  Takes lam of any shape
+    and returns that shape (0-d for a scalar).
     """
     lam_arr = np.asarray(lam, dtype=float)
     if (lam_arr < 0).any():
         raise ValueError("lam must be >= 0")
     a = f.alphas[f.alphas != 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = a ** 2
-        # inf where lam alpha^2 overflows: exp(-log1p(inf)) = 0
-        lam_a2 = 8.0 * np.multiply.outer(lam_arr, a2)
-    logs = np.log1p(lam_a2)
-    big = np.isinf(a2)    # alpha^2 overflowed: log1p(8 lam alpha^2) by logs
+        lam_a2 = 8.0 * np.multiply.outer(lam_arr, a ** 2)
+    # inf, or nan (0 * inf) at lam = 0: log1p(8 lam alpha^2) by logs
+    big = ~np.isfinite(lam_a2)
+    logs = np.log1p(lam_a2, where=~big, out=np.empty_like(lam_a2))
     if big.any():
         with np.errstate(divide="ignore"):    # lam = 0: log 0 = -inf
-            logs[..., big] = np.logaddexp(
+            logs[big] = np.logaddexp(
                 0.0, (math.log(8.0) + np.log(lam_arr))[..., None]
-                + 2.0 * np.log(np.abs(a[big])))
+                + 2.0 * np.log(np.abs(a)))[big]
     return np.exp(-0.5 * logs.sum(-1))
 
 
@@ -528,17 +528,44 @@ def cross_gamma_stats(m: MultivariateSecondChaos) -> CrossGammaStats:
     that the runner checks at that direction,
     Var(Gamma[F_t, F_t]) <= max_i Var(Gamma[F_i, F_i])
                             + d^2 max_{i != j} ||Gamma[F_i, F_j]||_2.
+    The moments are taken on the matrices times 2^-e (_unit_scaled) and
+    scaled back exactly, by 2^(4e) and 2^(2e).
     """
     d = m.d
-    prod = m.products()
+    s, e = _unit_scaled(m)
+    prod = s.products()
     gmat = 2.0 * (prod + prod.swapaxes(2, 3))  # symmetrized 4 X'A_iA_jX
     tr_g2 = np.sum(gmat * gmat, axis=(2, 3))   # Tr(G^2), G symmetric
-    var_diag = 2.0 * np.diagonal(tr_g2)
-    cross = np.sqrt(np.trace(gmat, axis1=2, axis2=3) ** 2 + 2.0 * tr_g2)
+    var_diag = _rescaled("Var Gamma[F_i, F_i]", 2.0 * np.diagonal(tr_g2),
+                         4 * e)
+    cross = _rescaled("||Gamma[F_i, F_j]||_2", np.sqrt(
+        np.trace(gmat, axis1=2, axis2=3) ** 2 + 2.0 * tr_g2), 2 * e)
     off = cross[~np.eye(d, dtype=bool)]
     rhs = float(var_diag.max() + (d ** 2) * off.max(initial=0.0))
     k4 = sphere_kappa4_max(m)
     return CrossGammaStats(var_diag, cross, rhs, k4, 2.0 / 3.0 * k4.value)
+
+
+def _unit_scaled(m: MultivariateSecondChaos):
+    """(m's matrices times 2^-e, e), e the frexp exponent of the largest
+    |entry|: the scaled entries lie below 1, so no moment of degree 4
+    over- or underflows, and the scaling is exact."""
+    _, e = math.frexp(float(np.abs(m.mats).max()))
+    s = object.__new__(MultivariateSecondChaos)    # checked as m was
+    s.mats = np.ldexp(m.mats, -e)
+    return s, e
+
+
+def _rescaled(name: str, x, k: int):
+    """x * 2^k, exactly, or a PreconditionError naming a statistic that
+    overflows or underflows to 0 from a nonzero x."""
+    with np.errstate(over="ignore", under="ignore"):
+        y = np.ldexp(x, k)
+    if not (np.all(np.isfinite(y)) and np.all((y != 0) | (x == 0))):
+        raise PreconditionError(
+            f"{name} overflows or underflows: {np.max(np.abs(x)):.6g} * "
+            f"2^{k}; rescale the matrices")
+    return y
 
 
 @dataclass(frozen=True)
@@ -564,21 +591,23 @@ def sphere_kappa4_max(m: MultivariateSecondChaos) -> Kappa4Max:
     change when the matrices are scaled.  The search stops at the first
     step that gains at most 1e-15 relative, or at a zero gradient.  The
     reported value is a lower bound of the true maximum (a local maximum
-    reached from the grid's best point).
+    reached from the grid's best point).  The search runs on the matrices
+    times 2^-e (_unit_scaled), and its value is scaled back by 2^(4e).
     """
+    s, e = _unit_scaled(m)
     grid = sphere_grid(m.d)
-    values = kappa4_of_directions(m, grid)
+    values = kappa4_of_directions(s, grid)
     best = int(np.argmax(values))     # the first of equal maxima
     best_v, t = float(values[best]), grid[best]
     while True:
-        at = m.combined(t)
-        g = np.tensordot(m.mats, at @ at @ at, axes=2)   # Tr(A_t^3 A_i)
+        at = s.combined(t)
+        g = np.tensordot(s.mats, at @ at @ at, axes=2)   # Tr(A_t^3 A_i)
         norm = np.linalg.norm(g)
         if norm == 0.0:
             break
         cand = g / norm
-        v = float(kappa4_of_directions(m, cand[None])[0])
+        v = float(kappa4_of_directions(s, cand[None])[0])
         if not v > best_v + 1e-15 * best_v:    # a NaN stops the search too
             break
         best_v, t = v, cand
-    return Kappa4Max(best_v, t)
+    return Kappa4Max(float(_rescaled("kappa4_max", best_v, 4 * e)), t)

@@ -13,9 +13,10 @@ through E exp(-Gamma xi^2 / 2) = E_hat prod_k (1 - 2 i xi lam_k)^(-1/2).
 
 The module holds the tensor, batch kernels that map Gaussian points to
 Gamma, sharp matrices, their Newton sums and spectra, and the exact
-routes (trace form, kappa_4 and Var Gamma).  The dense kernels read two
-cached contractions of the tensor: the unfolding 3a.reshape(n, n^2),
-with A_hat(xhat) = xhat @ it, and its columns i < j, U, with
+routes (trace form, kappa_4 and Var Gamma).  One expansion of the
+triples builds two cached forms of the tensor: the sharp unfolding
+3a.reshape(n, n^2), with A_hat(xhat) = xhat @ it, which the exact routes
+contract, and its columns i < j, U, with
 grad F(x) = 2 U @ (x_j x_k)_{j<k}; the sharp kernels issue their GEMMs
 through one stack loop, _sharp_stacks.  It draws nothing: the runner
 reduces the kernels by Monte Carlo and decides every check.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -58,9 +58,9 @@ class SymThreeTensor:
 
     The triples are held as arrays: `triples`, the 0-based index rows
     i < j < k of shape (nnz, 3), and `values`, in the order given; both are
-    read-only.  The dense array `a`, with all permutations filled in, and
-    the sharp unfoldings are built on first access; gamma_batch never
-    builds `a`.
+    read-only.  The kernels' dense forms are built on first access from
+    one expansion of the triples, _slots: the sharp unfolding, its upper
+    half and the triple scatter.  gamma_batch never builds the unfolding.
     """
 
     def __init__(self, n: int, entries, normalize: bool = False):
@@ -86,18 +86,23 @@ class SymThreeTensor:
             if abs(ref - self.variance) > 1e-10 * max(1.0, abs(ref)):
                 raise AssertionError("internal variance self-check failed")
 
-    @cached_property
-    def a(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n, self.n))
-        for p in permutations(self.triples.T):
-            a[p] = self.values
-        a.flags.writeable = False
-        return a
+    def _slots(self, weight: float):
+        """The triples as 3 nnz slots (target, lo, hi, w), lo < hi: row m's
+        (i, j, k) is slot m as (i, j, k), nnz + m as (j, i, k) and 2 nnz + m
+        as (k, i, j), with w = weight * its value, the entries (t, lo, hi)
+        and (t, hi, lo) of weight * a; no other entry is nonzero."""
+        i, j, k = self.triples.T
+        return (np.concatenate([i, j, k]), np.concatenate([j, i, i]),
+                np.concatenate([k, k, j]), np.tile(weight * self.values, 3))
 
     @cached_property
     def _sharp_unfolding(self) -> np.ndarray:
-        """3a.reshape(n, n^2): A_hat(xhat) = xhat @ this, read-only."""
-        u = (3.0 * self.a).reshape(self.n, self.n * self.n)
+        """3a.reshape(n, n^2), read-only: A_hat(xhat) = xhat @ this, and
+        the exact routes contract it.  Each slot fills (lo, hi), (hi, lo)."""
+        n = self.n
+        target, lo, hi, w = self._slots(3.0)
+        u = np.zeros((n, n * n))
+        u[target, lo * n + hi] = u[target, hi * n + lo] = w
         u.flags.writeable = False
         return u
 
@@ -106,31 +111,28 @@ class SymThreeTensor:
         """U = 3a[:, i<j] of shape (n, n(n-1)/2), read-only: xhat @ U lists
         A_hat(xhat) above its diagonal, and grad F(x) = 2 U @ pairs(x) for
         the products x_j x_k, j < k, in np.triu_indices order (pair (j, k)
-        at column j(2n - j - 1)/2 + k - j - 1).  Filled from the triples,
-        column-major like 3.0 * a[:, i, j]: the GEMMs' bits depend on it."""
-        n, v = self.n, 3.0 * self.values
-        i, j, k = self.triples.T
+        at column j(2n - j - 1)/2 + k - j - 1).  Each slot fills its
+        (lo, hi), column-major: the GEMMs' bits depend on it."""
+        n = self.n
+        target, lo, hi, w = self._slots(3.0)
         u = np.zeros((n, n * (n - 1) // 2), order="F")
-        for target, lo, hi in ((i, j, k), (j, i, k), (k, i, j)):
-            u[target, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = v
+        u[target, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = w
         u.flags.writeable = False
         return u
 
     @cached_property
     def _scatter(self):
-        """The triple list as gathers plus run-ordered segment sizes.
+        """The slots as gathers plus run-ordered segment sizes.
 
-        Slot m of the 3 * nnz slots contributes w[m] * x[left[m]] *
-        x[right[m]] to partial_t F for its target t, with weight 6 a(i,j,k)
-        on each of the three slots of a triple.  Slots are ordered by
-        their place in their target's run (CSR order: i, j, then k), then
-        by target, longest runs first: the q-th slots of all targets form
-        block q of sizes[q] rows, whose targets are a prefix of block 0.
-        The sparse twin of _sharp_upper: it gathers only the pairs that
-        some triple uses.
+        Slot m contributes w[m] * x[left[m]] * x[right[m]] to partial_t F
+        for its target t, with weight 6 a(i,j,k) on each of the three slots
+        of a triple.  Slots are ordered by their place in their target's
+        run (CSR order: i, j, then k), then by target, longest runs first:
+        the q-th slots of all targets form block q of sizes[q] rows, whose
+        targets are a prefix of block 0.  The sparse twin of _sharp_upper:
+        it gathers only the pairs that some triple uses.
         """
-        i, j, k = self.triples.T
-        target = np.concatenate([i, j, k])
+        target, left, right, w = self._slots(6.0)
         order = np.argsort(target, kind="stable")
         runs = np.bincount(target, minlength=self.n)
         starts = np.cumsum(runs) - runs   # of each target's run
@@ -138,10 +140,8 @@ class SymThreeTensor:
         rank = np.empty(self.n, dtype=np.intp)
         rank[np.argsort(-runs, kind="stable")] = np.arange(self.n)
         order = order[np.lexsort((rank[target[order]], place))]
-        left = np.concatenate([j, i, i])[order]
-        right = np.concatenate([k, k, j])[order]
-        w = np.tile(6.0 * self.values, 3)[order, None]
-        return left, right, w, tuple(np.bincount(place, minlength=1).tolist())
+        return (left[order], right[order], w[order, None],
+                tuple(np.bincount(place, minlength=1).tolist()))
 
     @cached_property
     def variance(self) -> float:
@@ -288,7 +288,7 @@ def _triples_win(nnz: int, n: int) -> bool:
 
 
 def _gamma_triples(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
-    """Gamma by the triple scatter: O(nnz) per point, `a` never built.
+    """Gamma by the triple scatter: O(nnz) per point, no unfolding built.
 
     Each gradient row sums its slots in CSR order, a segment sum of the
     run-ordered slot blocks of SymThreeTensor._scatter.
@@ -490,12 +490,12 @@ class TraceFormSpectrum:
 
 
 def trace_form(t: SymThreeTensor) -> TraceFormSpectrum:
-    """B_{kl} = 9 sum_{i,j} a(i,j,k) a(i,j,l), eigendecomposed."""
+    """B = U U', U the sharp unfolding: B_{kl} = 9 sum_{i,j} a(i,j,k)
+    a(i,j,l), eigendecomposed."""
     if not t.unit_variance:
         raise PreconditionError("requires a unit-variance tensor")
-    n = t.n
-    r = t.a.reshape(n * n, n)
-    b = 9.0 * (r.T @ r)
+    u = t._sharp_unfolding
+    b = u @ u.T
     betas = np.linalg.eigvalsh(b)
     if betas.min() < -1e-10:
         raise EigenSolverError("trace form produced a negative eigenvalue")
@@ -515,21 +515,20 @@ class K4VarGamma:
 
 
 def _contractions(t: SymThreeTensor) -> tuple[float, float]:
-    """v1 = ||a x_1 a||^2 and the K4 cycle
-    v2 = C4(a) = sum a(a,b,c) a(a,d,e) a(b,d,f) a(c,e,f), one slice of
-    the Gram at a time.
+    """v1 = ||u x_1 u||^2 and the K4 cycle v2 = C4(u) = sum u(a,b,c)
+    u(a,d,e) u(b,d,f) u(c,e,f) of u = 3a, one slice of the Gram at a time.
 
-    c = r' r with r = a.reshape(n, n^2) is a x_1 a, indexed (bc, de); as a
-    is symmetric, it is also sum_f a(b,d,f) a(c,e,f) indexed (bd, ce), so
-    v1 = sum c^2 and v2 = sum c[b,c,d,e] c[b,d,c,e].  Both sums pair
-    only entries that share b: the slice X_b = r[:, bn:(b+1)n]' r =
-    c[(b,.),(.,.)] of n^3 values carries all of slot b's terms, and the
-    n^2 x n^2 Gram is never built.  Each slice is issued as GEMMs of at
-    most max(1, GEMM_MADDS // n^3) rows (at most GEMM_MADDS multiply-adds
-    up to n = 64).
+    c = r' r with r = 3a.reshape(n, n^2), the sharp unfolding, is u x_1 u,
+    indexed (bc, de); as u is symmetric, it is also sum_f u(b,d,f) u(c,e,f)
+    indexed (bd, ce), so v1 = sum c^2 and v2 = sum c[b,c,d,e] c[b,d,c,e].
+    Both sums pair only entries that share b: the slice X_b =
+    r[:, bn:(b+1)n]' r = c[(b,.),(.,.)] of n^3 values carries all of slot
+    b's terms, and the n^2 x n^2 Gram is never built.  Each slice is
+    issued as GEMMs of at most max(1, GEMM_MADDS // n^3) rows (at most
+    GEMM_MADDS multiply-adds up to n = 64).
     """
     n = t.n
-    r = t.a.reshape(n, n * n)   # rows indexed by the contracted slot
+    r = t._sharp_unfolding   # rows indexed by the contracted slot
     x = np.empty((n, n * n))
     x3 = x.reshape(n, n, n)
     step = max(1, GEMM_MADDS // n ** 3)
@@ -557,15 +556,16 @@ def kappa4_and_var_gamma(t: SymThreeTensor) -> K4VarGamma:
     all-pairs (K4) cycle C4(a).  Counting slot matchings gives
     kappa_4 = 1944 ||a x_1 a||^2 + 1296 C4(a) (the q = 3 contraction
     formula, Nourdin-Peccati 2012, section 5.2), and
-    Var Gamma = kappa_4 + 1296 ||a x_1 a||^2.  The tests check kappa_4
-    against the Isserlis expansion (n <= 6) and against the symmetrised
-    contraction formula (n > 6), and both values against the closed
-    forms of the block family and Monte Carlo (n > 6).
+    Var Gamma = kappa_4 + 1296 ||a x_1 a||^2, where both contractions of
+    3a are 81 times those of a: 1944/81 = 24 and 1296/81 = 16.  The tests
+    check kappa_4 against the Isserlis expansion (n <= 6) and against the
+    symmetrised contraction formula (n > 6), and both values against the
+    closed forms of the block family and Monte Carlo (n > 6).
     """
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         v1, v2 = _contractions(t)
-    kappa4 = 1944.0 * v1 + 1296.0 * v2
-    var_gamma = kappa4 + 1296.0 * v1
+    kappa4 = 24.0 * v1 + 16.0 * v2
+    var_gamma = kappa4 + 16.0 * v1
     # 0 <= kappa4 <= Var Gamma: one bound on each covers both
     if not (np.finfo(float).tiny <= kappa4 and var_gamma < math.inf):
         raise PreconditionError(f"kappa4 = {kappa4} and Var Gamma = "

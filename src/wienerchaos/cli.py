@@ -16,6 +16,7 @@ chaos2 and chaos3, which draw nothing, and reduces them with mc.reduce
 itself, after its domain checks.  RunRecorder.check decides each
 assertion by the one rule of `verdict` from the numbers it records in the
 manifest; failures never abort a run, they surface in the exit status.
+A stderr of 0 with a nonzero gap decides no z-test and is a ValueError.
 """
 
 from __future__ import annotations
@@ -248,7 +249,13 @@ class RunRecorder:
         """Decide a verdict by `verdict`, record it with its numbers and
         return it.  A Monte Carlo check passes its stderr and gets
         z = (statistic - reference) / stderr; a non-finite number is
-        stored as None, so the JSON stays strict."""
+        stored as None, so the JSON stays strict.  A stderr of 0 with a
+        nonzero gap leaves no z-test to decide: a ValueError names it."""
+        if stderr == 0.0 and statistic != reference:
+            raise ValueError(
+                f"{name}: statistic {statistic:.6g} differs from reference "
+                f"{reference:.6g} with a standard error of 0, so no z-test "
+                "decides it: every sample gave the same value")
         passed = verdict(statistic, relation, reference, tolerance, stderr)
         z = (statistic - reference) / stderr if stderr else None
         nums = {"statistic": statistic, "reference": reference,

@@ -5,16 +5,18 @@ for S_p, contractions for kappa_4 and Var Gamma, batch kernels for Gamma
 and the spectra).  The routes here share none of that code: the explicit
 partition sum of S_p, the Gaussian polynomials of F for the Isserlis
 expansion, Monte Carlo over four independent streams, the pointwise
-gradient from the dense tensor, a residual-checked eigh of one matrix,
-and the power sums of a squared spectrum from its eigenvalues.  The
-symmetric functions of those sums reuse the library's Newton-Girard
-recursion, which test_sp_grid_shares_one_table checks against
-brute-force sums.  The second-chaos transforms have slow references
-here too: the Mellin integral by adaptive quadrature, the density by
-a direct cos/sin sum over every (x, xi) pair, and the small-ball CDF by
-Imhof's inversion integral.
+gradient from the dense tensor (built here from the triples), a
+residual-checked eigh of one matrix, and the power sums of a squared
+spectrum from its eigenvalues.  The symmetric functions of those sums
+reuse the library's Newton-Girard recursion, which
+test_sp_grid_shares_one_table checks against brute-force sums.  The
+second-chaos transforms have slow references here too: the Mellin
+integral by adaptive quadrature, the density by a direct cos/sin sum
+over every (x, xi) pair, and the small-ball CDF by Imhof's inversion
+integral.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +63,17 @@ def entries(t):
     """The triples of a SymThreeTensor as a dict of 1-based (i, j, k) keys
     to values, in the order of its arrays."""
     return dict(zip(map(tuple, (t.triples + 1).tolist()), t.values.tolist()))
+
+
+def dense(t):
+    """The dense array a of a SymThreeTensor, shape (n, n, n): each triple's
+    value at all six orders of its indices, zero elsewhere."""
+    ents = entries(t)
+    trips = np.array(list(ents), dtype=np.intp).reshape(-1, 3) - 1
+    a = np.zeros((t.n, t.n, t.n))
+    for p in itertools.permutations(range(3)):
+        a[tuple(trips[:, p].T)] = list(ents.values())
+    return a
 
 
 def within(est, value, k):
@@ -145,14 +158,15 @@ def isserlis_k4_var_gamma(t):
 def mc_k4_var_gamma(t, n_samples, seed):
     """Monte Carlo (kappa_4, se, Var Gamma, se): E F^2, E F^4, E Gamma and
     E Gamma^2 each on its own stream, errors by the delta method."""
+    a = dense(t)
 
     def fn_f2(x):
-        t1 = np.tensordot(x, t.a, axes=([1], [2]))
+        t1 = np.tensordot(x, a, axes=([1], [2]))
         fv = np.einsum('bij,bi,bj->b', t1, x, x)
         return fv * fv
 
     def fn_gamma(x):
-        g = 3.0 * np.einsum('ijk,bj,bk->bi', t.a, x, x)
+        g = 3.0 * np.einsum('ijk,bj,bk->bi', a, x, x)
         return np.einsum('bi,bi->b', g, g)
 
     e_f2 = mc.estimate(fn_f2, n_samples, mc.RngSpec(seed, 0), t.n)
@@ -171,7 +185,7 @@ def mc_k4_var_gamma(t, n_samples, seed):
 def gradient(t, x):
     """partial_i F(x) = 3 sum_{j,k} a(i,j,k) x_j x_k at one point."""
     x = np.asarray(x, dtype=float)
-    return 3.0 * (np.tensordot(t.a, x, axes=([2], [0])) @ x)
+    return 3.0 * (np.tensordot(dense(t), x, axes=([2], [0])) @ x)
 
 
 def gamma_at(t, x):

@@ -224,11 +224,25 @@ def test_laplace_examples():
 
 
 def test_laplace_overflow_gives_the_exact_zero():
-    # 8 lam alpha^2 overflows to inf, and log1p(inf) = inf gives the
-    # exact limit 0; the suite turns an overflow warning into an error
+    # 8 lam alpha^2 overflows to inf though alpha^2 does not: the log route
+    # gives the true value, where log1p(inf) once gave 0; the suite turns
+    # an overflow warning into an error
+    # (abs=0: pytest.approx would accept any value within 1e-12 of these)
+    one = chaos2.laplace_gamma(DiagonalSecondChaos([1e5]), 1e300)
+    assert one == pytest.approx(
+        math.exp(-0.5 * (math.log(8.0) + 310.0 * math.log(10.0))),
+        rel=1e-12, abs=0.0)
+    assert one == pytest.approx(3.5355339e-156, rel=1e-7, abs=0.0)
+    # (8e310 * 3.2e311)^(-1/2) = 6.25e-312 is subnormal, with about 40
+    # significant bits
+    exact = math.exp(-0.5 * (math.log(256.0) + 620.0 * math.log(10.0)))
+    assert exact == pytest.approx(6.25e-312, rel=1e-12, abs=0.0)
     f = DiagonalSecondChaos([1e5, 2e5])
-    assert chaos2.laplace_gamma(f, 1e300) == 0.0
-    assert chaos2.laplace_gamma(f, [0.0, 1e300]).tolist() == [1.0, 0.0]
+    assert chaos2.laplace_gamma(f, 1e300) == pytest.approx(
+        exact, rel=1e-10, abs=0.0)
+    both = chaos2.laplace_gamma(f, [0.0, 1e300])
+    assert both[0] == 1.0
+    assert both[1] == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_laplace_overflowing_coefficient_takes_the_log_route():
@@ -692,6 +706,45 @@ def test_cross_gamma_matches_isserlis_oracle():
                                                     rel=1e-10)
             grid_max = max(var_along(t) for t in chaos2.sphere_grid(d))
             assert stats.worst_lhs >= grid_max * (1.0 - 1e-12)
+
+
+def test_cross_gamma_stats_scale_by_powers_of_two_exactly():
+    # the statistics are moments of degree 4 (variances, kappa_4) and 2
+    # (L2 norms) in the matrices, taken on the matrices times 2^-e: a
+    # power-of-two scale of the input scales each one exactly, and the
+    # direction keeps its bits
+    rng = np.random.default_rng(31)
+    mats = [0.5 * (a + a.T) for a in rng.standard_normal((2, 4, 4))]
+    ref = chaos2.cross_gamma_stats(MultivariateSecondChaos(mats))
+    for k in range(-200, 201):
+        got = chaos2.cross_gamma_stats(
+            MultivariateSecondChaos(np.ldexp(mats, k)))
+        assert np.array_equal(got.var_diag, np.ldexp(ref.var_diag, 4 * k))
+        assert np.array_equal(got.cross_l2, np.ldexp(ref.cross_l2, 2 * k))
+        assert got.kappa4_max.value == math.ldexp(ref.kappa4_max.value,
+                                                  4 * k)
+        assert got.worst_lhs == math.ldexp(ref.worst_lhs, 4 * k)
+        assert np.array_equal(got.kappa4_max.direction,
+                              ref.kappa4_max.direction)
+    # at 1e50 the sphere search once overflowed in its dot products and
+    # stopped at its grid point (the suite turns the warning into an error)
+    got = chaos2.cross_gamma_stats(
+        MultivariateSecondChaos([1e50 * a for a in mats]))
+    assert got.kappa4_max.value == pytest.approx(
+        1e200 * ref.kappa4_max.value, rel=1e-12)
+    assert np.allclose(got.kappa4_max.direction, ref.kappa4_max.direction,
+                       rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e80, 2.0 ** -300])
+def test_cross_gamma_stats_name_an_overflow_or_underflow(scale):
+    # Var Gamma[F_i, F_i] has degree 4: 1e320 overflows, 2^-1200 underflows
+    m = MultivariateSecondChaos([[[scale, 0.0], [0.0, -scale]],
+                                 [[0.0, scale], [scale, 0.0]]])
+    for stat in (chaos2.cross_gamma_stats, chaos2.sphere_kappa4_max):
+        with pytest.raises(chaos2.PreconditionError,
+                           match="overflows or underflows"):
+            stat(m)
 
 
 def test_cov_matches_isserlis(unit_alphas_factory):

@@ -152,7 +152,9 @@ def test_array_storage_matches_a_per_triple_reference(n):
         stored = oracles.entries(t)
         assert list(stored.items()) == list(canon.items())
         assert all(type(i) is int for trip in stored for i in trip)
-        assert t.a.tobytes() == a.tobytes()
+        # the sharp unfolding is 3a.reshape(n, n^2), bit for bit
+        assert (t._sharp_unfolding.tobytes()
+                == (3.0 * a).reshape(n, n * n).tobytes())
         assert t.variance == variance
         # grad F = 2 U @ pairs(x): the pair weights are twice the upper
         # unfolding, which is column-major
@@ -359,7 +361,7 @@ def test_gamma_batch_builds_no_sharp_matrix(monkeypatch):
     t = family_generators("complete-3-tensor", 20)
     x = np.random.default_rng(22).standard_normal((100, 20))
     assert np.all(chaos3.gamma_batch(t, x) > 0.0)
-    assert "a" not in vars(t)     # the dense tensor is never built
+    assert "_sharp_unfolding" not in vars(t)    # nor is the full unfolding
     with pytest.raises(ValueError):     # the pair GEMM's weights
         t._sharp_upper[0, 0] = 1.0
 
@@ -397,7 +399,7 @@ def test_sharp_batch_gemms_stay_under_the_cap(monkeypatch, size):
     # sharp GEMMs, and are not recorded.
     t = family_generators("complete-3-tensor", size)
     x = np.random.default_rng(29).standard_normal((2048, size))
-    ref = np.einsum('bk,ijk->bij', x, 3.0 * t.a)
+    ref = np.einsum('bk,ijk->bij', x, 3.0 * oracles.dense(t))
     shapes, matmul = [], np.matmul
 
     def recorded(a, b, *args, **kwargs):
@@ -750,7 +752,7 @@ def test_contractions_memory_is_one_slice():
     # of the Gram is n^3 values (0.88 MB)
     # numpy reports its buffers to tracemalloc.
     t = family_generators("complete-3-tensor", 48)
-    t.a         # cached with the tensor, not per call
+    t._sharp_unfolding     # cached with the tensor, not per call
     tracemalloc.start()
     try:
         chaos3.kappa4_and_var_gamma(t)
@@ -876,20 +878,17 @@ def test_smallball_sparse_tensor_builds_no_dense_array():
     # every point has the hits and misses that the slope fit asks for
     counts = hits.counts[0]
     assert np.all(np.minimum(counts, hits.n - counts) >= cli.MIN_HITS)
-    assert "a" not in vars(t)        # the n^3 array was never built
+    # the n^3 unfolding and its upper half were never built
+    assert "_sharp_unfolding" not in vars(t)
+    assert "_sharp_upper" not in vars(t)
 
 
-def test_dense_array_built_on_access():
+def test_unfoldings_built_on_access():
     t = random_sparse_tensor(9, 0.5, 7)
-    assert "a" not in vars(t)
-    dense = np.zeros((9, 9, 9))
-    for trip, v in oracles.entries(t).items():
-        for p in itertools.permutations(trip):
-            dense[tuple(i - 1 for i in p)] = v
-    assert np.array_equal(t.a, dense)
-    assert t.a is t.a
-    assert not t.a.flags.writeable
-    # the sharp unfolding 3a.reshape(n, n^2) is cached the same way
+    assert not hasattr(t, "a")      # no dense tensor is held
+    assert "_sharp_unfolding" not in vars(t)
+    dense = oracles.dense(t)
+    # the sharp unfolding 3a.reshape(n, n^2) is built on access and cached
     assert np.array_equal(t._sharp_unfolding, 3.0 * dense.reshape(9, 81))
     assert t._sharp_unfolding is t._sharp_unfolding
     assert not t._sharp_unfolding.flags.writeable
@@ -1059,7 +1058,7 @@ def test_trace_square_batch_matches_unstepped_einsum():
     m = chaos3.sharp_batch(t, xh)     # the whole (B, n, n) stack at once
     assert np.allclose(got, np.einsum('bij,bij->b', m, m),
                        rtol=1e-13, atol=0.0)
-    m = np.einsum('bk,ijk->bij', xh, 3.0 * t.a)
+    m = np.einsum('bk,ijk->bij', xh, 3.0 * oracles.dense(t))
     assert np.allclose(got, np.einsum('bij,bij->b', m, m),
                        rtol=1e-12, atol=0.0)
 
@@ -1319,8 +1318,8 @@ def test_kappa4_complete_family_symmetrised_contraction():
     for n in (12, 24):
         t = family_generators("complete-3-tensor", n)
         got = chaos3.kappa4_contraction(t)
-        assert got == pytest.approx(symmetrised_contraction_kappa4(t.a),
-                                    rel=1e-9)
+        assert got == pytest.approx(
+            symmetrised_contraction_kappa4(oracles.dense(t)), rel=1e-9)
         assert 35.4 < got < 90.0
 
 
@@ -1332,7 +1331,7 @@ def test_kappa4_random_dense_symmetrised_contraction(n):
                for trip in itertools.combinations(range(1, n + 1), 3)}
     t = SymThreeTensor(n, entries, normalize=True)
     assert chaos3.kappa4_contraction(t) == pytest.approx(
-        symmetrised_contraction_kappa4(t.a), rel=1e-9)
+        symmetrised_contraction_kappa4(oracles.dense(t)), rel=1e-9)
 
 
 def test_trace_variance_block_family_decreases():
@@ -1346,6 +1345,45 @@ def test_trace_variance_block_family_decreases():
         prev = tf.var_trace
 
 
+@pytest.mark.parametrize("make", [
+    lambda: family_generators("complete-3-tensor", 6),
+    lambda: family_generators("complete-3-tensor", 60),
+    lambda: family_generators("spiked-3-tensor", 10),
+    lambda: family_generators("spiked-3-tensor", 60),
+    lambda: family_generators("block-3-tensor", 12),
+    lambda: family_generators("block-3-tensor", 60),
+    lambda: _dense_unit_tensor(9, 41),
+    lambda: _dense_unit_tensor(30, 42),
+    lambda: random_sparse_tensor(40, 0.05, 43),
+    lambda: random_sparse_tensor(60, 0.01, 44),
+], ids=["complete-6", "complete-60", "spiked-10", "spiked-60", "block-12",
+        "block-60", "dense-9", "dense-30", "sparse-40", "sparse-60"])
+def test_var_gamma_is_kappa4_plus_eight_trace_variances(make):
+    # Var Gamma - kappa_4 = 1296 ||a x_1 a||^2 (the slice loop's doubled
+    # 4-cycle) and 8 Var Tr(A_hat^2) = 16 ||B||_F^2 (the trace form's Gram)
+    # are equal, since ||B||_F^2 = 81 ||a x_1 a||^2
+    t = make()
+    exact = chaos3.kappa4_and_var_gamma(t)
+    want = exact.kappa4 + 8.0 * chaos3.trace_form(t).var_trace
+    assert exact.var_gamma == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_exact_checks_guard_the_sharp_unfolding(run_experiment, monkeypatch):
+    # a 1 % error in the array the sharp kernels multiply by moves sum beta
+    # by 2 % and kappa_4 by 4 %: trace-concentration's exact records fail
+    build = SymThreeTensor._sharp_unfolding.func
+    monkeypatch.setattr(SymThreeTensor, "_sharp_unfolding",
+                        property(lambda t: 1.01 * build(t)))
+    res = run_experiment("trace-concentration",
+                         {"kind": "complete-3-tensor"}, {"sizes": "6, 12"},
+                         2000, 1)
+    failed = {a["name"] for a in res.assertions if not a["passed"]}
+    assert {"sum_beta_n6", "sum_beta_n12"} <= failed
+    (row, _) = res.csv["trace_concentration.csv"]
+    assert row["sum_beta"] == pytest.approx(1.5 * 1.01 ** 2, rel=1e-12)
+    assert row["kappa4"] == pytest.approx(35.4 * 1.01 ** 4, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # tensor file format
 # ---------------------------------------------------------------------------
@@ -1357,7 +1395,7 @@ def test_tensor_file_roundtrip(tmp_path, unit_tensor_factory):
     oracles.write_tensor_file(t, path)
     back = chaos3.read_tensor_file(path)
     assert back.n == t.n
-    assert np.allclose(back.a, t.a, atol=1e-15)
+    assert np.allclose(oracles.dense(back), oracles.dense(t), atol=1e-15)
 
 
 def test_tensor_file_normalize(tmp_path):

@@ -264,6 +264,21 @@ def test_run_multivariate_bounds(tmp_path, monkeypatch):
     assert calls == ["sphere_kappa4_max", "sphere_grid"]
 
 
+@pytest.mark.parametrize("scale", ["1e80", repr(2.0 ** -300)])
+def test_multivariate_bounds_names_an_overflow_or_underflow(tmp_path, capsys,
+                                                           scale):
+    # once a verdict on inf (1e80) or on a variance that underflows to 0
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "multivariate-bounds",
+                     ["kind = matrices",
+                      f"mat.1 = {scale} 0 ; 0 -{scale}",
+                      f"mat.2 = 0 {scale} ; {scale} 0"], out=out)
+    assert cli.main(["run", str(p)]) == 2
+    assert ("error: Var Gamma[F_i, F_i] overflows or underflows"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_run_density(tmp_path):
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "density",
@@ -1069,33 +1084,54 @@ def test_gamma_spec_at_huge_xi(tmp_path):
     assert check["passed"] and check["statistic"] == 0.0
 
 
-def test_gamma_spec_left_side_overflows_to_its_exact_zero(tmp_path):
+def test_gamma_spec_left_side_overflows_to_its_exact_zero(tmp_path, capsys):
     # at xi = 1e154, xi^2 Gamma / 2 overflows and exp(-inf) = 0 is exact:
     # once an overflow warning, so a traceback under the suite's
-    # warnings-as-errors filter.  The verdict is not checked: the right
-    # side underflows to a subnormal with stderr 0.
+    # warnings-as-errors filter.  The right side underflows to a subnormal
+    # with stderr 0, a gap that no z-test decides: it once recorded FAIL
+    # on that, and exits 2 by name now.
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "gamma-spec",
                      ["kind = complete-3-tensor", "size = 4"],
                      ["xi = 1e154"], samples=2000, out=out)
-    assert cli.main(["run", str(p)]) in (0, 1)
-    header, row = (out / "gamma_spec.csv").read_text().splitlines()
-    values = dict(zip(header.split(","), map(float, row.split(","))))
-    assert values["lhs"] == 0.0 and values["lhs_se"] == 0.0
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert ("error: gamma_spec_xi1e+154: statistic -3.40635e-308 differs "
+            "from reference 0 with a standard error of 0") in err
+    assert not out.exists()
 
 
-def test_laplace_check_overflows_to_its_exact_zero(tmp_path):
-    # lambda = 1e300 on alphas of 1e5 and 2e5: both lambda alpha^2 in the
-    # closed form and lambda Gamma in the samples overflow, and the exact
-    # transform is 0 (once an overflow warning, so a traceback here)
+def test_laplace_check_overflows_to_its_exact_zero(tmp_path, capsys):
+    # lambda = 1e300 on alphas of 1e5 and 2e5: lambda alpha^2 overflows,
+    # and the closed form takes the log route to 6.25e-312 (once an
+    # overflow warning, so a traceback here), while every sample's
+    # exp(-lambda Gamma) is 0: a gap with stderr 0 exits 2 by name
     out = tmp_path / "run"
     p = write_config(tmp_path / "c.ini", "laplace-check",
                      ["kind = diagonal", "alphas = 1e5, 2e5"],
                      ["lambda = 1e300"], samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert ("error: laplace_lambda1e+300: statistic 0 differs from "
+            "reference 6.25e-312 with a standard error of 0") in err
+    assert not out.exists()
+
+
+def test_zero_stderr_with_a_zero_gap_passes(tmp_path):
+    # lambda = 0: every sample and the closed form read 1, stderr 0
+    out = tmp_path / "run"
+    p = write_config(tmp_path / "c.ini", "laplace-check",
+                     ["kind = diagonal", "alphas = 1e5, 2e5"],
+                     ["lambda = 0, 1e290"], samples=2000, out=out)
+    assert cli.main(["run", str(p)]) == 2     # 1e290 meets the rule
+    p = write_config(tmp_path / "c.ini", "laplace-check",
+                     ["kind = diagonal", "alphas = 1e5, 2e5"],
+                     ["lambda = 0"], samples=2000, out=out)
     assert cli.main(["run", str(p)]) == 0
     header, row = (out / "laplace_check.csv").read_text().splitlines()
     values = dict(zip(header.split(","), map(float, row.split(","))))
-    assert values["closed_form"] == values["mc_mean"] == 0.0
+    assert values["closed_form"] == values["mc_mean"] == 1.0
+    assert values["mc_se"] == 0.0
 
 
 def test_trace_concentration_checks_the_model_class(tmp_path, capsys):
@@ -1233,3 +1269,21 @@ def test_readme_config_runs_as_written(tmp_path):
     assert cli.main(["run", str(p), "--samples", "2000", "--out",
                      str(out)]) == 0
     assert read_manifest(out)["config"]["experiment"]["seed"] == "42"
+
+
+def test_readme_experiment_table_is_the_inputs_table():
+    # one README row per cli.INPUTS row, in its order: name, model class,
+    # unit-variance mark and grid keys
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("| experiment | model | unit variance |", 1)[1]
+    rows = [line.strip("|").split("|")
+            for line in table.split("\n\n", 1)[0].splitlines()[2:]]
+    documented = [
+        (name.strip().strip("`"), model.strip().strip("`"),
+         unit.strip() == "yes",
+         grids.split("`")[1::2])
+        for name, model, unit, grids in rows]
+    assert documented == [
+        (name, cls.__name__, unit_variance, list(defaults))
+        for name, (_, cls, unit_variance, defaults) in cli.INPUTS.items()]
