@@ -16,10 +16,12 @@ Gamma, sharp matrices, their Newton sums and spectra, and the exact
 routes (trace form, kappa_4 and Var Gamma).  One expansion of the
 triples builds two cached forms of the tensor: the sharp unfolding
 3a.reshape(n, n^2), with A_hat(xhat) = xhat @ it, which the exact routes
-contract, and its columns i < j, U, with
-grad F(x) = 2 U @ (x_j x_k)_{j<k}; the sharp kernels issue their GEMMs
-through one stack loop, _sharp_stacks.  It draws nothing: the runner
-reduces the kernels by Monte Carlo and decides every check.
+contract, and its columns i < j, U, with grad F(x) = 2 U @ pairs(x) for
+the pair products x_j x_k in circulant order (block d - 1 holds the
+pairs (j, j + d mod n)), so that two numpy calls fill a cache-sized slab
+of them whatever n is; the sharp kernels issue their GEMMs through one
+stack loop, _sharp_stacks.  It draws nothing: the runner reduces the
+kernels by Monte Carlo and decides every check.
 """
 
 from __future__ import annotations
@@ -110,13 +112,18 @@ class SymThreeTensor:
     def _sharp_upper(self) -> np.ndarray:
         """U = 3a[:, i<j] of shape (n, n(n-1)/2), read-only: xhat @ U lists
         A_hat(xhat) above its diagonal, and grad F(x) = 2 U @ pairs(x) for
-        the products x_j x_k, j < k, in np.triu_indices order (pair (j, k)
-        at column j(2n - j - 1)/2 + k - j - 1).  Each slot fills its
-        (lo, hi), column-major: the GEMMs' bits depend on it."""
+        the products x_j x_k of the pairs j != k in circulant order: column
+        (d - 1) n + j holds pair (j, j + d mod n) for d = 1 .. (n-1)//2,
+        and at even n column (n/2 - 1) n + j, j < n/2, pair (j, j + n/2).
+        Each slot fills the column of its (lo, hi), column-major: the
+        GEMMs' bits depend on it."""
         n = self.n
         target, lo, hi, w = self._slots(3.0)
+        d = hi - lo
+        far = 2 * d > n     # (lo, hi) is (hi, hi + n - d mod n)
+        col = (np.where(far, n - d, d) - 1) * n + np.where(far, hi, lo)
         u = np.zeros((n, n * (n - 1) // 2), order="F")
-        u[target, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = w
+        u[target, col] = w
         u.flags.writeable = False
         return u
 
@@ -282,8 +289,10 @@ def _batch(t: SymThreeTensor, x) -> np.ndarray:
 
 
 def _triples_win(nnz: int, n: int) -> bool:
-    # measured crossover against the pair GEMM: nnz ~ n^2 / 6 at
-    # n = 20 .. 60, 65536 rows in 4096-row calls
+    # measured crossover against the pair GEMM (65536 rows in 2048-row
+    # calls): nnz ~ n^2 / 6 at n = 40 .. 60, but n^2 / 12 to n^2 / 8 at
+    # n = 16 .. 30, where the scatter is up to 1.5x slower just below
+    # this bound; no model family lies in that band
     return 6 * nnz < n * n
 
 
@@ -317,37 +326,69 @@ def _gamma_pairs(t: SymThreeTensor, x: np.ndarray) -> np.ndarray:
     slab of pair products, and Gamma = 4 |U @ pairs(x)|^2, an exact
     power-of-two scale.
 
-    The slab holds up to STEP_ELEMENTS values, at least one stack of
-    GEMM_POINTS points; the last stack is padded with zero points.  Its
-    product is a stack of GEMMs of GEMM_POINTS columns, each over a run
-    of pairs short enough that it does at most GEMM_MADDS multiply-adds,
-    summed run by run in pair order.
+    The pairs are in _sharp_upper's circulant order.  With y the step's
+    points in sample-minor layout and its first (n-1)//2 rows repeated
+    below, pair block d - 1 is y[:n] * y[d:d + n]: one broadcast multiply
+    on a strided window view of y fills every full block, and at even n
+    a second fills the half block y[:n/2] * y[n/2:n], two numpy calls
+    whatever n is.  The slab and y are allocated once per call, and
+    _pair_sizing keeps the slab in cache; the last stack is padded with
+    zero points.  Its product is a stack of GEMMs of GEMM_POINTS columns,
+    each over a run of pairs short enough that it does at most GEMM_MADDS
+    multiply-adds, summed run by run in pair order.
     """
     n, u = t.n, t._sharp_upper
-    n_pairs = u.shape[1]
+    n_pairs, half = u.shape[1], (n - 1) // 2
     cols = GEMM_POINTS
-    depth = max(1, GEMM_MADDS // (n * cols))
+    step, depth = _pair_sizing(n, x.shape[0])
     out = np.empty(x.shape[0])
-    step = max(1, STEP_ELEMENTS // (n_pairs * cols)) * cols
-    slab = np.empty(n_pairs * min(step, -(-x.shape[0] // cols) * cols))
+    slab = np.empty(n_pairs * step)
+    ybuf = np.empty((n + half) * step)
+    y = None
     for s in range(0, x.shape[0], step):
         rows = x[s:s + step]
-        stack = -(-rows.shape[0] // cols)
-        # sample-minor layout: row j of xt is x_j over the step's points
-        xt = np.zeros((n, stack * cols))
-        xt[:, :rows.shape[0]] = rows.T
-        pairs = slab[:n_pairs * xt.shape[1]].reshape(n_pairs, xt.shape[1])
-        off = 0
-        for j in range(n - 1):
-            np.multiply(xt[j], xt[j + 1:], out=pairs[off:off + n - 1 - j])
-            off += n - 1 - j
-        stacked = pairs.reshape(n_pairs, stack, cols).transpose(1, 0, 2)
-        g = u[:, :depth] @ stacked[:, :depth]
+        w = -(-rows.shape[0] // cols) * cols
+        if y is None or y.shape[1] != w:   # the views of a step of w points
+            # sample-minor layout: row j of y is x_{j mod n} over the points
+            y = ybuf[:(n + half) * w].reshape(n + half, w)
+            pairs = slab[:n_pairs * w].reshape(n_pairs, w)
+            # row d - 1 of the window view is y[d:d + n]: a read-only
+            # strided view, which numpy checks against ybuf's bounds
+            row = w * ybuf.itemsize
+            windows = np.ndarray((half, n, w), buffer=ybuf, offset=row,
+                                 strides=(row, row, ybuf.itemsize))
+            windows.flags.writeable = False
+            blocks = pairs[:half * n].reshape(half, n, w)
+            stacked = pairs.reshape(n_pairs, -1, cols).transpose(1, 0, 2)
+        y[:n, :rows.shape[0]] = rows.T
+        y[:n, rows.shape[0]:] = 0.0
+        y[n:] = y[:half]
+        np.multiply(y[:n], windows, out=blocks)
+        if n % 2 == 0:
+            np.multiply(y[:n // 2], y[n // 2:n], out=pairs[half * n:])
+        g = np.matmul(u[:, :depth], stacked[:, :depth])
         for k in range(depth, n_pairs, depth):
-            g += u[:, k:k + depth] @ stacked[:, k:k + depth]
+            g += np.matmul(u[:, k:k + depth], stacked[:, k:k + depth])
         out[s:s + rows.shape[0]] = 4.0 * np.einsum(
             'bic,bic->bc', g, g).reshape(-1)[:rows.shape[0]]
     return out
+
+
+def _pair_sizing(n: int, points: int) -> tuple[int, int]:
+    """(step, depth) of the pair kernel on a batch of points at dimension
+    n: the points of one slab, and the pairs of one GEMM run, so each
+    GEMM does n * depth * GEMM_POINTS <= GEMM_MADDS multiply-adds.
+
+    The steps split the batch's GEMM_POINTS stacks evenly into as few
+    slabs as hold up to STEP_ELEMENTS // 2 pair products each (at least
+    one stack): a slab of about 1 MB or less stays in cache, and measured
+    fastest at n = 6 .. 40 (the figures are in CHANGES.md).
+    """
+    stacks = max(1, -(-points // GEMM_POINTS))
+    fit = max(1, STEP_ELEMENTS // 2 // (n * (n - 1) // 2 * GEMM_POINTS))
+    steps = -(-stacks // fit)
+    per_step = -(-stacks // steps)
+    return per_step * GEMM_POINTS, max(1, GEMM_MADDS // (n * GEMM_POINTS))
 
 
 def _sharp_stacks(t: SymThreeTensor, xhat, u: np.ndarray):

@@ -95,9 +95,22 @@ def test_overflowing_tensor_raises_named_errors():
         assert chaos3.kappa4_contraction(t) == pytest.approx(12.0, rel=1e-12)
 
 
+def circulant_columns(n):
+    """The column of each pair (j, k), j < k, of the pair kernel, by a loop
+    over its blocks: block d - 1 lists (j, j + d mod n) for every j, and at
+    even n the last, half block lists (j, j + n/2) for j < n/2."""
+    column = {}
+    for d in range(1, n // 2 + 1):
+        for j in range(n if 2 * d < n else n // 2):
+            column[tuple(sorted((j, (j + d) % n)))] = len(column)
+    assert len(column) == n * (n - 1) // 2 == max(column.values()) + 1
+    return column
+
+
 def per_triple_reference(n, entries, normalize):
     """The tensor's storage built one triple at a time: the entries dict,
-    a, the variance, the triple scatter and the pair weights 6a[:, j<k]."""
+    a, the variance, the triple scatter and the pair weights 6a[:, j<k] in
+    circulant column order."""
     canon = {tuple(int(i) for i in trip): float(v)
              for trip, v in entries.items()}
     if normalize:
@@ -111,6 +124,7 @@ def per_triple_reference(n, entries, normalize):
         canon = {trip: v * scale for trip, v in canon.items()}
     a = np.zeros((n, n, n))
     pairs = np.zeros((n, n * (n - 1) // 2))
+    column = circulant_columns(n)
     slots = [[] for _ in range(n)]
     for role in range(3):
         for trip, v in canon.items():
@@ -122,8 +136,7 @@ def per_triple_reference(n, entries, normalize):
             a[p] = v
         for target, lo, hi in ((i, j, k), (j, i, k), (k, i, j)):
             lo, hi = lo - 1, hi - 1
-            pairs[target - 1, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = \
-                6.0 * v
+            pairs[target - 1, column[(lo, hi)]] = 6.0 * v
     # block q holds the q-th slot of each target, longest runs first
     ranked = sorted(range(n), key=lambda t: -len(slots[t]))
     blocks = [[slots[t][q] for t in ranked if len(slots[t]) > q]
@@ -136,7 +149,7 @@ def per_triple_reference(n, entries, normalize):
     return canon, a, variance, scatter, pairs
 
 
-@pytest.mark.parametrize("n", [3, 5, 9, 17, 30])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 17, 30])
 def test_array_storage_matches_a_per_triple_reference(n):
     rng = np.random.default_rng(n)
     for fill, normalize in ((0.9, True), (0.2, False), (0.05, True)):
@@ -310,6 +323,64 @@ def test_gamma_kernels_match_pointwise(case):
     assert triples == pytest.approx(pairs, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("rows", [1, 63, 65])
+def test_pair_kernel_small_batches(n, rows):
+    # odd n fills full circulant blocks only, even n a half block too;
+    # 1, 63 and 65 points pad the last GEMM stack with zero points
+    t = random_sparse_tensor(n, 1.0, n)
+    x = np.random.default_rng(rows).standard_normal((rows, t.n))
+    ref = np.array([oracles.gamma_at(t, row) for row in x])
+    assert chaos3._gamma_pairs(t, x) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, rows, fill, slabs, runs", [
+    (20, 1300, 1.0, 3, 1), (70, 65, 0.02, 2, 42)],
+    ids=["three-slabs", "split-runs"])
+def test_pair_kernel_steps_and_runs(n, rows, fill, slabs, runs):
+    # n = 20 in three slabs, the last one short; at n = 70 a slab holds
+    # one stack, the last of one point, and GEMM_MADDS splits the 2415
+    # pairs into runs of 58
+    t = random_sparse_tensor(n, fill, n)
+    step, depth = chaos3._pair_sizing(n, rows)
+    assert -(-rows // step) == slabs and rows % step
+    assert -(-(n * (n - 1) // 2) // depth) == runs
+    x = np.random.default_rng(rows).standard_normal((rows, t.n))
+    ref = np.array([oracles.gamma_at(t, row) for row in x])
+    assert chaos3._gamma_pairs(t, x) == pytest.approx(ref, rel=1e-12)
+
+
+def test_pair_gemms_stay_under_the_cap(monkeypatch):
+    # every GEMM the pair kernel issues at n = 3 .. 120, on three stacks
+    # of points, does at most GEMM_MADDS multiply-adds, and each step's
+    # runs cover the pairs once; the slab holds at most STEP_ELEMENTS // 2
+    # products, or one stack where a stack is larger
+    shapes, matmul = [], np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    cols, rows = chaos3.GEMM_POINTS, 2 * chaos3.GEMM_POINTS + 1
+    rng = np.random.default_rng(41)
+    for n in range(3, 121):
+        n_pairs = n * (n - 1) // 2
+        for points in (1, rows, 2048, 65536):
+            step, depth = chaos3._pair_sizing(n, points)
+            assert step % cols == 0 and n * depth * cols <= chaos3.GEMM_MADDS
+            assert n_pairs * step <= max(chaos3.STEP_ELEMENTS // 2,
+                                         n_pairs * cols)
+        t = SymThreeTensor(n, {(1, 2, 3): 1.0, (n - 2, n - 1, n): 1.0})
+        shapes.clear()
+        chaos3._gamma_pairs(t, rng.standard_normal((rows, n)))
+        step, _ = chaos3._pair_sizing(n, rows)
+        assert sum(a[1] for a, _ in shapes) == -(-rows // step) * n_pairs
+        for (n_a, run), (_, run_b, cols_b) in shapes:
+            assert n_a == n and run == run_b and cols_b == cols
+            assert n * run * cols <= chaos3.GEMM_MADDS
+
+
 def test_gamma_kernels_block_closed_form():
     # unit block tensor: Gamma = (1/n_b) sum_blocks x1^2 x2^2 + x1^2 x3^2
     # + x2^2 x3^2, since each block's value is 1/(6 sqrt(n_b))
@@ -368,8 +439,8 @@ def test_gamma_batch_builds_no_sharp_matrix(monkeypatch):
 
 def test_gamma_pairs_memory_is_one_slab():
     # complete-40: a slab for the whole 4096-row call would be 25.6 MB; the
-    # kernel's slab stays within STEP_ELEMENTS values (2 MB), and the rest
-    # (transposed rows, gradients, output) is O(n * rows).
+    # kernel's slab stays within STEP_ELEMENTS // 2 values (1 MB), and the
+    # rest (transposed rows, gradients, output) is O(n * rows).
     # numpy reports its buffers to tracemalloc.
     t = family_generators("complete-3-tensor", 40)
     rows = 4096
@@ -382,7 +453,7 @@ def test_gamma_pairs_memory_is_one_slab():
     finally:
         tracemalloc.stop()
     assert g.shape == (rows,)
-    assert peak < 8 * (chaos3.STEP_ELEMENTS + 4 * t.n * rows)
+    assert peak < 8 * (chaos3.STEP_ELEMENTS // 2 + 4 * t.n * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +963,12 @@ def test_unfoldings_built_on_access():
     assert np.array_equal(t._sharp_unfolding, 3.0 * dense.reshape(9, 81))
     assert t._sharp_unfolding is t._sharp_unfolding
     assert not t._sharp_unfolding.flags.writeable
-    # and so is its upper half 3a[:, i<j], the columns of the trace route
-    i, j = np.triu_indices(9, 1)
-    assert np.array_equal(t._sharp_upper, 3.0 * dense[:, i, j])
+    # and so is its upper half 3a[:, i<j], in circulant column order, the
+    # columns of the pair kernel and the trace route
+    upper = np.zeros((9, 36))
+    for (i, j), col in circulant_columns(9).items():
+        upper[:, col] = 3.0 * dense[:, i, j]
+    assert np.array_equal(t._sharp_upper, upper)
     assert t._sharp_upper is t._sharp_upper
     assert not t._sharp_upper.flags.writeable
     assert t.variance == pytest.approx(6.0 * np.sum(dense * dense),

@@ -326,7 +326,8 @@ def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
     # CSV bytes: trace-concentration's 64-row sharp stacks at n = 24
     # exceed GEMM_MADDS, so the BLAS may split them, as it may the
     # kappa4 GEMM; gamma-spec solves the spectra of complete-6, and
-    # negmoment3 on complete-20 runs the pair GEMMs
+    # negmoment3 on complete-20 and complete-40 runs the pair GEMMs, which
+    # at n = 40 split their pairs into runs to stay within GEMM_MADDS
     configs = [
         write_config(tmp_path / "trace.ini", "trace-concentration",
                      ["kind = complete-3-tensor"], ["sizes = 6, 24"],
@@ -336,6 +337,9 @@ def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
                      samples=4096),
         write_config(tmp_path / "neg.ini", "negmoment3",
                      ["kind = complete-3-tensor", "size = 20"],
+                     samples=4096),
+        write_config(tmp_path / "neg40.ini", "negmoment3",
+                     ["kind = complete-3-tensor", "size = 40"],
                      samples=4096)]
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; from wienerchaos import cli; "
@@ -353,7 +357,7 @@ def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
                        timeout=120)
         csvs.append({f.relative_to(root): f.read_bytes()
                      for f in sorted(root.rglob("*.csv"))})
-    assert len(csvs[0]) == 3
+    assert len(csvs[0]) == 4
     assert csvs[0] == csvs[1]
 
 
