@@ -39,16 +39,17 @@ from .wick import GaussianPolynomial, isserlis_expectation
 EXACT_MODE_MAX_N = 6   # Isserlis cost cap of the constructor's self-check
 STEP_ELEMENTS = 250_000   # per-step temporaries of the Gamma kernels (2 MB)
 SPECTRUM_TOL = 1e-10   # zero-trace tolerance of spectra_batch
-# One GEMM of the pair, sharp and contraction kernels: OpenBLAS runs a
-# GEMM of at most 65536 x 4 multiply-adds (GEMM_MULTITHREAD_THRESHOLD) on
-# the calling thread, so the threads of mc.reduce do not queue for its
-# pool, whose woken threads spin and can stall a call (measured in
-# OpenBLAS 0.3.31 at 2 threads; the figures are in CHANGES.md).
+# The one GEMM rule: a GEMM takes _gemm_rows(r) rows of an operand whose
+# rows cost r multiply-adds each, at most GEMM_MADDS in all (or one row),
+# which OpenBLAS runs on the calling thread (GEMM_MULTITHREAD_THRESHOLD 4
+# times 65536): no bit depends on the BLAS thread count, and mc.reduce's
+# threads do not queue for its pool (OpenBLAS 0.3.31; see CHANGES.md).
 GEMM_MADDS = 1 << 18
-# Points of one GEMM stack: exactly that many in the pair kernel, at least
-# that many in a sharp one (each packs the n x n^2 unfolding: at n > 16,
-# shorter sharp stacks measured slower than the BLAS pool)
-GEMM_POINTS = 64
+GEMM_POINTS = 64   # points of one stack of the pair kernel
+
+
+def _gemm_rows(madds_per_row: int) -> int:
+    return max(1, GEMM_MADDS // madds_per_row)
 
 
 class EigenSolverError(RuntimeError):
@@ -289,10 +290,10 @@ def _batch(t: SymThreeTensor, x) -> np.ndarray:
 
 
 def _triples_win(nnz: int, n: int) -> bool:
-    # measured crossover against the pair GEMM (65536 rows in 2048-row
-    # calls): nnz ~ n^2 / 6 at n = 40 .. 60, but n^2 / 12 to n^2 / 8 at
-    # n = 16 .. 30, where the scatter is up to 1.5x slower just below
-    # this bound; no model family lies in that band
+    # measured crossover against the pair GEMM, nnz = c n^2: c = 0.12 to
+    # 0.14 at n = 16 .. 30 and 0.15 to 0.17 at n = 40 .. 60, so just below
+    # this bound the scatter is up to 1.9x slower (n = 20, c = 0.15); no
+    # model family lies in that band
     return 6 * nnz < n * n
 
 
@@ -388,18 +389,16 @@ def _pair_sizing(n: int, points: int) -> tuple[int, int]:
     fit = max(1, STEP_ELEMENTS // 2 // (n * (n - 1) // 2 * GEMM_POINTS))
     steps = -(-stacks // fit)
     per_step = -(-stacks // steps)
-    return per_step * GEMM_POINTS, max(1, GEMM_MADDS // (n * GEMM_POINTS))
+    return per_step * GEMM_POINTS, _gemm_rows(n * GEMM_POINTS)
 
 
 def _sharp_stacks(t: SymThreeTensor, xhat, u: np.ndarray):
     """(rows, xhat[rows] @ u) over a batch of source vectors, one sharp
-    GEMM stack per slice on an unfolding u of t: at most GEMM_MADDS
-    multiply-adds, but at least GEMM_POINTS rows (so above the cap at
-    n > 16 on the full unfolding, at n > 20 on its upper half).  Each
+    GEMM stack of _gemm_rows rows per slice on an unfolding u of t.  Each
     product is written into one stack-sized buffer, which the next step
     overwrites; the caller may use it as scratch until then."""
     xhat = _batch(t, xhat)
-    step = max(GEMM_POINTS, GEMM_MADDS // (t.n * u.shape[1]))
+    step = _gemm_rows(t.n * u.shape[1])
     buf = np.empty((min(step, xhat.shape[0]), u.shape[1]))
     for s in range(0, xhat.shape[0], step):
         x = xhat[s:s + step]
@@ -532,11 +531,13 @@ class TraceFormSpectrum:
 
 def trace_form(t: SymThreeTensor) -> TraceFormSpectrum:
     """B = U U', U the sharp unfolding: B_{kl} = 9 sum_{i,j} a(i,j,k)
-    a(i,j,l), eigendecomposed."""
+    a(i,j,l), in GEMMs of _gemm_rows(n^3) rows, eigendecomposed."""
     if not t.unit_variance:
         raise PreconditionError("requires a unit-variance tensor")
-    u = t._sharp_unfolding
-    b = u @ u.T
+    u, b = t._sharp_unfolding, np.empty((t.n, t.n))
+    step = _gemm_rows(u.size)
+    for s in range(0, t.n, step):
+        np.matmul(u[s:s + step], u.T, out=b[s:s + step])
     betas = np.linalg.eigvalsh(b)
     if betas.min() < -1e-10:
         raise EigenSolverError("trace form produced a negative eigenvalue")
@@ -565,14 +566,13 @@ def _contractions(t: SymThreeTensor) -> tuple[float, float]:
     Both sums pair only entries that share b: the slice X_b =
     r[:, bn:(b+1)n]' r = c[(b,.),(.,.)] of n^3 values carries all of slot
     b's terms, and the n^2 x n^2 Gram is never built.  Each slice is
-    issued as GEMMs of at most max(1, GEMM_MADDS // n^3) rows (at most
-    GEMM_MADDS multiply-adds up to n = 64).
+    issued as GEMMs of _gemm_rows(n^3) rows.
     """
     n = t.n
     r = t._sharp_unfolding   # rows indexed by the contracted slot
     x = np.empty((n, n * n))
     x3 = x.reshape(n, n, n)
-    step = max(1, GEMM_MADDS // n ** 3)
+    step = _gemm_rows(n ** 3)
     v1 = v2 = 0.0
     for b in range(n):
         rb = r[:, b * n:(b + 1) * n].T

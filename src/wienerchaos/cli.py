@@ -285,15 +285,23 @@ MIN_HITS = 50   # fewer hits or misses: a small-ball point leaves the fit
 
 def _exp_thm1_certificate(cfg, f, rec):
     kappa4 = chaos2.newton_cumulants(f, 2).cumulants[1]
+    # the exact truth: E Gamma^(-q) is finite if and only if q < m/2
+    q_sup_exact = f.nonzero_count() / 2.0
     rows = []
     for p in cfg.grids["p"]:
         threshold = chaos2.thm1_threshold(p)
         # 1/Gamma in L^q for q < p/2
         certified = rec.check(f"certified_p{p}", kappa4, "<", threshold, 0.0)
-        rows.append((p, kappa4, threshold, certified,
-                     p / 2.0 if certified else 0.0))
+        q_sup = p / 2.0 if certified else 0.0
+        rec.check(f"q_sup_p{p}", q_sup, "<=", q_sup_exact, 0.0)
+        # kappa4 >= 12/m, so kappa4 < 12/(p-1) gives m >= p; chi2-average
+        # p-1 shows that no larger threshold certifies q < p/2
+        eta_sharp = 12.0 / (p - 1) if p > 1 else math.inf
+        rows.append((p, kappa4, threshold, certified, q_sup, q_sup_exact,
+                     eta_sharp))
     rec.csv("thm1_certificate.csv",
-            ["p", "kappa4", "threshold", "certified", "q_sup"], rows)
+            ["p", "kappa4", "threshold", "certified", "q_sup", "q_sup_exact",
+             "eta_sharp"], rows)
 
 
 def _exp_laplace_check(cfg, f, rec):

@@ -2,7 +2,9 @@ import faulthandler
 import itertools
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +20,28 @@ def pytest_configure(config):
     # stderr, since the test output capture redirects fd 2 itself
     faulthandler.dump_traceback_later(600, exit=True,
                                       file=os.dup(sys.stderr.fileno()))
+
+
+@pytest.fixture
+def run_under_blas_threads():
+    """Run a Python snippet in a fresh interpreter whose BLAS has the given
+    thread count and which imports wienerchaos from this checkout first.
+
+    run(code, threads, *args) passes args as sys.argv[1:] and returns the
+    snippet's stdout; a nonzero exit raises CalledProcessError.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(code, threads, *args):
+        threads = str(threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              env=env, check=True, capture_output=True,
+                              text=True, timeout=120).stdout
+    return run
 
 
 @pytest.fixture

@@ -460,16 +460,17 @@ def test_gamma_pairs_memory_is_one_slab():
 # sharp matrix and spectrum
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("size", [6, 8, 12, 16, 24])
+@pytest.mark.parametrize("size", [6, 8, 12, 16, 24, 40, 66])
 def test_sharp_batch_gemms_stay_under_the_cap(monkeypatch, size):
     # OpenBLAS runs a GEMM of at most GEMM_MADDS multiply-adds on the
-    # calling thread; up to n = 16 every sharp stack stays under that,
-    # beyond it a stack has GEMM_POINTS rows.  sharp_power_sums and
-    # spectra_batch issue the same stacks, and each call's stacks cover
-    # the batch.  The batched n x n products of sharp_power_sums are not
-    # sharp GEMMs, and are not recorded.
+    # calling thread; every sharp stack takes as many rows as stay under
+    # that, and one from n = 65, where a row alone is over it.
+    # sharp_power_sums and spectra_batch issue the same stacks, and each
+    # call's stacks cover the batch.  The batched n x n products of
+    # sharp_power_sums are not sharp GEMMs, and are not recorded.
     t = family_generators("complete-3-tensor", size)
-    x = np.random.default_rng(29).standard_normal((2048, size))
+    points = 2048 if size <= 24 else 16
+    x = np.random.default_rng(29).standard_normal((points, size))
     ref = np.einsum('bk,ijk->bij', x, 3.0 * oracles.dense(t))
     shapes, matmul = [], np.matmul
 
@@ -485,11 +486,43 @@ def test_sharp_batch_gemms_stay_under_the_cap(monkeypatch, size):
                    lambda: chaos3.spectra_batch(t, x)):
         shapes.clear()
         kernel()
-        assert sum(a[0] for a, _ in shapes) == 2048
-        for (rows, depth), (depth_b, cols) in shapes:
+        assert sum(a[0] for a, _ in shapes) == len(x)
+        for m, ((rows, depth), (depth_b, cols)) in enumerate(shapes):
             assert depth == depth_b == size and cols == size * size
-            assert (rows * depth * cols <= chaos3.GEMM_MADDS if size <= 16
-                    else rows == chaos3.GEMM_POINTS)
+            assert rows * depth * cols <= chaos3.GEMM_MADDS or rows == 1
+            if m < len(shapes) - 1:
+                assert (rows + 1) * depth * cols > chaos3.GEMM_MADDS
+
+
+# the kernels' hashes at each n, one line each
+KERNEL_HASHES = """
+import hashlib, sys
+import numpy as np
+from wienerchaos import chaos3, cli
+for n in map(int, sys.argv[1:]):
+    t = cli.family_generators("complete-3-tensor", n)
+    x = np.random.default_rng(n).standard_normal((300, n))
+    kernels = {"trace_square_batch": lambda: chaos3.trace_square_batch(t, x),
+               "sharp_power_sums": lambda: chaos3.sharp_power_sums(t, x, 2),
+               "trace_form": lambda: chaos3.trace_form(t).b_matrix}
+    if n <= 40:
+        kernels["spectra_batch"] = lambda: chaos3.spectra_batch(t, x)
+    for name, kernel in kernels.items():
+        print(n, name, hashlib.sha256(kernel().tobytes()).hexdigest())
+"""
+
+
+def test_sharp_kernel_bits_do_not_depend_on_the_blas_thread_count(
+        run_under_blas_threads):
+    # with a floor of 64 rows per stack, OpenBLAS split the sharp GEMMs
+    # over its threads, which moved their last bits at n = 26, 30, 60 and
+    # 70; the one GEMM rule keeps each on the calling thread, and a GEMM
+    # of one row, over the cap at n = 70, keeps its bits too
+    sizes = (26, 30, 40, 60, 70)
+    one, two = (run_under_blas_threads(KERNEL_HASHES, threads, *sizes)
+                .splitlines() for threads in (1, 2))
+    assert len(one) == 3 * len(sizes) + 3
+    assert one == two
 
 
 def test_sharp_matrix_basis_vector():
@@ -802,7 +835,8 @@ def test_kappa4_complete_family_exact():
 def test_contraction_gemms_stay_under_the_cap(monkeypatch, size):
     # the n^2 x n^2 Gram has n^4 multiply-adds (8.0 M at n = 24), far
     # above what OpenBLAS runs on the calling thread; its slices are
-    # issued in row stacks of at most GEMM_MADDS multiply-adds
+    # issued in row stacks of at most GEMM_MADDS multiply-adds, and so is
+    # the trace form's n x n Gram U U' (n^4, over the cap from n = 23)
     t = family_generators("complete-3-tensor", size)
     shapes, matmul = [], np.matmul
 
@@ -812,7 +846,10 @@ def test_contraction_gemms_stay_under_the_cap(monkeypatch, size):
 
     monkeypatch.setattr(np, "matmul", recorded)
     chaos3.kappa4_and_var_gamma(t)
-    assert shapes
+    contractions = len(shapes)
+    chaos3.trace_form(t)
+    assert contractions
+    assert sum(a[0] for a, _ in shapes[contractions:]) == size
     for (rows, depth), (depth_b, cols) in shapes:
         assert depth == depth_b
         assert rows * depth * cols <= chaos3.GEMM_MADDS
@@ -1160,10 +1197,9 @@ def test_trace_square_batch_is_the_trace_form(kind, size):
 
 @pytest.mark.parametrize("size", [3, 6, 12, 20, 21, 24, 32])
 def test_trace_square_gemms_stay_under_the_cap(monkeypatch, size):
-    # the upper unfolding has n(n-1)/2 columns: up to n = 20 a stack of
-    # GEMM_POINTS rows does at most GEMM_MADDS multiply-adds, and every
-    # stack but the last is as long as that cap allows; beyond it every
-    # stack has GEMM_POINTS rows
+    # the upper unfolding has n(n-1)/2 columns: every stack does at most
+    # GEMM_MADDS multiply-adds, and every stack but the last is as long
+    # as that cap allows
     t = family_generators("complete-3-tensor", size)
     x = np.random.default_rng(30).standard_normal((2048, size))
     cols = size * (size - 1) // 2
@@ -1176,13 +1212,10 @@ def test_trace_square_gemms_stay_under_the_cap(monkeypatch, size):
     monkeypatch.setattr(np, "matmul", recorded)
     chaos3.trace_square_batch(t, x)
     assert sum(a[0] for a, _ in shapes) == 2048
-    under = chaos3.GEMM_POINTS * size * cols <= chaos3.GEMM_MADDS
-    assert under == (size <= 20)
     for m, ((rows, depth), (depth_b, width)) in enumerate(shapes):
         assert depth == depth_b == size and width == cols
-        assert (rows * depth * width <= chaos3.GEMM_MADDS if under
-                else rows == chaos3.GEMM_POINTS)
-        if under and m < len(shapes) - 1:
+        assert rows * depth * width <= chaos3.GEMM_MADDS
+        if m < len(shapes) - 1:
             assert (rows + 1) * depth * width > chaos3.GEMM_MADDS
 
 
@@ -1289,15 +1322,15 @@ def test_sharp_power_sums_match_unstepped_products(q_max):
 def test_sharp_power_sums_memory_is_one_small_step():
     # complete-12, q_max 3 and 5: the steps share at most three buffers
     # (A_hat, M2 and a product; q_max 5 is the first to need the third),
-    # each one sharp GEMM stack of at most max(GEMM_MADDS / n,
-    # GEMM_POINTS n^2) values (171 KB here); the rest is the output,
-    # O(q_max rows).  3a is cached with the tensor.
+    # each one sharp GEMM stack of at most GEMM_MADDS / n values (171 KB
+    # here); the rest is the output, O(q_max rows).  3a is cached with the
+    # tensor.
     # numpy reports its buffers to tracemalloc.
     t = family_generators("complete-3-tensor", 12)
     rows = 4096
     x = np.random.default_rng(31).standard_normal((rows, t.n))
     t._sharp_unfolding
-    stack = max(chaos3.GEMM_MADDS // t.n, chaos3.GEMM_POINTS * t.n ** 2)
+    stack = chaos3.GEMM_MADDS // t.n
     for q_max in (3, 5):
         tracemalloc.start()
         try:
@@ -1442,20 +1475,32 @@ def test_var_gamma_is_kappa4_plus_eight_trace_variances(make):
     assert exact.var_gamma == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_exact_checks_guard_the_sharp_unfolding(run_experiment, monkeypatch):
-    # a 1 % error in the array the sharp kernels multiply by moves sum beta
-    # by 2 % and kappa_4 by 4 %: trace-concentration's exact records fail
-    build = SymThreeTensor._sharp_unfolding.func
-    monkeypatch.setattr(SymThreeTensor, "_sharp_unfolding",
-                        property(lambda t: 1.01 * build(t)))
+@pytest.mark.parametrize("unfolding, factor, samples, fails", [
+    # a 1 % error in the full unfolding, which the exact routes contract,
+    # moves sum beta by 2 % and kappa_4 by 4 %
+    ("_sharp_unfolding", 1.01, 2000, "sum_beta"),
+    # a 2 % error in its upper half, which trace_square_batch reads, moves
+    # the Monte Carlo trace mean by 4 % (z about 9.6 and 6.8; 1.6 and 0.2
+    # unmutated)
+    ("_sharp_upper", 1.02, 40_000, "trace_mean")],
+    ids=["unfolding", "upper"])
+def test_exact_checks_guard_the_sharp_unfolding(run_experiment, monkeypatch,
+                                                unfolding, factor, samples,
+                                                fails):
+    # trace-concentration fails the records that read the mutated array,
+    # and only those
+    build = getattr(SymThreeTensor, unfolding).func
+    monkeypatch.setattr(SymThreeTensor, unfolding,
+                        property(lambda t: factor * build(t)))
     res = run_experiment("trace-concentration",
                          {"kind": "complete-3-tensor"}, {"sizes": "6, 12"},
-                         2000, 1)
+                         samples, 1)
     failed = {a["name"] for a in res.assertions if not a["passed"]}
-    assert {"sum_beta_n6", "sum_beta_n12"} <= failed
+    assert failed == {f"{fails}_n6", f"{fails}_n12"}
     (row, _) = res.csv["trace_concentration.csv"]
-    assert row["sum_beta"] == pytest.approx(1.5 * 1.01 ** 2, rel=1e-12)
-    assert row["kappa4"] == pytest.approx(35.4 * 1.01 ** 4, rel=1e-12)
+    exact = factor if unfolding == "_sharp_unfolding" else 1.0
+    assert row["sum_beta"] == pytest.approx(1.5 * exact ** 2, rel=1e-12)
+    assert row["kappa4"] == pytest.approx(35.4 * exact ** 4, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

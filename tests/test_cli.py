@@ -1,8 +1,10 @@
 import configparser
+import fnmatch
 import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import time
@@ -152,11 +154,62 @@ def test_run_thm1_certificate_pass(tmp_path):
     assert cli.main(["run", str(p)]) == 0
     man = read_manifest(out)
     assert man["n_failed"] == 0
-    assert man["assertions"][0]["name"] == "certified_p3"
+    assert [a["name"] for a in man["assertions"]] == ["certified_p3",
+                                                      "q_sup_p3"]
     assert man["assertions"][0]["tolerance"] == 0.0
     rows = (out / "thm1_certificate.csv").read_text().strip().split("\n")
-    assert rows[0] == "p,kappa4,threshold,certified,q_sup"
-    assert rows[1].split(",")[3:] == ["1", "1.5"]   # q_sup = p/2
+    assert rows[0] == ("p,kappa4,threshold,certified,q_sup,q_sup_exact,"
+                       "eta_sharp")
+    # q_sup = p/2, against the exact m/2; eta_sharp = 12/(p-1)
+    assert rows[1].split(",")[3:] == ["1", "1.5", "96", "6"]
+
+
+def test_thm1_certificate_meets_the_exact_truth(run_experiment):
+    # a certified q_sup = p/2 is at most the exact m/2 (m nonzero
+    # coefficients) on random unit-variance models: near-equal ones, which
+    # the certificate reaches up to p = 4, and any with zeros among them
+    rng = np.random.default_rng(36)
+    models = []
+    for i in range(200):
+        m = int(np.exp(rng.uniform(0.0, math.log(2000.0))))
+        alphas = (1.0 + 0.05 * rng.standard_normal(m) if i % 2 else
+                  rng.standard_normal(m) * (rng.random(m) < 0.8))
+        alphas[0] = 1.0     # not all zero
+        models.append((np.count_nonzero(alphas), {
+            "kind": "diagonal", "normalize": "true",
+            "alphas": ", ".join(map(repr, alphas.tolist()))}))
+    # chi2-average p-1 has kappa4 = eta_sharp and q_sup exactly (p-1)/2
+    models += [(p - 1, {"kind": "chi2-average", "size": str(p - 1)})
+               for p in (2, 3, 4)]
+    certified = dict.fromkeys((1, 2, 3, 4), 0)
+    for m, model in models:
+        res = run_experiment("thm1-certificate", model, {"p": "1, 2, 3, 4"},
+                             2000, 1)
+        assert all(a["passed"] for a in res.assertions
+                   if a["name"].startswith("q_sup_p"))
+        for row in res.csv["thm1_certificate.csv"]:
+            p = int(row["p"])
+            assert row["q_sup_exact"] == m / 2
+            assert row["eta_sharp"] == (12.0 / (p - 1) if p > 1
+                                        else math.inf)
+            certified[p] += row["certified"]
+            if model["kind"] == "chi2-average" and p == m + 1:
+                assert row["kappa4"] == pytest.approx(row["eta_sharp"],
+                                                      rel=1e-14)
+    assert min(certified.values()) > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_q_sup_fails_a_threshold_above_the_sharp_one(run_experiment,
+                                                     monkeypatch, p):
+    # a threshold 1 % above 12/(p-1) certifies chi2-average p-1, whose
+    # exact q_sup is (p-1)/2 < p/2: the q_sup record fails
+    monkeypatch.setattr(cli.chaos2, "thm1_threshold",
+                        lambda p: 1.01 * 12.0 / (p - 1))
+    res = run_experiment("thm1-certificate",
+                         {"kind": "chi2-average", "size": str(p - 1)},
+                         {"p": str(p)}, 2000, 1)
+    assert [a["passed"] for a in res.assertions] == [True, False]
 
 
 def test_run_records_provenance(tmp_path, monkeypatch):
@@ -193,7 +246,8 @@ def test_run_assertion_failure_still_writes(tmp_path):
     man = read_manifest(out)
     assert man["n_failed"] == 1
     rows = (out / "thm1_certificate.csv").read_text().strip().split("\n")
-    assert rows[1].split(",")[3:] == ["0", "0"]     # q_sup 0: not certified
+    # q_sup 0: not certified
+    assert rows[1].split(",")[3:] == ["0", "0", "2", "6"]
 
 
 def test_run_unknown_experiment(tmp_path, capsys):
@@ -321,16 +375,18 @@ def test_cli_import_loads_no_heavy_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
-def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path,
+                                                     run_under_blas_threads):
     # GEMM-heavy runs under a one- and a two-thread BLAS write the same
-    # CSV bytes: trace-concentration's 64-row sharp stacks at n = 24
-    # exceed GEMM_MADDS, so the BLAS may split them, as it may the
-    # kappa4 GEMM; gamma-spec solves the spectra of complete-6, and
+    # CSV bytes: every GEMM stays within GEMM_MADDS, which the BLAS runs
+    # on the calling thread.  trace-concentration's sharp stacks at
+    # n = 24 and 30 and its kappa4 and trace-form GEMMs would exceed it
+    # unsplit; gamma-spec solves the spectra of complete-6, and
     # negmoment3 on complete-20 and complete-40 runs the pair GEMMs, which
     # at n = 40 split their pairs into runs to stay within GEMM_MADDS
     configs = [
         write_config(tmp_path / "trace.ini", "trace-concentration",
-                     ["kind = complete-3-tensor"], ["sizes = 6, 24"],
+                     ["kind = complete-3-tensor"], ["sizes = 6, 24, 30"],
                      samples=4096),
         write_config(tmp_path / "spec.ini", "gamma-spec",
                      ["kind = complete-3-tensor", "size = 6"],
@@ -341,20 +397,13 @@ def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
         write_config(tmp_path / "neg40.ini", "negmoment3",
                      ["kind = complete-3-tensor", "size = 40"],
                      samples=4096)]
-    src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; from wienerchaos import cli; "
             "sys.exit(max(cli.main(['run', c, '--out', f'{sys.argv[1]}/{i}'])"
             " for i, c in enumerate(sys.argv[2:])))")
     csvs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for threads in (1, 2):
         root = tmp_path / f"blas{threads}"
-        subprocess.run([sys.executable, "-c", code, str(root), *configs],
-                       env=env, check=True, capture_output=True,
-                       timeout=120)
+        run_under_blas_threads(code, threads, root, *configs)
         csvs.append({f.relative_to(root): f.read_bytes()
                      for f in sorted(root.rglob("*.csv"))})
     assert len(csvs[0]) == 4
@@ -1273,6 +1322,33 @@ def test_readme_config_runs_as_written(tmp_path):
     assert cli.main(["run", str(p), "--samples", "2000", "--out",
                      str(out)]) == 0
     assert read_manifest(out)["config"]["experiment"]["seed"] == "42"
+
+
+def test_readme_claim_table_names_experiments_and_their_records(tmp_path):
+    # each experiment of the README's claim table is a key of cli.INPUTS,
+    # and each gate it names (a record name, * for a grid value) is a
+    # record that one of its row's experiments writes at RECORD_CONFIGS
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("| abstract claim | experiments |", 1)[1]
+    rows = [line.strip("|").split("|")
+            for line in table.split("\n\n", 1)[0].splitlines()[2:]]
+    assert rows
+    records = {}
+    for _, experiments, *gates in rows:
+        names = re.findall(r"`([^`]+)`", experiments)
+        assert names and set(names) <= cli.INPUTS.keys()
+        for name in set(names) - records.keys():
+            model, grids, samples = RECORD_CONFIGS[name]
+            out = tmp_path / name
+            p = write_config(tmp_path / f"{name}.ini", name, model, grids,
+                             samples=samples, out=out)
+            assert cli.main(["run", str(p)]) in (0, 1)
+            records[name] = [a["name"]
+                             for a in read_manifest(out)["assertions"]]
+        written = [r for name in names for r in records[name]]
+        for gate in re.findall(r"`([^`]+)`", "|".join(gates)):
+            assert fnmatch.filter(written, gate), (gate, names)
 
 
 def test_readme_experiment_table_is_the_inputs_table():
